@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Computing the maximum off-diagonal tensor entry, fast path vs oracle.
 
-Shows the enumeration cost model, exact agreement between the
-prefix-sharing scan and the from-scratch reference, and the growth of
+Shows the enumeration cost model, exact agreement between the BLAS
+screen with its exact recheck and the from-scratch reference, and the growth of
 the statistic with dimension, including the multi-population variant.
 """
 
@@ -29,8 +29,8 @@ for p, m, n in ((100, 2, 500), (40, 3, 300), (200, 4, 100)):
     print(f"  p={p:>4} m={m} n={n:>4}: C(p,m)={c.tuples:>12,} tuples, {c.multiply_adds:>14,} multiply-adds")
 
 print()
-print("Exact agreement with the from-scratch reference (shared prefix reuse")
-print("changes the multiplication tree, not the result):")
+print("Exact agreement with the from-scratch reference (the BLAS screen only")
+print("picks candidates; they are recomputed the reference's way):")
 X = sample_matrix(NORMAL, 15, 10, SeedSpec(7, 0))
 fast = max_entry(X, 3)
 slow = max_entry_bruteforce(X, 3)

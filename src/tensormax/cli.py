@@ -82,7 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--cost-ceiling", type=int, default=statcore.DEFAULT_COST_CEILING,
                    help="multiply-add budget for the enumeration (default 1e10)")
     t.add_argument("--workers", type=int, default=1,
-                   help="parallel workers; results identical for any value (default 1)")
+                   help="accepted for compatibility, must be >= 1; the enumeration has one "
+                        "code path and BLAS threading follows the environment (default 1)")
 
     d = subs.add_parser("diagnose", help="Monte Carlo diagnostics of the limit ingredients")
     d.add_argument("--what", choices=("lambda", "b1", "pairtail", "mdr"), required=True)

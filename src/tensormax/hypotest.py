@@ -12,8 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import statcore
-from .asymptotics import ONE_SIDED, TWO_SIDED, GumbelLimit, normalize
+from .asymptotics import ONE_SIDED, TWO_SIDED, GumbelLimit, _check_p, normalize
 from .populations import AssumptionProfile, RegimeReport, check_regime
 from .statcore import StatResult
 
@@ -50,17 +52,33 @@ class TestResult:
         }
 
 
-def _finish(stat: StatResult, sided: str, profile: AssumptionProfile | None) -> TestResult:
-    if sided == TWO_SIDED:
+def _limit_for(shape: tuple, m, sided: str, cost_ceiling: int) -> GumbelLimit:
+    """The limit law of a request, checked before any enumeration work.
+
+    Sidedness and width (p >= 3) come first.  The budget is checked
+    before the order's factorial guard, as statcore checks it before it
+    enumerates, so an oversized request still reports its cost.  A
+    malformed matrix or an order above p is left to statcore, which
+    names it.
+    """
+    if sided not in (TWO_SIDED, ONE_SIDED):
+        raise ValueError(f"sided must be {TWO_SIDED!r} or {ONE_SIDED!r}, got {sided!r}")
+    if len(shape) == 2:
+        n, p = shape
+        _check_p(p)
+        if isinstance(m, (int, np.integer)) and 2 <= m <= p:
+            statcore.check_budget(p, m, n, cost_ceiling)
+    return GumbelLimit(m, sided)
+
+
+def _finish(stat: StatResult, limit: GumbelLimit, profile: AssumptionProfile | None) -> TestResult:
+    if limit.sided == TWO_SIDED:
         w = stat.w_abs
         flagged = False
-    elif sided == ONE_SIDED:
+    else:
         w = max(stat.w_signed, 0.0)
         flagged = stat.w_signed <= 0.0
-    else:
-        raise ValueError(f"sided must be {TWO_SIDED!r} or {ONE_SIDED!r}, got {sided!r}")
     ns = normalize(w, stat.n, stat.p, stat.m)
-    limit = GumbelLimit(stat.m, sided)
     p_value = limit.sf(ns.t_value)
     decisions = {lvl: p_value < lvl for lvl in LEVELS}
     regime = check_regime(stat.n, stat.p, stat.m, profile)
@@ -70,7 +88,7 @@ def _finish(stat: StatResult, sided: str, profile: AssumptionProfile | None) -> 
         p_value=p_value,
         decisions=decisions,
         regime=regime,
-        sided=sided,
+        sided=limit.sided,
         signed_nonpositive=flagged,
     )
 
@@ -102,8 +120,9 @@ def test_independence(
         p_value is strictly decreasing in the statistic for fixed
         (n, p, m); decisions compare it against levels 0.01/0.05/0.10.
     """
+    limit = _limit_for(np.shape(X), m, sided, cost_ceiling)
     stat = statcore.max_entry(X, m, workers=workers, cost_ceiling=cost_ceiling)
-    return _finish(stat, sided, profile)
+    return _finish(stat, limit, profile)
 
 
 def test_independence_multi(
@@ -114,5 +133,7 @@ def test_independence_multi(
     profile: AssumptionProfile | None = None,
 ) -> TestResult:
     """Independence test for the multi-population product tensor."""
+    matrices = list(matrices)
+    limit = _limit_for(np.shape(matrices[0]) if matrices else (), len(matrices), sided, cost_ceiling)
     stat = statcore.max_entry_multi(matrices, workers=workers, cost_ceiling=cost_ceiling)
-    return _finish(stat, sided, profile)
+    return _finish(stat, limit, profile)

@@ -190,3 +190,12 @@ class TestSimulate:
         assert code == 0
         assert (override / "records.csv").exists()
         assert not (tmp_path / "ignored").exists()
+
+
+def test_tuple_sum_overflow_is_usage_error(tmp_path, capsys):
+    # (1, 2) sums to inf - inf; the finite (1, 3) entry must not be reported.
+    path = write_csv(tmp_path / "big.csv", [[1e200, 1e200, 1.0], [1e200, -1e200, 1.0]])
+    code, out, err = run_cli(capsys, "test", "--input", path, "--m", "2")
+    assert code == 2
+    assert out == ""
+    assert "tuple sums overflow float64" in err

@@ -117,3 +117,31 @@ class TestMulti:
         X2 = sample_matrix(NORMAL, 300, 30, SeedSpec(8, 1))
         res = hypotest.test_independence_multi([X1, X2])
         assert res.p_value > 0.01
+
+
+class TestValidateBeforeWork:
+    @pytest.fixture
+    def no_enumeration(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("statcore was called before validation")
+
+        monkeypatch.setattr(hypotest.statcore, "max_entry", refuse)
+        monkeypatch.setattr(hypotest.statcore, "max_entry_multi", refuse)
+
+    def test_bad_sided_beats_budget(self):
+        X = np.ones((2, 60))
+        with pytest.raises(ValueError, match="sided"):
+            hypotest.test_independence(X, 30, sided="bogus")
+        with pytest.raises(ValueError, match="sided"):
+            hypotest.test_independence_multi([X, X], sided="bogus", cost_ceiling=1)
+
+    def test_narrow_matrix_rejected_first(self, no_enumeration):
+        with pytest.raises(ValueError, match="p must be >= 3"):
+            hypotest.test_independence(np.ones((5, 2)), 2)
+        with pytest.raises(ValueError, match="p must be >= 3"):
+            hypotest.test_independence_multi([np.ones((5, 2))] * 2)
+
+    def test_order_above_factorial_guard_rejected_first(self, no_enumeration):
+        # within budget (4.2e6 multiply-adds), so only the order check stops it
+        with pytest.raises(ValueError, match="m must be <= 20"):
+            hypotest.test_independence(np.ones((1, 22)), 21)

@@ -15,6 +15,7 @@ from tensormax import (
     max_entry_bruteforce,
     max_entry_multi,
     sample_matrix,
+    statcore,
 )
 from tensormax.populations import RADEMACHER, STANDARD_NORMAL, UNIFORM_SCALED
 
@@ -232,3 +233,134 @@ class TestEnumerationCost:
         c = enumeration_cost(500, 60, 10**6)
         assert c.saturated
         assert c.tuples == 2**63 - 1
+
+
+def _as_tuple(r):
+    return r.w_abs, r.argmax_abs, r.w_signed, r.argmax_signed
+
+
+class TestEngineOracle:
+    """The BLAS screen plus canonical recheck matches the oracles bit for bit.
+
+    Sizes reach past 128 observations so numpy's pairwise summation, not a
+    plain loop, produces the canonical sums.
+    """
+
+    SHAPES = {2: (300, 14), 3: (160, 11), 4: (130, 9)}
+
+    def _check(self, X, m):
+        assert max_entry(X, m) == max_entry_bruteforce(X, m)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_near_ties_from_permuted_duplicate(self, m):
+        # Columns duplicated with their rows permuted: every tuple inside
+        # the copy has a twin whose sum is equal in exact arithmetic but is
+        # summed in another order, so the two round differently.
+        rng = np.random.default_rng(100 + m)
+        n, p = self.SHAPES[m]
+        for trial in range(8):
+            Y = rng.standard_normal((n, p // 2))
+            self._check(np.hstack([Y, Y[rng.permutation(n)]]), m)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_exact_ties_rademacher_and_small_integers(self, m):
+        rng = np.random.default_rng(200 + m)
+        n, p = self.SHAPES[m]
+        for size in (1, 2, 7, n):
+            self._check(rng.choice([-1.0, 1.0], (size, p)), m)
+            self._check(rng.integers(-2, 3, (size, p)).astype(float), m)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("scale", [1e-150, 1e60])
+    def test_extreme_scales(self, m, scale):
+        # 1e-150: products are subnormal or zero; 1e60: entries near 1e240.
+        rng = np.random.default_rng(300 + m)
+        n, p = self.SHAPES[m]
+        for trial in range(3):
+            self._check(rng.standard_normal((n, p)) * scale, m)
+            self._check(rng.standard_t(3, (n, p)) * scale, m)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_multi_population(self, m):
+        rng = np.random.default_rng(400 + m)
+        n, p = self.SHAPES[m]
+        for trial in range(3):
+            mats = [rng.standard_normal((n, p)) for _ in range(m)]
+            mats[-1][:, p - 1] = mats[0][rng.permutation(n), 0]
+            if trial == 1:
+                mats = [np.round(M) for M in mats]
+            if trial == 2:
+                mats = [M * 1e-150 for M in mats]
+            assert _as_tuple(max_entry_multi(mats)) == multi_bruteforce(mats)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_tiles_and_early_rechecks(self, m, monkeypatch):
+        # Tiny tiles and a tiny candidate pool exercise the row tiling, the
+        # prefix chunks and the early recheck that bounds memory on ties.
+        monkeypatch.setattr(statcore, "_TILE_ENTRIES", 64)
+        monkeypatch.setattr(statcore, "_PENDING_LIMIT", 3)
+        rng = np.random.default_rng(500 + m)
+        n, p = self.SHAPES[m]
+        self._check(rng.standard_normal((n, p)), m)
+        self._check(rng.choice([-1.0, 1.0], (5, p)), m)
+        self._check(np.zeros((3, p)), m)
+
+    def test_ties_across_prefix_groups(self):
+        # Several 4-tuples share the maximum; the smallest of them,
+        # (1, 4, 5, 6), has a later last prefix index than (2, 3, 5, 6).
+        X = np.array([[1.0, 2.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0],
+                      [1.0, 1.0, 2.0, 2.0, 2.0, 1.0, 1.0, 2.0]])
+        self._check(X, 4)
+
+    def test_envelope_overflow_without_overflowing_sums(self):
+        # ||x_1|| ||x_2|| exceeds the float64 range but the (1, 2) sum is
+        # 1e308 - 1e308 = 0; the engine recomputes it and agrees.
+        X = np.array([[1e154, 1e154, 1.0], [1e154, -1e154, 1.0]])
+        self._check(X, 2)
+        assert max_entry(X, 2).argmax_abs == (1, 3)
+
+    def test_gaussian_rechecks_a_handful(self):
+        rng = np.random.default_rng(600)
+        for (n, p, m) in ((500, 60, 2), (200, 30, 3), (100, 16, 4)):
+            for trial in range(3):
+                X = rng.standard_normal((n, p))
+                assert statcore._max_entry_core([X] * m, n).rechecked <= 6
+
+
+class TestOverflow:
+    X = [[1e200, 1e200, 1.0], [1e200, -1e200, 1.0]]
+
+    def test_engine_raises(self):
+        with pytest.raises(ValueError, match="tuple sums overflow float64"):
+            max_entry(self.X, 2)
+
+    def test_oracle_raises(self):
+        with pytest.raises(ValueError, match="tuple sums overflow float64"):
+            max_entry_bruteforce(self.X, 2)
+
+    def test_multi_raises(self):
+        with pytest.raises(ValueError, match="tuple sums overflow float64"):
+            max_entry_multi([self.X, self.X])
+
+    def test_nan_entries_are_not_skipped(self):
+        # The prefix product overflows to inf, and every (1, 2, b) sum is
+        # inf * 0 + finite = nan; only the (2, 3, 4) and (1, 3, 4) style
+        # entries are finite.  A screen that let nan compare false would
+        # report a finite maximum.
+        X = np.array([[1e200, 1e200, 0.0, 0.0], [1.0, 1.0, 1.0, 2.0]])
+        with pytest.raises(ValueError, match="tuple sums overflow float64"):
+            max_entry_bruteforce(X, 3)
+        with pytest.raises(ValueError, match="tuple sums overflow float64"):
+            max_entry(X, 3)
+
+    def test_deeper_order_raises(self):
+        X = np.full((4, 5), 1e120)
+        with pytest.raises(ValueError, match="overflow"):
+            max_entry(X, 3)
+
+
+def test_workers_validated():
+    X = np.ones((3, 4))
+    for workers in (0, -1, 1.5):
+        with pytest.raises(ValueError, match="workers"):
+            max_entry(X, 2, workers=workers)
