@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 usage or validation error, 3 budget error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -50,7 +51,8 @@ def _add_seed_flags(sub) -> None:
     sub.add_argument("--stream", type=int, default=0,
                      help="stream id / replicate index (default 0)")
     sub.add_argument("--workers", type=int, default=1,
-                     help="parallel workers; results are identical for any value (default 1)")
+                     help="worker processes, >= 1, capped at the CPUs available; results "
+                          "are identical for any value (default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,7 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--config", required=True, help="path to the experiment config JSON")
     s.add_argument("--output", help="output directory (overrides the config's output_path)")
     s.add_argument("--workers", type=int, default=1,
-                   help="parallel workers per cell; output bytes identical for any value")
+                   help="worker processes per cell, >= 1, capped at the CPUs available; "
+                        "output bytes identical for any value")
     return parser
 
 
@@ -232,10 +235,7 @@ def _cmd_simulate(args) -> int:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"config {args.config} is missing or mistypes a field: {exc}") from exc
     if args.output is not None:
-        config = lab.ExperimentConfig(
-            grid=config.grid, reps=config.reps, master_seed=config.master_seed,
-            z_grid=config.z_grid, output_path=args.output,
-        )
+        config = dataclasses.replace(config, output_path=args.output)
     _log_config("simulate", {"config": config.to_json(), "workers": args.workers})
     report = lab.run_experiment(config, workers=args.workers)
     print(json.dumps({"cells": [c.to_json() for c in report.cells],

@@ -23,13 +23,13 @@ deterministic for a given (seed, reps) at any worker count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .asymptotics import lambda_limit, nu_p
-from .populations import PopulationSpec, SeedSpec, draw, make_generator
+from .asymptotics import ONE_SIDED, TWO_SIDED, lambda_limit, nu_p
+from .populations import PopulationSpec, SeedSpec, draw, make_generator, parallel_map
+from .serial import JsonRecord
 
 # Scalars drawn per replicate block; block layout depends only on
 # (reps, n, columns), never on worker count.
@@ -40,7 +40,7 @@ MIN_EXPECTED_HITS_RATIO = 10
 
 
 @dataclass(frozen=True)
-class TailEstimate:
+class TailEstimate(JsonRecord):
     """Binomial Monte Carlo estimate of a tail probability."""
 
     probability: float
@@ -58,17 +58,9 @@ class TailEstimate:
             std_error=math.sqrt(prob * (1.0 - prob) / reps),
         )
 
-    def to_json(self) -> dict:
-        return {
-            "probability": self.probability,
-            "hits": self.hits,
-            "reps": self.reps,
-            "std_error": self.std_error,
-        }
-
 
 @dataclass(frozen=True)
-class SteinChenReport:
+class SteinChenReport(JsonRecord):
     """Estimated Poisson-approximation ingredients at a tail parameter z."""
 
     z: float
@@ -80,23 +72,8 @@ class SteinChenReport:
     lambda_hat: float
     lambda_limit: float
     b1_bound: float
-    psi_estimates: dict = field(default_factory=dict)
+    psi_estimates: dict[int, TailEstimate] = field(default_factory=dict)
     advisory: tuple[str, ...] = ()
-
-    def to_json(self) -> dict:
-        return {
-            "z": self.z,
-            "n": self.n,
-            "p": self.p,
-            "m": self.m,
-            "threshold": self.threshold,
-            "single_tail": self.single_tail.to_json(),
-            "lambda_hat": self.lambda_hat,
-            "lambda_limit": self.lambda_limit,
-            "b1_bound": self.b1_bound,
-            "psi_estimates": {str(s): est.to_json() for s, est in self.psi_estimates.items()},
-            "advisory": list(self.advisory),
-        }
 
 
 @dataclass(frozen=True)
@@ -132,7 +109,7 @@ class PairTailSpec:
 
 
 @dataclass(frozen=True)
-class RatioReport:
+class RatioReport(JsonRecord):
     """Moderate deviation check: one-sided tail over the Gaussian tail."""
 
     x: float
@@ -145,20 +122,6 @@ class RatioReport:
     hits: int
     reps: int
     advisory: tuple[str, ...] = ()
-
-    def to_json(self) -> dict:
-        return {
-            "x": self.x,
-            "n": self.n,
-            "m": self.m,
-            "p_hat": self.p_hat,
-            "std_error": self.std_error,
-            "gaussian_tail": self.gaussian_tail,
-            "ratio": self.ratio,
-            "hits": self.hits,
-            "reps": self.reps,
-            "advisory": list(self.advisory),
-        }
 
 
 def normal_upper_tail(x: float) -> float:
@@ -203,17 +166,14 @@ def _product_sums_block(spec: PopulationSpec, n: int, m: int, seed: SeedSpec, in
     return prod.sum(axis=1)
 
 
-def _single_tail_block(args) -> int:
-    spec, n, m, threshold, seed, index, count = args
-    sums = _product_sums_block(spec, n, m, seed, index, count)
-    scaled = np.abs(sums) / math.sqrt(n)
-    return int(np.count_nonzero(scaled > threshold))
-
-
-def _one_sided_block(args) -> int:
-    spec, n, m, x, seed, index, count = args
-    sums = _product_sums_block(spec, n, m, seed, index, count)
-    return int(np.count_nonzero(sums / math.sqrt(n) >= x))
+def _tail_block(args) -> int:
+    """Hits |S|/sqrt(n) > t (two-sided) or S/sqrt(n) >= x (one-sided) in one block."""
+    spec, n, m, sided, threshold, seed, index, count = args
+    scaled = _product_sums_block(spec, n, m, seed, index, count) / math.sqrt(n)
+    if sided == TWO_SIDED:
+        # IEEE division is sign-symmetric: this counts |S|/sqrt(n) > t exactly.
+        return int(np.count_nonzero(np.abs(scaled) > threshold))
+    return int(np.count_nonzero(scaled >= threshold))
 
 
 def _pair_tail_block(args) -> int:
@@ -233,13 +193,6 @@ def _pair_tail_block(args) -> int:
     s1 = np.abs((xi * eta).sum(axis=1))
     s2 = np.abs((xi * zeta).sum(axis=1))
     return int(np.count_nonzero((s1 >= threshold) & (s2 >= threshold)))
-
-
-def _run_blocks(fn, arg_groups, workers: int) -> int:
-    if workers <= 1:
-        return sum(fn(args) for args in arg_groups)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(fn, arg_groups, chunksize=1))
 
 
 def estimate_single_tail(
@@ -271,8 +224,8 @@ def estimate_single_tail(
     if threshold <= 0.0:
         return TailEstimate.from_counts(reps, reps)
     sizes = _block_sizes(reps, n * m)
-    groups = [(spec, n, m, float(threshold), seed, i, c) for i, c in enumerate(sizes)]
-    hits = _run_blocks(_single_tail_block, groups, workers)
+    groups = [(spec, n, m, TWO_SIDED, float(threshold), seed, i, c) for i, c in enumerate(sizes)]
+    hits = sum(parallel_map(_tail_block, groups, workers))
     return TailEstimate.from_counts(hits, reps)
 
 
@@ -336,7 +289,7 @@ def estimate_pair_tail(
     threshold = pspec.a_n * math.sqrt(pspec.n * math.log(pspec.p))
     sizes = _block_sizes(reps, pspec.n * (2 * pspec.m - pspec.s))
     groups = [(pspec, threshold, seed, i, c) for i, c in enumerate(sizes)]
-    hits = _run_blocks(_pair_tail_block, groups, workers)
+    hits = sum(parallel_map(_pair_tail_block, groups, workers))
     return TailEstimate.from_counts(hits, reps)
 
 
@@ -381,8 +334,8 @@ def moderate_deviation_ratio(
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     sizes = _block_sizes(reps, n * m)
-    groups = [(spec, n, m, float(x), seed, i, c) for i, c in enumerate(sizes)]
-    hits = _run_blocks(_one_sided_block, groups, workers)
+    groups = [(spec, n, m, ONE_SIDED, float(x), seed, i, c) for i, c in enumerate(sizes)]
+    hits = sum(parallel_map(_tail_block, groups, workers))
     est = TailEstimate.from_counts(hits, reps)
     gauss = normal_upper_tail(x)
     advisory = []
@@ -433,16 +386,4 @@ def stein_chen_report(
     for s in range(1, m):
         pspec = PairTailSpec(s=s, a_n=float(a_n), n=n, p=p, m=m, spec=spec)
         psi[s] = estimate_pair_tail(pspec, pair_reps or reps, seed, workers=workers)
-    return SteinChenReport(
-        z=report.z,
-        n=report.n,
-        p=report.p,
-        m=report.m,
-        threshold=report.threshold,
-        single_tail=report.single_tail,
-        lambda_hat=report.lambda_hat,
-        lambda_limit=report.lambda_limit,
-        b1_bound=report.b1_bound,
-        psi_estimates=psi,
-        advisory=report.advisory,
-    )
+    return replace(report, psi_estimates=psi)

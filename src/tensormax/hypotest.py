@@ -17,13 +17,14 @@ import numpy as np
 from . import statcore
 from .asymptotics import ONE_SIDED, TWO_SIDED, GumbelLimit, _check_p, normalize
 from .populations import AssumptionProfile, RegimeReport, check_regime
+from .serial import JsonRecord
 from .statcore import StatResult
 
 LEVELS = (0.01, 0.05, 0.10)
 
 
 @dataclass(frozen=True)
-class TestResult:
+class TestResult(JsonRecord):
     """Statistic, normalized value, p-value and fixed-level decisions.
 
     ``signed_nonpositive`` marks the degenerate one-sided case where the
@@ -35,21 +36,10 @@ class TestResult:
     stat: StatResult
     t_value: float
     p_value: float
-    decisions: dict = field(default_factory=dict)
+    decisions: dict[float, bool] = field(default_factory=dict)
     regime: RegimeReport | None = None
     sided: str = TWO_SIDED
     signed_nonpositive: bool = False
-
-    def to_json(self) -> dict:
-        return {
-            "stat": self.stat.to_json(),
-            "t_value": self.t_value,
-            "p_value": self.p_value,
-            "decisions": {f"{lvl:.2f}": bool(rej) for lvl, rej in self.decisions.items()},
-            "regime": None if self.regime is None else self.regime.to_json(),
-            "sided": self.sided,
-            "signed_nonpositive": self.signed_nonpositive,
-        }
 
 
 def _limit_for(shape: tuple, m, sided: str, cost_ceiling: int) -> GumbelLimit:

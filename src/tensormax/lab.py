@@ -19,7 +19,6 @@ import csv
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,7 +27,8 @@ import numpy as np
 from . import statcore
 from .asymptotics import ONE_SIDED, TWO_SIDED, GumbelLimit, normalize
 from .hypotest import LEVELS
-from .populations import PopulationSpec, SeedSpec, sample_matrix
+from .populations import PopulationSpec, SeedSpec, parallel_map, sample_matrix
+from .serial import JsonRecord
 
 DEFAULT_Z_GRID = tuple(float(z) for z in np.linspace(-6.0, 12.0, 101))
 
@@ -36,7 +36,7 @@ RECORD_COLUMNS = ("cell_id", "replicate", "w_abs", "w_signed", "t_value", "ratio
 
 
 @dataclass(frozen=True)
-class CellConfig:
+class CellConfig(JsonRecord):
     """One experiment cell: dimensions, order, population and sidedness."""
 
     n: int
@@ -58,28 +58,9 @@ class CellConfig:
     def cell_id(self, index: int) -> str:
         return f"c{index:02d}_{self.spec.family}_m{self.m}_n{self.n}_p{self.p}"
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "p": self.p,
-            "m": self.m,
-            "spec": self.spec.to_json(),
-            "sided": self.sided,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "CellConfig":
-        return cls(
-            n=int(obj["n"]),
-            p=int(obj["p"]),
-            m=int(obj["m"]),
-            spec=PopulationSpec.from_json(obj["spec"]),
-            sided=obj.get("sided", TWO_SIDED),
-        )
-
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(JsonRecord):
     grid: tuple[CellConfig, ...]
     reps: int
     master_seed: int
@@ -99,25 +80,6 @@ class ExperimentConfig:
             self.reps * statcore.enumeration_cost(c.p, c.m, c.n).multiply_adds for c in self.grid
         )
 
-    def to_json(self) -> dict:
-        return {
-            "grid": [c.to_json() for c in self.grid],
-            "reps": self.reps,
-            "master_seed": self.master_seed,
-            "z_grid": list(self.z_grid),
-            "output_path": self.output_path,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ExperimentConfig":
-        return cls(
-            grid=tuple(CellConfig.from_json(c) for c in obj["grid"]),
-            reps=int(obj["reps"]),
-            master_seed=int(obj["master_seed"]),
-            z_grid=tuple(float(z) for z in obj.get("z_grid", DEFAULT_Z_GRID)),
-            output_path=obj.get("output_path"),
-        )
-
 
 @dataclass(frozen=True)
 class ReplicateRecord:
@@ -130,46 +92,17 @@ class ReplicateRecord:
 
 
 @dataclass(frozen=True)
-class CellReport:
+class CellReport(JsonRecord):
     cell_id: str
     cell: CellConfig
     reps: int
     ecdf: tuple[float, ...]
     ks_distance: float
-    type1: dict
+    type1: dict[float, float]
     ratio_mean: float
     ratio_sd: float
     flagged_nonpositive: int
     runtime_seconds: float
-
-    def to_json(self) -> dict:
-        return {
-            "cell_id": self.cell_id,
-            "cell": self.cell.to_json(),
-            "reps": self.reps,
-            "ecdf": list(self.ecdf),
-            "ks_distance": self.ks_distance,
-            "type1": {f"{lvl:.2f}": rate for lvl, rate in self.type1.items()},
-            "ratio_mean": self.ratio_mean,
-            "ratio_sd": self.ratio_sd,
-            "flagged_nonpositive": self.flagged_nonpositive,
-            "runtime_seconds": self.runtime_seconds,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "CellReport":
-        return cls(
-            cell_id=obj["cell_id"],
-            cell=CellConfig.from_json(obj["cell"]),
-            reps=int(obj["reps"]),
-            ecdf=tuple(float(v) for v in obj["ecdf"]),
-            ks_distance=float(obj["ks_distance"]),
-            type1={float(k): float(v) for k, v in obj["type1"].items()},
-            ratio_mean=float(obj["ratio_mean"]),
-            ratio_sd=float(obj["ratio_sd"]),
-            flagged_nonpositive=int(obj["flagged_nonpositive"]),
-            runtime_seconds=float(obj["runtime_seconds"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -263,17 +196,12 @@ def run_experiment(
         raise statcore.BudgetError(
             f"experiment needs an estimated {total:,} multiply-adds, above the budget of {budget:,}"
         )
-    workers = max(1, int(workers))
     all_records: list[ReplicateRecord] = []
     cell_reports: list[CellReport] = []
     for cell_index, cell in enumerate(config.grid):
         t0 = time.perf_counter()
         tasks = [(cell_index, cell, config.master_seed, r) for r in range(config.reps)]
-        if workers == 1:
-            rows = [_run_replicate(t) for t in tasks]
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(_run_replicate, tasks, chunksize=max(1, config.reps // (4 * workers))))
+        rows = parallel_map(_run_replicate, tasks, workers)
         rows.sort(key=lambda r: (r[0], r[1]))
         runtime = time.perf_counter() - t0
         cid = cell.cell_id(cell_index)

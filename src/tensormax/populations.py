@@ -19,11 +19,14 @@ generated matrix is byte-identical across runs and worker counts.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import asymptotics
+from .serial import NEVER_WRITE, WRITE_IF_SET, JsonRecord
 
 STANDARD_NORMAL = "standard_normal"
 RADEMACHER = "rademacher"
@@ -48,7 +51,7 @@ OUTSIDE = "outside"
 
 
 @dataclass(frozen=True)
-class SeedSpec:
+class SeedSpec(JsonRecord):
     """Deterministic stream address: (master_seed, stream_id).
 
     Both components are 64-bit unsigned integers.  The stream_id is
@@ -65,21 +68,14 @@ class SeedSpec:
             if not isinstance(v, (int, np.integer)) or not 0 <= int(v) <= _UINT64_MAX:
                 raise ValueError(f"{name} must be an unsigned 64-bit integer, got {v!r}")
 
-    def to_json(self) -> dict:
-        return {"master_seed": int(self.master_seed), "stream_id": int(self.stream_id)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SeedSpec":
-        return cls(master_seed=int(obj["master_seed"]), stream_id=int(obj.get("stream_id", 0)))
-
 
 @dataclass(frozen=True)
-class PopulationSpec:
+class PopulationSpec(JsonRecord):
     """A standardized population family, plus an optional display label."""
 
     family: str
-    df: int | None = None
-    label: str = ""
+    df: int | None = field(default=None, metadata=WRITE_IF_SET)
+    label: str = field(default="", metadata=NEVER_WRITE)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -95,17 +91,6 @@ class PopulationSpec:
         if not self.label:
             text = self.family if self.df is None else f"{self.family}(df={self.df})"
             object.__setattr__(self, "label", text)
-
-    def to_json(self) -> dict:
-        out: dict = {"family": self.family}
-        if self.df is not None:
-            out["df"] = int(self.df)
-        return out
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "PopulationSpec":
-        df = obj.get("df")
-        return cls(family=obj["family"], df=None if df is None else int(df))
 
 
 @dataclass(frozen=True)
@@ -143,7 +128,7 @@ class AssumptionProfile:
 
 
 @dataclass(frozen=True)
-class RegimeReport:
+class RegimeReport(JsonRecord):
     """Advisory classification of (n, p) against the two growth regimes."""
 
     regime: str
@@ -157,21 +142,6 @@ class RegimeReport:
     n_pow_beta: float
     n_pow_alpha: float
     c_n: float | None
-
-    def to_json(self) -> dict:
-        return {
-            "regime": self.regime,
-            "ultra_high": self.ultra_high,
-            "polynomial": self.polynomial,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "tau1": self.tau1,
-            "tau2": self.tau2,
-            "log_p": self.log_p,
-            "n_pow_beta": self.n_pow_beta,
-            "n_pow_alpha": self.n_pow_alpha,
-            "c_n": self.c_n,
-        }
 
 
 def make_generator(seed: SeedSpec, extra: tuple[int, ...] = ()) -> np.random.Generator:
@@ -235,6 +205,29 @@ def sample_matrix(spec: PopulationSpec, n: int, p: int, seed: SeedSpec) -> np.nd
     if not isinstance(p, (int, np.integer)) or p < 3:
         raise ValueError(f"p must be an integer >= 3, got {p!r}")
     return sample_values(spec, (int(n), int(p)), seed)
+
+
+def check_workers(workers) -> None:
+    if not isinstance(workers, (int, np.integer)) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+
+
+def parallel_map(fn, tasks, workers: int) -> list:
+    """``[fn(t) for t in tasks]``, in task order, on up to ``workers`` processes.
+
+    ``workers`` must be an integer >= 1.  At most
+    min(workers, len(tasks), available CPUs) processes start, and none
+    when that is 1.  Tasks carry their own stream addresses, so the
+    result does not depend on the worker count.
+    """
+    check_workers(workers)
+    tasks = list(tasks)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    procs = min(int(workers), len(tasks), cpus or 1)
+    if procs <= 1:
+        return [fn(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=procs) as pool:
+        return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * procs))))
 
 
 def check_regime(n: int, p: int, m: int, profile: AssumptionProfile | None = None) -> RegimeReport:

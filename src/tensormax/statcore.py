@@ -81,6 +81,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .populations import check_workers
+from .serial import JsonRecord
+
 DEFAULT_COST_CEILING = 10**10
 ORACLE_COST_CEILING = 10**7
 _SATURATION = 2**63 - 1
@@ -116,7 +119,7 @@ class EnumerationCost:
 
 
 @dataclass(frozen=True)
-class StatResult:
+class StatResult(JsonRecord):
     """Maximum entry statistics and their attaining index tuples.
 
     ``argmax_abs`` and ``argmax_signed`` are 1-based strictly increasing
@@ -131,18 +134,6 @@ class StatResult:
     p: int
     m: int
     tuple_count: int
-
-    def to_json(self) -> dict:
-        return {
-            "w_abs": self.w_abs,
-            "w_signed": self.w_signed,
-            "argmax_abs": list(self.argmax_abs),
-            "argmax_signed": list(self.argmax_signed),
-            "n": self.n,
-            "p": self.p,
-            "m": self.m,
-            "tuple_count": self.tuple_count,
-        }
 
 
 def enumeration_cost(p: int, m: int, n: int) -> EnumerationCost:
@@ -189,11 +180,6 @@ def check_budget(p: int, m: int, n: int, ceiling: int) -> None:
             f"p={p}, m={m}, n={n}, above the ceiling of {ceiling:,}; "
             f"raise cost_ceiling to override"
         )
-
-
-def _check_workers(workers) -> None:
-    if not isinstance(workers, (int, np.integer)) or workers < 1:
-        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
 
 
 def _gamma(k: int) -> float:
@@ -460,7 +446,7 @@ def max_entry(X, m: int, workers: int = 1, cost_ceiling: int = DEFAULT_COST_CEIL
     n, p = A.shape
     if not isinstance(m, (int, np.integer)) or m < 2 or m > p:
         raise ValueError(f"m must satisfy 2 <= m <= p={p}, got {m!r}")
-    _check_workers(workers)
+    check_workers(workers)
     check_budget(p, m, n, cost_ceiling)
     return _result(_max_entry_core([A] * int(m), n), n, p, int(m))
 
@@ -485,7 +471,7 @@ def max_entry_multi(matrices, workers: int = 1, cost_ceiling: int = DEFAULT_COST
             )
     if m > p:
         raise ValueError(f"m must be <= p, got m={m}, p={p}")
-    _check_workers(workers)
+    check_workers(workers)
     check_budget(p, m, n, cost_ceiling)
     return _result(_max_entry_core(mats, n), n, p, m)
 

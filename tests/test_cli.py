@@ -199,3 +199,25 @@ def test_tuple_sum_overflow_is_usage_error(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "tuple sums overflow float64" in err
+
+
+def test_simulate_config_missing_reps_names_the_field(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": [{"n": 10, "p": 6, "m": 2,
+                                         "spec": {"family": "standard_normal"}}],
+                               "master_seed": 7}))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert "reps" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("diagnose", "--what", "mdr", "--x", "1", "--n", "10", "--m", "2", "--reps", "100"),
+    ("diagnose", "--what", "lambda", "--n", "10", "--p", "5", "--m", "2", "--reps", "100"),
+])
+def test_diagnose_zero_workers_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--workers", "0")
+    assert code == 2
+    assert out == ""
+    assert "workers" in err

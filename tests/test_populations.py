@@ -7,9 +7,14 @@ import pytest
 
 from tensormax import (
     AssumptionProfile,
+    CellConfig,
+    ExperimentConfig,
     PopulationSpec,
     SeedSpec,
     check_regime,
+    estimate_single_tail,
+    populations,
+    run_experiment,
     sample_matrix,
     sample_values,
 )
@@ -163,3 +168,71 @@ class TestCheckRegime:
         rep = check_regime(500, 100, 2)
         expected = math.sqrt(4.0 / math.log(500)) * 1.8486028298836414
         assert rep.c_n == pytest.approx(expected, abs=1e-9)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace the process pool by an in-process stub on a 4-CPU affinity.
+
+    Returns the list of ``max_workers`` values the stub was built with;
+    no process is ever started.
+    """
+    sizes = []
+
+    class StubPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            assert chunksize >= 1
+            return map(fn, tasks)
+
+    monkeypatch.setattr(populations, "ProcessPoolExecutor", StubPool)
+    monkeypatch.setattr(populations.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    return sizes
+
+
+class TestParallelMap:
+    @pytest.mark.parametrize("workers, tasks, expected", [
+        (10**6, 3, [3]),      # capped by the task count
+        (10**6, 10, [4]),     # capped by the available CPUs
+        (2, 10, [2]),
+        (8, 1, []),           # one task: no pool at all
+        (1, 10, []),
+    ])
+    def test_process_count_is_capped(self, pool_sizes, workers, tasks, expected):
+        assert populations.parallel_map(abs, range(-tasks, 0), workers) == list(range(tasks, 0, -1))
+        assert pool_sizes == expected
+
+    @pytest.mark.parametrize("workers", [0, -1, 1.5, "2", None])
+    def test_workers_must_be_a_positive_integer(self, pool_sizes, workers):
+        with pytest.raises(ValueError, match="workers"):
+            populations.parallel_map(abs, [1, 2], workers)
+
+    def test_single_block_estimate_starts_no_pool(self, pool_sizes):
+        spec = PopulationSpec(STANDARD_NORMAL)
+        one = estimate_single_tail(spec, 20, 2, 1.0, 1000, SEED)
+        assert estimate_single_tail(spec, 20, 2, 1.0, 1000, SEED, workers=64) == one
+        assert pool_sizes == []
+
+    def test_experiment_pool_is_capped_and_records_unchanged(self, pool_sizes):
+        cfg = ExperimentConfig(grid=(CellConfig(n=10, p=5, m=2, spec=PopulationSpec(RADEMACHER)),),
+                               reps=6, master_seed=3)
+        one = run_experiment(cfg)
+        assert pool_sizes == []
+        many = run_experiment(cfg, workers=10**6)
+        assert pool_sizes == [4]
+        assert many.records == one.records
+
+    @pytest.mark.parametrize("workers", [0, 1.5])
+    def test_experiment_rejects_bad_workers(self, workers):
+        cfg = ExperimentConfig(grid=(CellConfig(n=10, p=5, m=2, spec=PopulationSpec(RADEMACHER)),),
+                               reps=2, master_seed=3)
+        with pytest.raises(ValueError, match="workers"):
+            run_experiment(cfg, workers=workers)

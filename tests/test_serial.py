@@ -1,0 +1,72 @@
+"""The JSON codec: every record survives a trip through JSON text."""
+
+import json
+
+import numpy as np
+import pytest
+
+from tensormax import (
+    CellConfig,
+    ExperimentConfig,
+    PopulationSpec,
+    SeedSpec,
+    TailEstimate,
+    check_regime,
+    hypotest,
+    max_entry,
+    moderate_deviation_ratio,
+    run_experiment,
+    stein_chen_report,
+)
+from tensormax.populations import RADEMACHER, STANDARD_NORMAL, STUDENT_T_STANDARDIZED
+from tensormax.serial import JsonRecord
+
+NORMAL = PopulationSpec(STANDARD_NORMAL)
+T5 = PopulationSpec(STUDENT_T_STANDARDIZED, df=5)
+X = np.random.default_rng(3).standard_normal((30, 7))
+CELLS = (CellConfig(n=20, p=6, m=2, spec=T5),
+         CellConfig(n=20, p=6, m=3, spec=PopulationSpec(RADEMACHER), sided="one_sided"))
+
+# One factory per case, so that collection computes nothing.
+SAMPLES = {
+    "seed": lambda: SeedSpec(2**64 - 1, 3),
+    "population_df": lambda: T5,
+    "population": lambda: NORMAL,
+    "regime": lambda: check_regime(100, 50, 2),
+    "regime_without_c_n": lambda: check_regime(1, 5, 2),
+    "stat": lambda: max_entry(X, 3),
+    "tail": lambda: TailEstimate.from_counts(3, 10),
+    "stein_chen": lambda: stein_chen_report(0.0, 20, 6, 3, NORMAL, 500, SeedSpec(1), a_n=0.5),
+    "ratio_with_advisory": lambda: moderate_deviation_ratio(NORMAL, 2, 20, 3.0, 500, SeedSpec(1)),
+    "test_two_sided": lambda: hypotest.test_independence(X, 2),
+    "test_one_sided": lambda: hypotest.test_independence(X, 3, sided="one_sided"),
+    "cell": lambda: CELLS[1],
+    "config": lambda: ExperimentConfig(grid=CELLS, reps=4, master_seed=9, output_path="out"),
+    "cell_report": lambda: run_experiment(ExperimentConfig(grid=CELLS, reps=4, master_seed=9)).cells[1],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLES))
+def test_round_trip_through_json_text(name):
+    x = SAMPLES[name]()
+    assert type(x).from_json(json.loads(json.dumps(x.to_json()))) == x
+
+
+def test_samples_cover_every_record_class():
+    assert {type(make()) for make in SAMPLES.values()} == set(JsonRecord.__subclasses__())
+
+
+def test_numpy_scalars_are_written_as_python_numbers():
+    obj = SeedSpec(np.uint64(5), np.int32(2)).to_json()
+    assert obj == {"master_seed": 5, "stream_id": 2}
+    assert all(type(v) is int for v in obj.values())
+
+
+def test_population_writes_df_only_when_set_and_never_the_label():
+    assert PopulationSpec(STANDARD_NORMAL, label="N(0,1)").to_json() == {"family": STANDARD_NORMAL}
+    assert T5.to_json() == {"family": STUDENT_T_STANDARDIZED, "df": 5}
+    assert PopulationSpec.from_json({"family": STANDARD_NORMAL, "label": "x"}).label == STANDARD_NORMAL
+
+
+def test_missing_field_takes_default_and_unknown_keys_are_ignored():
+    assert SeedSpec.from_json({"master_seed": 4, "extra": 1}) == SeedSpec(4, 0)
