@@ -152,14 +152,25 @@ def normalize(w: float, n: int, p: int, m: int) -> NormalizedStat:
     -------
     NormalizedStat
     """
+    w = float(w)
+    return NormalizedStat(t_value=center(w, p, m), w=w, n=int(n), p=int(p), m=int(m))
+
+
+def center(w, p: int, m: int):
+    """T = w**2 - 2*m*log(p) + log(log(p)) for one statistic or an array of them.
+
+    A float gives a float and an array an array.  The operations and
+    their order are the same either way, so an array entry has the same
+    bits as the scalar result for that value.  Every w must be finite and
+    >= 0.
+    """
     _check_order(m)
     _check_p(p)
-    w = float(w)
-    if not math.isfinite(w) or w < 0.0:
+    ws = np.asarray(w, dtype=np.float64)
+    if not np.all(np.isfinite(ws) & (ws >= 0.0)):
         raise ValueError(f"w must be finite and >= 0, got {w}")
     lp = math.log(p)
-    t = w * w - 2.0 * m * lp + math.log(lp)
-    return NormalizedStat(t_value=t, w=w, n=int(n), p=int(p), m=int(m))
+    return w * w - 2.0 * m * lp + math.log(lp)
 
 
 def nu_p(z: float, p: int, m: int) -> float:

@@ -7,10 +7,18 @@ statistic on a z grid, its exact Kolmogorov-Smirnov distance to the
 limit law, an empirical type-I error table at the fixed levels, and the
 mean/sd of W / sqrt(log p).
 
+Replicates run in stacks: a cell's replicates are cut into fixed chunks
+of at most ``_STACK_VALUES`` data values (at least one replicate each,
+and at least ``_MIN_CHUNKS`` chunks when there are the replicates), each
+chunk is drawn into one (R, n, p) array and enumerated by one
+:func:`statcore.max_entries` call, and chunks are the tasks spread over
+workers.
+
 Reproducibility contract: replicate r of every cell draws from stream
-(master_seed, r), cells run in declared order, and records are sorted by
-(cell, replicate) before persistence, so records.csv is byte-identical
-for any worker count.
+(master_seed, r) into its own row of a stack, chunk boundaries depend
+only on (n, p, reps), cells run in declared order, and records come in
+(cell, replicate) order, so records.csv is byte-identical for any worker
+count.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import statcore
-from .asymptotics import ONE_SIDED, TWO_SIDED, GumbelLimit, normalize
+from .asymptotics import ONE_SIDED, TWO_SIDED, GumbelLimit, center, normalize
 from .hypotest import LEVELS
 from .populations import PopulationSpec, SeedSpec, parallel_map, sample_matrix
 from .serial import JsonRecord
@@ -33,6 +41,12 @@ from .serial import JsonRecord
 DEFAULT_Z_GRID = tuple(float(z) for z in np.linspace(-6.0, 12.0, 101))
 
 RECORD_COLUMNS = ("cell_id", "replicate", "w_abs", "w_signed", "t_value", "ratio")
+
+# Data values per stack of replicates (1 MB of float64).
+_STACK_VALUES = 2**17
+# A cell with the replicates for it is cut into at least this many
+# chunks, so that one too small to fill a stack still spreads over workers.
+_MIN_CHUNKS = 4
 
 
 @dataclass(frozen=True)
@@ -129,13 +143,25 @@ def ks_distance(samples, limit: GumbelLimit) -> float:
     return float(max(d_plus, d_minus))
 
 
-def _run_replicate(args) -> tuple[int, int, float, float, float, float]:
-    cell_index, cell, master_seed, replicate = args
-    X = sample_matrix(cell.spec, cell.n, cell.p, SeedSpec(master_seed, replicate))
-    res = statcore.max_entry(X, cell.m)
-    t = normalize(res.w_abs, cell.n, cell.p, cell.m).t_value
-    ratio = res.w_abs / math.sqrt(math.log(cell.p))
-    return (cell_index, replicate, res.w_abs, res.w_signed, t, ratio)
+def _chunks(cell: CellConfig, reps: int) -> list[tuple[int, int]]:
+    """Replicate ranges [lo, hi) of a cell, each small enough for one stack."""
+    size = max(1, min(_STACK_VALUES // (cell.n * cell.p), reps // _MIN_CHUNKS))
+    return [(lo, min(lo + size, reps)) for lo in range(0, reps, size)]
+
+
+def _run_chunk(args) -> list[tuple[int, int, float, float, float, float]]:
+    cell_index, cell, master_seed, lo, hi = args
+    X = np.empty((hi - lo, cell.n, cell.p))
+    for r in range(lo, hi):
+        X[r - lo] = sample_matrix(cell.spec, cell.n, cell.p, SeedSpec(master_seed, r))
+    results = statcore.max_entries(X, cell.m)
+    w_abs = np.array([res.w_abs for res in results])
+    t = center(w_abs, cell.p, cell.m)
+    ratio = w_abs / math.sqrt(math.log(cell.p))
+    return [
+        (cell_index, r, res.w_abs, res.w_signed, t_r, ratio_r)
+        for r, res, t_r, ratio_r in zip(range(lo, hi), results, t.tolist(), ratio.tolist())
+    ]
 
 
 def _summarize_cell(
@@ -154,8 +180,7 @@ def _summarize_cell(
         # Centered signed statistic, recomputable from the w_signed column.
         positive = w_signed > 0.0
         flagged = int(np.count_nonzero(~positive))
-        ws = w_signed[positive]
-        t_cell = np.array([normalize(w, cell.n, cell.p, cell.m).t_value for w in ws])
+        t_cell = center(w_signed[positive], cell.p, cell.m)
         if t_cell.size == 0:
             t_cell = np.array([normalize(0.0, cell.n, cell.p, cell.m).t_value])
     else:
@@ -186,10 +211,11 @@ def run_experiment(
 ) -> ExperimentReport:
     """Run every cell of the grid for the configured replicate count.
 
-    Cells run sequentially; replicates within a cell are independent
-    tasks (stream id = replicate index) and may run in parallel.  The
-    returned report is identical for every worker count.  If
-    ``config.output_path`` is set the report is persisted there.
+    Cells run sequentially; a cell's replicates (stream id = replicate
+    index) run in fixed chunks, and the chunks are independent tasks that
+    may run in parallel.  The returned report is identical for every
+    worker count.  If ``config.output_path`` is set the report is
+    persisted there.
     """
     total = config.total_cost()
     if total > budget:
@@ -200,9 +226,8 @@ def run_experiment(
     cell_reports: list[CellReport] = []
     for cell_index, cell in enumerate(config.grid):
         t0 = time.perf_counter()
-        tasks = [(cell_index, cell, config.master_seed, r) for r in range(config.reps)]
-        rows = parallel_map(_run_replicate, tasks, workers)
-        rows.sort(key=lambda r: (r[0], r[1]))
+        tasks = [(cell_index, cell, config.master_seed, lo, hi) for lo, hi in _chunks(cell, config.reps)]
+        rows = [row for chunk in parallel_map(_run_chunk, tasks, workers) for row in chunk]
         runtime = time.perf_counter() - t0
         cid = cell.cell_id(cell_index)
         all_records.extend(

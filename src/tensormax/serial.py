@@ -5,10 +5,12 @@ its init fields in declaration order: tuples become lists, numpy scalars
 Python numbers, and dict keys strings (floats as ``f"{k:.2f}"``, the level
 tables).  It is read back by each field's annotation, so
 ``dict[float, bool]`` turns ``{"0.05": true}`` into ``{0.05: True}``.  A
-missing key takes the field's default (TypeError naming the field if it
-has none) and unknown keys are ignored.  Field metadata
-:data:`WRITE_IF_SET` omits a None value; :data:`NEVER_WRITE` skips the
-field both ways.
+number read into an ``int`` must be integral: 30.0 reads as 30, while
+30.9 or a bool raises ValueError naming the class and the field, rather
+than being truncated.  A missing key takes the field's default
+(TypeError naming the field if it has none) and unknown keys are
+ignored.  Field metadata :data:`WRITE_IF_SET` omits a None value;
+:data:`NEVER_WRITE` skips the field both ways.
 """
 
 from __future__ import annotations
@@ -51,16 +53,19 @@ def _encode(value):
     return value
 
 
-def _decode(tp, value):
+def _decode(tp, value, where: str):
+    """``value`` read as annotation ``tp``; ``where`` names the field in errors."""
+    if tp is int and (isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())):
+        raise ValueError(f"{where} must be an integer, got {value!r}")
     if tp in _SCALARS:
         return tp(value)
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin in (typing.Union, types.UnionType):  # an optional field, spelled X | None
-        return None if value is None else _decode(args[0], value)
+        return None if value is None else _decode(args[0], value, where)
     if origin is tuple:
-        return tuple(_decode(args[0], v) for v in value)
+        return tuple(_decode(args[0], v, where) for v in value)
     if origin is dict:
-        return {args[0](k): _decode(args[1], v) for k, v in value.items()}
+        return {args[0](k): _decode(args[1], v, where) for k, v in value.items()}
     return tp.from_json(value)  # a nested JsonRecord
 
 
@@ -77,4 +82,5 @@ class JsonRecord:
 
     @classmethod
     def from_json(cls, obj: dict):
-        return cls(**{name: _decode(tp, obj[name]) for name, tp, _ in _fields(cls) if name in obj})
+        return cls(**{name: _decode(tp, obj[name], f"{cls.__name__}.{name}")
+                      for name, tp, _ in _fields(cls) if name in obj})

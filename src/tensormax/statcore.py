@@ -29,6 +29,17 @@ there is no prefix and G = X^T X / sqrt(n).  Prefixes that end at the
 same index share X[:, s:], so they are stacked into one GEMM, and rows
 are tiled so that no tile holds more than about a million entries.
 
+**Stacks of replicates.**  :func:`max_entries` runs the screen on an
+(R, n, p) stack of independent matrices at once.  Partial products have
+shape (R, n), each prefix group is one batched ``np.matmul`` over the
+stack, and the slack, the lower bound L, the candidates, the overflow
+settling and the recheck below are all kept per replicate, so every
+replicate gets exactly the answer it gets alone.  :func:`max_entry` and
+:func:`max_entry_multi` are the R = 1 case of the same engine.  The tile
+limit counts entries across the replicate axis, so a stack's tiles are no
+larger than one matrix's; the caller bounds R itself (``lab`` caps a
+stack at 2**17 values, 1 MB).
+
 **The bound.**  A GEMM entry sums in its own order and may fuse
 multiply-adds, so it can differ from the canonical entry in the last
 bits.  Both are inner products of the same rounded vectors y = q * x_a
@@ -54,10 +65,10 @@ those candidates, and the same set for the signed G, are recomputed the
 canonical way, and the winner is chosen among the canonical values with
 the smallest-tuple tie-break.  The screen thus decides only which tuples
 to recompute, never which one wins, and the result is bit-identical to
-the oracle for every finite input.  On continuous data the slack is
-about 1e-13 of the entries, far below the gaps near the maximum, so a
-call rechecks the winners and rarely more; exact ties and near ties all
-become candidates.
+the oracle for every finite input, replicate by replicate.  On
+continuous data the slack is about 1e-13 of the entries, far below the
+gaps near the maximum, so a call rechecks the winners and rarely more;
+exact ties and near ties all become candidates.
 
 **Overflow.**  The bound needs every partial sum to stay finite.  A
 tuple whose G entry or slack is not finite, or whose ||y|| ||x_b|| comes
@@ -94,7 +105,8 @@ _UNIT_ROUNDOFF = 2.0**-53
 _SMALLEST_SUBNORMAL = 2.0**-1074
 # Below this, ||y|| ||x_b|| * (1 + gamma_n) cannot reach the largest double.
 _ENVELOPE_LIMIT = float(np.finfo(np.float64).max) / 4.0
-# Entries per screened tile (8 MB per float64 array).
+# Entries per screened tile, counted across the replicate axis (8 MB per
+# float64 array; the |G| and G screens side by side take two).
 _TILE_ENTRIES = 2**20
 # Candidates held before an early recheck; bounds memory on tie-heavy data.
 _PENDING_LIMIT = 4096
@@ -159,14 +171,16 @@ def load_matrix_csv(path) -> np.ndarray:
     return np.ascontiguousarray(values)
 
 
-def _as_matrix(X) -> np.ndarray:
+def _as_matrix(X, ndim: int = 2) -> np.ndarray:
+    """An n-by-p matrix, or an (R, n, p) stack for ``ndim=3``: C-contiguous float64, non-empty, finite."""
+    what = "data matrix" if ndim == 2 else "data stack"
     A = np.ascontiguousarray(np.asarray(X, dtype=np.float64))
-    if A.ndim != 2:
-        raise ValueError(f"data matrix must be 2-dimensional, got shape {A.shape}")
-    if A.shape[0] < 1 or A.shape[1] < 1:
-        raise ValueError(f"data matrix must be non-empty, got shape {A.shape}")
+    if A.ndim != ndim:
+        raise ValueError(f"{what} must be {ndim}-dimensional, got shape {A.shape}")
+    if 0 in A.shape:
+        raise ValueError(f"{what} must be non-empty, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
-        raise ValueError("data matrix contains non-finite values")
+        raise ValueError(f"{what} contains non-finite values")
     return A
 
 
@@ -197,45 +211,66 @@ def _norm_bounds(squares: np.ndarray, n: int) -> np.ndarray:
     return np.sqrt(squares, out=squares)
 
 
-def _heads(mats: list[np.ndarray], depth: int, stop: int, start: int = 0, partial=None, head=()):
+def _row_major(mats: list[np.ndarray]) -> list[np.ndarray]:
+    """Each (R, n, p) stack as (R, p, n), so that column i of every replicate is ``rows[:, i]``.
+
+    A stack that appears at several depths is transposed once.
+    """
+    done = {}
+    for M in mats:
+        if id(M) not in done:
+            done[id(M)] = np.ascontiguousarray(M.transpose(0, 2, 1))
+    return [done[id(M)] for M in mats]
+
+
+def _heads(rows: list[np.ndarray], depth: int, stop: int, start: int = 0, partial=None, head=()):
     """Increasing ``depth``-tuples below ``stop``, lexicographic, with their products.
 
-    The product is built left to right and shared depth-first between
-    tuples with a common start; it is None for the empty tuple.
+    The product of every replicate, shape (R, n), is built left to right
+    and shared depth-first between tuples with a common start; it is None
+    for the empty tuple.
     """
     d = len(head)
     if d == depth:
         yield head, partial
         return
     for i in range(start, stop - depth + d + 1):
-        col = mats[d][:, i]
-        yield from _heads(mats, depth, stop, i + 1, col if partial is None else partial * col, head + (i,))
+        col = rows[d][:, i]
+        yield from _heads(rows, depth, stop, i + 1, col if partial is None else partial * col, head + (i,))
 
 
-def _prefix_groups(mats: list[np.ndarray], p: int, n: int):
+def _prefix_groups(rows: list[np.ndarray], p: int, n: int):
     """Prefixes of depth m-2 grouped by their last index, in screen-sized chunks.
 
-    Yields ``(prefixes, s, Q)``: every prefix ends at index s-1 and
-    ``Q[k]`` is the left-to-right product of the factors of
-    ``prefixes[k]``.  For m = 2 the only prefix is empty and Q is None.
+    ``rows[d]`` is the (R, p, n) stack of depth d < m-2.  Yields
+    ``(prefixes, s, Q)``: ``prefixes`` is a (k, m-2) integer array of
+    prefixes that all end at index s-1, and ``Q[r, i]`` is the
+    left-to-right product of the factors of ``prefixes[i]`` in replicate
+    r.  For m = 2 the only prefix is empty and Q is None.
     """
-    m = len(mats)
-    if m == 2:
-        yield [()], 0, None
+    if not rows:
+        yield np.zeros((1, 0), dtype=np.intp), 0, None
         return
-    for j in range(m - 3, p - 2):
+    depth, R = len(rows), rows[0].shape[0]
+    for j in range(depth - 1, p - 2):
         w = p - j - 1
-        chunk = max(1, _TILE_ENTRIES // (w * max(w, n)))
-        x_j = mats[m - 3][:, j]
-        prefixes, rows = [], []
-        for head, h in _heads(mats, m - 3, j):
+        chunk = max(1, _TILE_ENTRIES // (R * w * max(w, n)))
+        x_j = rows[-1][:, j]
+        prefixes, products = [], []
+        for head, h in _heads(rows, depth - 1, j):
             prefixes.append(head + (j,))
-            rows.append(x_j if h is None else h * x_j)
+            products.append(x_j if h is None else h * x_j)
             if len(prefixes) == chunk:
-                yield prefixes, j + 1, np.array(rows)
-                prefixes, rows = [], []
+                yield _group(prefixes, j + 1, products)
+                prefixes, products = [], []
         if prefixes:
-            yield prefixes, j + 1, np.array(rows)
+            yield _group(prefixes, j + 1, products)
+
+
+def _group(prefixes: list[tuple[int, ...]], s: int, products: list[np.ndarray]):
+    # each product has shape (R, n); Q stacks them as (R, k, n)
+    Q = np.ascontiguousarray(np.array(products).swapaxes(0, 1))
+    return np.array(prefixes, dtype=np.intp), s, Q
 
 
 class _Maxima(NamedTuple):
@@ -246,40 +281,66 @@ class _Maxima(NamedTuple):
     rechecked: int  # tuples recomputed the canonical way
 
 
-class _Screen:
-    """Running state of one enumeration: screen bounds, candidates, exact maxima.
+def _fold(best_w: np.ndarray, best_arg: np.ndarray, g: np.ndarray, tuples: np.ndarray, vals: np.ndarray) -> None:
+    """Fold candidates into the maximum of each group, in place.
 
-    Screened tiles have shape (prefixes, rows a, columns b).
+    ``vals[i]`` is the value of ``tuples[i]`` in group ``g[i]``, and
+    group j holds ``best_w[j]`` at ``best_arg[j]``.  Each group keeps the
+    largest value; equal values go to the smallest tuple, and the held
+    maximum competes on the same terms.
+    """
+    groups = np.arange(best_w.size)
+    g = np.concatenate((groups, g))
+    tuples = np.concatenate((best_arg, tuples))
+    vals = np.concatenate((best_w, vals))
+    # lexsort's last key is its primary one: group, then -value, then the tuple
+    order = np.lexsort((*tuples.T[::-1], -vals, g))
+    first = order[np.searchsorted(g[order], groups)]
+    best_w[:] = vals[first]
+    best_arg[:] = tuples[first]
+
+
+class _Screen:
+    """Running state of one enumeration over a stack of R replicates.
+
+    The absolute and the signed screen run side by side: index 0 of the
+    leading axis of a screened tile and of ``lo``, ``w`` and ``arg`` is
+    for |G|, index 1 for G.  Bounds, candidates and exact maxima are kept
+    per replicate.  Screened tiles have shape
+    (2, replicates, prefixes, rows a, columns b).
     """
 
-    def __init__(self, mats: list[np.ndarray], n: int):
+    def __init__(self, mats: list[np.ndarray], n: int, pen_rows: np.ndarray | None):
         self.pen, self.last = mats[-2], mats[-1]
+        R = self.last.shape[0]
         self.n = n
         self.sqrt_n = math.sqrt(n)
         self.tiny = 2.0 * (self.sqrt_n + 1.0) * _SMALLEST_SUBNORMAL
-        self.last_norms = _norm_bounds(np.einsum("ij,ij->j", self.last, self.last), n)
-        if len(mats) == 2:
+        self.last_norms = _norm_bounds(np.einsum("rij,rij->rj", self.last, self.last), n)
+        if pen_rows is None:
             self.pen_norms = self.last_norms if self.pen is self.last else _norm_bounds(
-                np.einsum("ij,ij->j", self.pen, self.pen), n)
-        else:
-            # rows x_a, to build q * x_a for a whole group of prefixes at once
-            self.pen_rows = np.ascontiguousarray(self.pen.T)
+                np.einsum("rij,rij->rj", self.pen, self.pen), n)
+        # rows x_a, to build q * x_a for a whole group of prefixes at once
+        self.pen_rows = pen_rows
         # slack = ||y|| * last_scaled + tiny
         self.last_scaled = self.last_norms * (2.0 * _gamma(n + len(mats) + 2) / self.sqrt_n)
         # largest last-matrix norm from column r on, for the overflow guard
-        self.last_max = np.maximum.accumulate(self.last_norms[::-1])[::-1]
-        self.lo_abs = self.lo_sig = -math.inf
-        self.w_abs, self.arg_abs = -1.0, None
-        self.w_sig, self.arg_sig = -math.inf, None
+        self.last_max = np.maximum.accumulate(self.last_norms[:, ::-1], axis=1)[:, ::-1]
+        self.pad = np.empty((0, 0))
+        self.lo = np.full((2, R), -math.inf)
+        # Held maxima start below every finite value, with placeholder tuples.
+        self.w = np.repeat([[-1.0], [-math.inf]], R, axis=1)
+        self.arg = np.zeros((2, R, len(mats)), dtype=np.intp)
         self.pending = []
         self.pending_count = 0
-        self.rechecked = 0
+        self.rechecked = np.zeros(R, dtype=np.int64)
 
-    def block(self, prefixes: list[tuple[int, ...]], s: int, Q: np.ndarray | None) -> None:
+    def block(self, prefixes: np.ndarray, s: int, Q: np.ndarray | None) -> None:
         """Screen every tuple (prefix, a, b) of a group, tile by tile of rows a."""
+        R, _, p = self.last.shape
         k, n = len(prefixes), self.n
-        w = self.last.shape[1] - s
-        tile_rows = max(1, _TILE_ENTRIES // (k * max(w, n)))
+        w = p - s
+        tile_rows = max(1, _TILE_ENTRIES // (R * k * max(w, n)))
         for r0 in range(0, w - 1, tile_rows):
             # The last tile keeps row w-1, which holds no tuple, so that
             # for m = 2 its product is X^T X and BLAS takes the SYRK path.
@@ -287,119 +348,143 @@ class _Screen:
             o = s + r0
             # Y holds the vectors y = q * x_a as rows
             if Q is None:
-                Y, a_norms = self.pen[:, o:s + r1].T, self.pen_norms[o:s + r1]
+                Y, a_norms = self.pen[:, :, o:s + r1].transpose(0, 2, 1), self.pen_norms[:, o:s + r1]
             else:
-                Y = (Q[:, None, :] * self.pen_rows[o:s + r1]).reshape(-1, n)
-                a_norms = _norm_bounds(np.einsum("ij,ij->i", Y, Y), n)
-            G = (Y @ self.last[:, o:]).reshape(k, r1 - r0, w - r0)
+                Y = (Q[:, :, None, :] * self.pen_rows[:, None, o:s + r1]).reshape(R, -1, n)
+                a_norms = _norm_bounds(np.einsum("rij,rij->ri", Y, Y), n)
+            GG = np.empty((2, R, k, r1 - r0, w - r0))
+            G = GG[1]
+            np.matmul(Y, self.last[:, :, o:], out=G.reshape(R, -1, w - r0))
             G /= self.sqrt_n
-            a_norms = a_norms.reshape(k, r1 - r0, 1)
-            S = a_norms * self.last_scaled[o:]
+            np.abs(G, out=GG[0])
+            a_norms = a_norms.reshape(R, k, r1 - r0, 1)
+            S = a_norms * self.last_scaled[:, None, None, o:]
             S += self.tiny
-            # strict upper triangle: column b = o + j, row a = o + i, j > i
-            mask = np.arange(w - r0)[None, :] > np.arange(r1 - r0)[:, None]
-            self._tile(prefixes, Q, o, G, S, mask, a_norms)
+            self._tile(prefixes, Q, o, GG, S, a_norms)
 
-    def _tile(self, prefixes, Q, o, G, S, mask, a_norms) -> None:
-        absG = np.abs(G)
-        hi_abs = absG + S
-        top = hi_abs.max(where=mask, initial=-np.inf)
-        if not (math.isfinite(top) and a_norms.max() * self.last_max[o] < _ENVELOPE_LIMIT):
-            self._settle(Q, o, G, S, mask, a_norms)
-            np.abs(G, out=absG)
-            np.add(absG, S, out=hi_abs)
-            top = hi_abs.max(where=mask, initial=-np.inf)
-        hi_sig = G + S
-        top_sig = hi_sig.max(where=mask, initial=-np.inf)
-        # Lower bounds lie below upper ones, so a tile whose upper bounds
-        # all fall short of L can neither raise L nor hold a candidate.
-        if top >= self.lo_abs:
-            lo = np.subtract(absG, S, out=absG)
-            self.lo_abs = max(self.lo_abs, float(lo.max(where=mask, initial=-np.inf)))
-        if top_sig >= self.lo_sig:
-            lo = np.subtract(G, S, out=G)
-            self.lo_sig = max(self.lo_sig, float(lo.max(where=mask, initial=-np.inf)))
-        if top < self.lo_abs and top_sig < self.lo_sig:
+    def _pad(self, rows: int, cols: int) -> np.ndarray:
+        """0 where column b = o + j lies past row a = o + i (j > i), -inf elsewhere.
+
+        Adding it leaves the tuples of a tile and sends the other entries
+        to -inf, so plain maxima skip them: a reduction with a ``where``
+        mask is many times slower.  Every tile's pad is the top-left
+        corner of the largest one built so far.
+        """
+        if rows > self.pad.shape[0] or cols > self.pad.shape[1]:
+            i = np.arange(max(rows, self.pad.shape[0]))
+            j = np.arange(max(cols, self.pad.shape[1]))
+            self.pad = np.where(j[None, :] > i[:, None], 0.0, -np.inf)
+        return self.pad[:rows, :cols]
+
+    def _tile(self, prefixes, Q, o, GG, S, a_norms) -> None:
+        tile, peak = (2, 3, 4), np.maximum.reduce
+        pad = self._pad(*S.shape[2:])
+        hi = GG + np.add(S, pad)
+        top = peak(hi, axis=tile)
+        # A non-finite entry anywhere in the tile, off the triangle too
+        # (inf - inf is NaN), makes the top NaN or inf, and the envelope
+        # ||y|| ||x_b|| must stay below the limit.  Adding the two can only
+        # send more tiles to _settle.  Past this test every entry is finite.
+        guard = peak(a_norms, axis=(1, 2, 3)) * self.last_max[:, o]
+        guard += top[0]
+        if np.count_nonzero(~(guard < _ENVELOPE_LIMIT)):
+            self._settle(Q, o, GG, S, pad, a_norms)
+            np.add(GG, np.add(S, pad), out=hi)
+            top = peak(hi, axis=tile)
+        # Lower bounds lie below upper ones, so a replicate whose upper
+        # bounds all fall short of its L can neither raise L nor hold a
+        # candidate here.
+        if not np.count_nonzero(top >= self.lo):
             return
-        keep = (hi_abs >= self.lo_abs) | (hi_sig >= self.lo_sig)
-        keep &= mask
-        idx = np.nonzero(keep)
-        pi, rows, cols = idx
-        self.pending.append((prefixes, Q, pi, o + rows, o + cols, hi_abs[idx], hi_sig[idx]))
-        self.pending_count += pi.size
+        lo = np.subtract(GG, np.subtract(S, pad, out=S), out=GG)
+        np.maximum(self.lo, peak(lo, axis=tile), out=self.lo)
+        # Every L is finite now, so the -inf entries off the triangle fail.
+        keep = hi >= self.lo[:, :, None, None, None]
+        idx = np.nonzero(keep[0] | keep[1])
+        ri, pi, rows, cols = idx
+        self.pending.append((prefixes, Q, ri, pi, o + rows, o + cols, hi[(slice(None), *idx)]))
+        self.pending_count += ri.size
         if self.pending_count > _PENDING_LIMIT:
             self.recheck()
 
-    def _settle(self, Q, o, G, S, mask, a_norms) -> None:
+    def _settle(self, Q, o, GG, S, pad, a_norms) -> None:
         """Replace the entries the bound does not cover by their canonical values."""
-        covered = np.isfinite(G) & np.isfinite(S) & (a_norms * self.last_norms[o:] < _ENVELOPE_LIMIT)
+        G, mask = GG[1], pad == 0.0
+        covered = np.isfinite(G) & np.isfinite(S)
+        covered &= a_norms * self.last_norms[:, None, None, o:] < _ENVELOPE_LIMIT
         idx = np.nonzero(mask & ~covered)
-        pi, rows, cols = idx
-        G[idx] = self._canonical(Q, pi, o + rows, o + cols)
+        ri, pi, rows, cols = idx
+        G[idx] = self._canonical(Q, ri, pi, o + rows, o + cols)
         S[idx] = 0.0
-        G[:, ~mask] = 0.0
-        S[:, ~mask] = 0.0
+        G[..., ~mask] = 0.0
+        S[..., ~mask] = 0.0
+        np.abs(G, out=GG[0])
 
-    def _canonical(self, Q, pi: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Canonical entries of the tuples prefixes[pi[i]] + (a[i], b[i]).
-
-        The tuples come sorted by (pi, a), so each run of equal (pi, a)
-        shares its vector y = Q[pi] * x_a.
-        """
-        self.rechecked += a.size
+    def _canonical(self, Q, ri: np.ndarray, pi: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Canonical entries of the tuples prefixes[pi[i]] + (a[i], b[i]) in replicates ri[i]."""
+        self.rechecked += np.bincount(ri, minlength=self.rechecked.size)
         vals = np.empty(a.size)
-        key = pi * self.last.shape[1] + a
-        cuts = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), a.size]
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            y = self.pen[:, a[lo]] if Q is None else Q[pi[lo]] * self.pen[:, a[lo]]
+        step = max(1, _TILE_ENTRIES // self.n)
+        for lo in range(0, a.size, step):
+            c = slice(lo, lo + step)
             # one contiguous row per tuple, so np.sum takes the pairwise path
-            prods = np.multiply(self.last[:, b[lo:hi]].T, y, out=np.empty((hi - lo, self.n)))
-            vals[lo:hi] = np.sum(prods, axis=1) / self.sqrt_n
+            prods = np.ascontiguousarray(self.pen[ri[c], :, a[c]])
+            if Q is not None:
+                prods *= Q[ri[c], pi[c]]
+            prods *= self.last[ri[c], :, b[c]]
+            vals[c] = np.sum(prods, axis=1) / self.sqrt_n
         if not np.isfinite(vals).all():
             raise ValueError(_OVERFLOW_MESSAGE)
         return vals
 
     def recheck(self) -> None:
-        """Recompute the candidates that can still win; fold them into the maxima.
-
-        Candidates of one tile come in lexicographic order, so argmax
-        picks the smallest of equal tuples there; across tiles the
-        tuples are compared.
-        """
-        for prefixes, Q, pi, a, b, hi_abs, hi_sig in self.pending:
-            sel = (hi_abs >= self.lo_abs) | (hi_sig >= self.lo_sig)
-            if not sel.any():
-                continue
-            pi, a, b = pi[sel], a[sel], b[sel]
-            vals = self._canonical(Q, pi, a, b)
-            mags = np.abs(vals)
-            k = int(mags.argmax())
-            t = prefixes[pi[k]] + (int(a[k]), int(b[k]))
-            if mags[k] > self.w_abs or (mags[k] == self.w_abs and t < self.arg_abs):
-                self.w_abs, self.arg_abs = float(mags[k]), t
-            k = int(vals.argmax())
-            t = prefixes[pi[k]] + (int(a[k]), int(b[k]))
-            if vals[k] > self.w_sig or (vals[k] == self.w_sig and t < self.arg_sig):
-                self.w_sig, self.arg_sig = float(vals[k]), t
-        self.lo_abs = max(self.lo_abs, self.w_abs)
-        self.lo_sig = max(self.lo_sig, self.w_sig)
+        """Recompute the candidates that can still win; fold them into the maxima."""
+        found = []
+        for prefixes, Q, ri, pi, a, b, hi in self.pending:
+            sel = np.logical_or.reduce(hi >= self.lo[:, ri])
+            if np.count_nonzero(sel):
+                ri, pi, a, b = ri[sel], pi[sel], a[sel], b[sel]
+                vals = self._canonical(Q, ri, pi, a, b)
+                found.append((ri, np.column_stack((prefixes[pi], a, b)), vals))
+        if found:
+            ri, tuples, vals = (np.concatenate(part) for part in zip(*found))
+            # group r is replicate r's |entry|, group R + r its signed entry
+            R = self.rechecked.size
+            _fold(self.w.reshape(-1), self.arg.reshape(2 * R, -1), np.concatenate((ri, ri + R)),
+                  np.concatenate((tuples, tuples)), np.concatenate((np.abs(vals), vals)))
+        np.maximum(self.lo, self.w, out=self.lo)
         self.pending.clear()
         self.pending_count = 0
 
 
-def _max_entry_core(mats: list[np.ndarray], n: int) -> _Maxima:
+def _max_entries_core(mats: list[np.ndarray], n: int) -> list[_Maxima]:
     """Screen all tuples by GEMM, prefix group by prefix group, and recheck the candidates.
 
-    ``mats[d]`` is the n-by-p matrix supplying the factor at depth d.
-    Tuples in the result are 0-based.
+    ``mats[d]`` is the (R, n, p) stack supplying the factor at depth d;
+    the result holds one maximum per replicate.  Tuples are 0-based.
     """
-    screen = _Screen(mats, n)
+    rows = _row_major(mats[:-1]) if len(mats) > 2 else []
+    screen = _Screen(mats, n, rows[-1] if rows else None)
     # Overflow is detected from the values and reported by ValueError.
     with np.errstate(over="ignore", invalid="ignore"):
-        for prefixes, s, Q in _prefix_groups(mats, mats[0].shape[1], n):
+        for prefixes, s, Q in _prefix_groups(rows[:-1], mats[0].shape[2], n):
             screen.block(prefixes, s, Q)
         screen.recheck()
-    return _Maxima(screen.w_abs, screen.arg_abs, screen.w_sig, screen.arg_sig, screen.rechecked)
+    (w_abs, w_sig), (arg_abs, arg_sig) = screen.w.tolist(), screen.arg.tolist()
+    return [
+        _Maxima(wa, tuple(aa), ws, tuple(sa), k)
+        for wa, aa, ws, sa, k in zip(w_abs, arg_abs, w_sig, arg_sig, screen.rechecked.tolist())
+    ]
+
+
+def _max_entry_core(mats: list[np.ndarray], n: int) -> _Maxima:
+    """The engine on n-by-p matrices: a stack of one replicate.
+
+    ``mats[d]`` supplies the factor at depth d; a matrix repeated in
+    ``mats`` stays one stack, so m = 2 keeps the X^T X product.
+    """
+    stacks = {id(M): M[None] for M in mats}
+    return _max_entries_core([stacks[id(M)] for M in mats], n)[0]
 
 
 def _result(best: _Maxima, n: int, p: int, m: int) -> StatResult:
@@ -413,6 +498,12 @@ def _result(best: _Maxima, n: int, p: int, m: int) -> StatResult:
         m=m,
         tuple_count=math.comb(p, m),
     )
+
+
+def _check_order(m, p: int) -> int:
+    if not isinstance(m, (int, np.integer)) or m < 2 or m > p:
+        raise ValueError(f"m must satisfy 2 <= m <= p={p}, got {m!r}")
+    return int(m)
 
 
 def max_entry(X, m: int, workers: int = 1, cost_ceiling: int = DEFAULT_COST_CEILING) -> StatResult:
@@ -444,11 +535,28 @@ def max_entry(X, m: int, workers: int = 1, cost_ceiling: int = DEFAULT_COST_CEIL
     """
     A = _as_matrix(X)
     n, p = A.shape
-    if not isinstance(m, (int, np.integer)) or m < 2 or m > p:
-        raise ValueError(f"m must satisfy 2 <= m <= p={p}, got {m!r}")
+    m = _check_order(m, p)
     check_workers(workers)
     check_budget(p, m, n, cost_ceiling)
-    return _result(_max_entry_core([A] * int(m), n), n, p, int(m))
+    return _result(_max_entry_core([A] * m, n), n, p, m)
+
+
+def max_entries(X, m: int, cost_ceiling: int = DEFAULT_COST_CEILING) -> list[StatResult]:
+    """:func:`max_entry` of every matrix in an (R, n, p) stack, in one pass.
+
+    Every prefix group is one batched matrix product over the stack, and
+    the screen bounds, candidates and canonical recheck are kept per
+    replicate, so ``max_entries(X, m)[r] == max_entry(X[r], m)`` bit for
+    bit.  ``cost_ceiling`` bounds the multiply-adds of each matrix, as
+    in :func:`max_entry`; the caller bounds R.  Raises ValueError on
+    invalid input, or when a tuple sum of any replicate overflows
+    float64.
+    """
+    A = _as_matrix(X, ndim=3)
+    _, n, p = A.shape
+    m = _check_order(m, p)
+    check_budget(p, m, n, cost_ceiling)
+    return [_result(best, n, p, m) for best in _max_entries_core([A] * m, n)]
 
 
 def max_entry_multi(matrices, workers: int = 1, cost_ceiling: int = DEFAULT_COST_CEILING) -> StatResult:
@@ -487,8 +595,7 @@ def max_entry_bruteforce(X, m: int) -> StatResult:
     """
     A = _as_matrix(X)
     n, p = A.shape
-    if not isinstance(m, (int, np.integer)) or m < 2 or m > p:
-        raise ValueError(f"m must satisfy 2 <= m <= p={p}, got {m!r}")
+    m = _check_order(m, p)
     cost = math.comb(p, m) * n
     if cost > ORACLE_COST_CEILING:
         raise BudgetError(
@@ -499,7 +606,7 @@ def max_entry_bruteforce(X, m: int) -> StatResult:
     w_abs, arg_abs = -1.0, None
     w_sig, arg_sig = -math.inf, None
     with np.errstate(over="ignore", invalid="ignore"):
-        for combo in itertools.combinations(range(p), int(m)):
+        for combo in itertools.combinations(range(p), m):
             prod = A[:, combo[0]].copy()
             for j in combo[1:]:
                 prod = prod * A[:, j]
@@ -510,4 +617,4 @@ def max_entry_bruteforce(X, m: int) -> StatResult:
                 w_abs, arg_abs = abs(val), combo
             if val > w_sig:
                 w_sig, arg_sig = val, combo
-    return _result(_Maxima(w_abs, arg_abs, w_sig, arg_sig, 0), n, p, int(m))
+    return _result(_Maxima(w_abs, arg_abs, w_sig, arg_sig, 0), n, p, m)

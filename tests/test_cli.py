@@ -221,3 +221,15 @@ def test_diagnose_zero_workers_is_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert "workers" in err
+
+
+def test_simulate_config_with_a_fractional_integer_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": [{"n": 30.9, "p": 6, "m": 2,
+                                         "spec": {"family": "standard_normal"}}],
+                               "reps": 2, "master_seed": 7, "output_path": str(tmp_path / "out")}))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert "CellConfig.n" in err
+    assert not (tmp_path / "out").exists()

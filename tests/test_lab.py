@@ -2,10 +2,12 @@
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.stats
+from test_golden_json import GOLDEN, SIMULATE_CONFIG
 
 from tensormax import (
     BudgetError,
@@ -175,3 +177,34 @@ class TestOneSidedCell:
         lp = math.log(8)
         for rec in report.records:
             assert rec.t_value == rec.w_abs**2 - 4.0 * lp + math.log(lp)
+
+
+class TestStackedChunks:
+    """Replicates run in stacks; how they are cut never shows in the output."""
+
+    def test_chunks_tile_the_replicates(self):
+        cell = CellConfig(n=200, p=20, m=2, spec=NORMAL)  # 32 replicates per stack
+        for reps in (1, 3, 4, 31, 100, 1000):
+            chunks = lab._chunks(cell, reps)
+            assert chunks[0][0] == 0 and chunks[-1][1] == reps
+            assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+            assert all(0 < hi - lo <= 32 for lo, hi in chunks)
+            assert len(chunks) >= min(reps, lab._MIN_CHUNKS)
+        big = CellConfig(n=2000, p=400, m=2, spec=NORMAL)  # larger than a stack
+        assert lab._chunks(big, 3) == [(0, 1), (1, 2), (2, 3)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("cap", ["one_value", "three_replicates", "default"])
+    def test_persisted_bytes_match_the_goldens(self, cap, workers, tmp_path, monkeypatch):
+        # The golden simulate run, persisted through run_experiment with
+        # the stack cap at one value (one replicate per stack), at three
+        # replicates of every cell (its cells hold 180 or 200 values), and
+        # at its default.
+        if cap != "default":
+            monkeypatch.setattr(lab, "_STACK_VALUES", 1 if cap == "one_value" else 600)
+        monkeypatch.setattr(lab, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+        monkeypatch.chdir(tmp_path)
+        run_experiment(ExperimentConfig.from_json(SIMULATE_CONFIG), workers=workers)
+        for name in ("records.csv", "summary.json"):
+            got = (tmp_path / "out" / name).read_bytes()
+            assert got == (GOLDEN / f"simulate.{name}").read_bytes(), name

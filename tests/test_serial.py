@@ -70,3 +70,22 @@ def test_population_writes_df_only_when_set_and_never_the_label():
 
 def test_missing_field_takes_default_and_unknown_keys_are_ignored():
     assert SeedSpec.from_json({"master_seed": 4, "extra": 1}) == SeedSpec(4, 0)
+
+
+
+@pytest.mark.parametrize("cls, obj, field", [
+    (CellConfig, {"n": 30.9, "p": 6, "m": 2, "spec": {"family": STANDARD_NORMAL}}, "CellConfig.n"),
+    (CellConfig, {"n": 30, "p": 6, "m": True, "spec": {"family": STANDARD_NORMAL}}, "CellConfig.m"),
+    (PopulationSpec, {"family": STUDENT_T_STANDARDIZED, "df": 5.5}, "PopulationSpec.df"),
+    (SeedSpec, {"master_seed": float("nan")}, "SeedSpec.master_seed"),
+    (ExperimentConfig, {"grid": [CELLS[0].to_json()], "reps": 2.5, "master_seed": 1}, "ExperimentConfig.reps"),
+])
+def test_int_fields_reject_non_integral_numbers_and_bools(cls, obj, field):
+    with pytest.raises(ValueError, match=field):
+        cls.from_json(obj)
+
+
+def test_int_fields_take_integral_numbers():
+    cell = CellConfig.from_json({"n": 30.0, "p": 6, "m": 2, "spec": {"family": STANDARD_NORMAL}})
+    assert cell == CellConfig(n=30, p=6, m=2, spec=NORMAL)
+    assert type(cell.n) is int

@@ -364,3 +364,89 @@ def test_workers_validated():
     for workers in (0, -1, 1.5):
         with pytest.raises(ValueError, match="workers"):
             max_entry(X, 2, workers=workers)
+
+
+class TestMaxEntries:
+    """A stack of replicates through one screen gives each replicate the oracle's answer."""
+
+    SHAPES = {2: (300, 14), 3: (160, 11), 4: (130, 9)}
+
+    @staticmethod
+    def mixed_stack(rng, n, p):
+        """Replicates that stress the screen differently, side by side in one stack."""
+        Y = rng.standard_normal((n, p // 2))
+        duplicated = np.hstack([Y, Y[rng.permutation(n)], rng.standard_normal((n, p % 2))])
+        return np.stack([
+            rng.standard_normal((n, p)),
+            rng.choice([-1.0, 1.0], (n, p)),
+            np.round(rng.standard_normal((n, p))),
+            rng.standard_normal((n, p)) * 1e-150,
+            np.zeros((n, p)),
+            duplicated,
+        ])
+
+    @pytest.mark.parametrize("small_tiles", [False, True])
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_each_replicate_matches_the_oracle(self, m, small_tiles, monkeypatch):
+        if small_tiles:
+            monkeypatch.setattr(statcore, "_TILE_ENTRIES", 64)
+            monkeypatch.setattr(statcore, "_PENDING_LIMIT", 3)
+        rng = np.random.default_rng(700 + m)
+        n, p = self.SHAPES[m]
+        X = self.mixed_stack(rng, n, p)
+        got = statcore.max_entries(X, m)
+        assert len(got) == len(X)
+        for r, res in enumerate(got):
+            assert res == max_entry_bruteforce(X[r], m), f"replicate {r}"
+        # R = 1, and every replicate alone in its own stack
+        for r in (0, 1, 5):
+            assert statcore.max_entries(X[r:r + 1], m) == [got[r]]
+
+    @pytest.mark.parametrize("small_tiles", [False, True])
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_tied_replicates_keep_the_smallest_tuple(self, m, small_tiles, monkeypatch):
+        if small_tiles:
+            monkeypatch.setattr(statcore, "_TILE_ENTRIES", 64)
+            monkeypatch.setattr(statcore, "_PENDING_LIMIT", 3)
+        # Identical columns tie everywhere.  In the second replicate the
+        # smallest of the tied 4-tuples, (1, 4, 5, 6), has a later last
+        # prefix index than (2, 3, 5, 6), so its prefix group comes later.
+        col = np.array([[1.0], [2.0], [-1.0]])
+        X = np.zeros((3, 3, 8))
+        X[0] = X[2] = np.hstack([col] * 8)
+        X[1, :2] = [[1.0, 2.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0],
+                    [1.0, 1.0, 2.0, 2.0, 2.0, 1.0, 1.0, 2.0]]
+        got = statcore.max_entries(X, m)
+        assert got == [max_entry_bruteforce(M, m) for M in X]
+        assert got[0].argmax_abs == tuple(range(1, m + 1))
+
+    def test_one_overflowing_replicate_raises(self):
+        X = np.ones((3, 2, 3))
+        X[1] = [[1e200, 1e200, 1.0], [1e200, -1e200, 1.0]]
+        with pytest.raises(ValueError, match="tuple sums overflow float64"):
+            statcore.max_entries(X, 2)
+        with pytest.raises(ValueError, match="tuple sums overflow float64"):
+            statcore.max_entries(np.stack([np.ones((4, 5)), np.full((4, 5), 1e120)]), 3)
+
+    def test_validation_and_budget(self):
+        with pytest.raises(ValueError, match="stack"):
+            statcore.max_entries(np.ones((4, 5)), 2)
+        with pytest.raises(ValueError, match="stack"):
+            statcore.max_entries(np.ones((0, 4, 5)), 2)
+        X = np.ones((2, 4, 5))
+        X[1, 0, 0] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            statcore.max_entries(X, 2)
+        with pytest.raises(ValueError, match="m"):
+            statcore.max_entries(np.ones((2, 4, 5)), 6)
+        cost = enumeration_cost(12, 6, 2).multiply_adds
+        with pytest.raises(BudgetError):
+            statcore.max_entries(np.ones((3, 2, 12)), 6, cost_ceiling=cost - 1)
+        assert len(statcore.max_entries(np.ones((3, 2, 12)), 6, cost_ceiling=cost)) == 3
+
+    def test_gaussian_stack_rechecks_a_handful_per_replicate(self):
+        rng = np.random.default_rng(601)
+        for (n, p, m) in ((500, 60, 2), (200, 30, 3), (100, 16, 4)):
+            X = rng.standard_normal((4, n, p))
+            for best in statcore._max_entries_core([X] * m, n):
+                assert best.rechecked <= 6
