@@ -7,18 +7,18 @@ statistic on a z grid, its exact Kolmogorov-Smirnov distance to the
 limit law, an empirical type-I error table at the fixed levels, and the
 mean/sd of W / sqrt(log p).
 
-Replicates run in stacks: a cell's replicates are cut into fixed chunks
-of at most ``_STACK_VALUES`` data values (at least one replicate each,
-and at least ``_MIN_CHUNKS`` chunks when there are the replicates), each
-chunk is drawn into one (R, n, p) array and enumerated by one
+Replicates run in stacks: a cell's replicates are cut into chunks of at
+most ``_STACK_VALUES`` data values (at least one replicate each), and
+into at least as many chunks as there are usable workers, each chunk is
+drawn into one (R, n, p) array and enumerated by one
 :func:`statcore.max_entries` call, and chunks are the tasks spread over
 workers.
 
 Reproducibility contract: replicate r of every cell draws from stream
-(master_seed, r) into its own row of a stack, chunk boundaries depend
-only on (n, p, reps), cells run in declared order, and records come in
-(cell, replicate) order, so records.csv is byte-identical for any worker
-count.
+(master_seed, r) into its own row of a stack, and its result does not
+depend on the stack it shares; cells run in declared order, and records
+come in (cell, replicate) order, so records.csv is byte-identical for
+any worker count and any chunking.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 from . import statcore
 from .asymptotics import ONE_SIDED, TWO_SIDED, GumbelLimit, center, normalize
 from .hypotest import LEVELS
-from .populations import PopulationSpec, SeedSpec, parallel_map, sample_matrix
+from .populations import PopulationSpec, SeedSpec, parallel_map, sample_matrix, usable_workers
 from .serial import JsonRecord
 
 DEFAULT_Z_GRID = tuple(float(z) for z in np.linspace(-6.0, 12.0, 101))
@@ -44,9 +44,6 @@ RECORD_COLUMNS = ("cell_id", "replicate", "w_abs", "w_signed", "t_value", "ratio
 
 # Data values per stack of replicates (1 MB of float64).
 _STACK_VALUES = 2**17
-# A cell with the replicates for it is cut into at least this many
-# chunks, so that one too small to fill a stack still spreads over workers.
-_MIN_CHUNKS = 4
 
 
 @dataclass(frozen=True)
@@ -143,10 +140,16 @@ def ks_distance(samples, limit: GumbelLimit) -> float:
     return float(max(d_plus, d_minus))
 
 
-def _chunks(cell: CellConfig, reps: int) -> list[tuple[int, int]]:
-    """Replicate ranges [lo, hi) of a cell, each small enough for one stack."""
-    size = max(1, min(_STACK_VALUES // (cell.n * cell.p), reps // _MIN_CHUNKS))
-    return [(lo, min(lo + size, reps)) for lo in range(0, reps, size)]
+def _chunks(cell: CellConfig, reps: int, workers: int) -> list[tuple[int, int]]:
+    """Replicate ranges [lo, hi) of a cell, as even as they come.
+
+    Each range fits one stack (or is one replicate), and there are at
+    least ``workers`` of them when there are the replicates.
+    """
+    per_stack = max(1, _STACK_VALUES // (cell.n * cell.p))
+    count = max(min(workers, reps), -(-reps // per_stack))
+    bounds = [k * reps // count for k in range(count + 1)]
+    return list(zip(bounds, bounds[1:]))
 
 
 def _run_chunk(args) -> list[tuple[int, int, float, float, float, float]]:
@@ -212,8 +215,8 @@ def run_experiment(
     """Run every cell of the grid for the configured replicate count.
 
     Cells run sequentially; a cell's replicates (stream id = replicate
-    index) run in fixed chunks, and the chunks are independent tasks that
-    may run in parallel.  The returned report is identical for every
+    index) run in chunks, at least one per usable worker, and the chunks
+    are independent tasks that may run in parallel.  The returned report is identical for every
     worker count.  If ``config.output_path`` is set the report is
     persisted there.
     """
@@ -222,11 +225,12 @@ def run_experiment(
         raise statcore.BudgetError(
             f"experiment needs an estimated {total:,} multiply-adds, above the budget of {budget:,}"
         )
+    procs = usable_workers(workers)
     all_records: list[ReplicateRecord] = []
     cell_reports: list[CellReport] = []
     for cell_index, cell in enumerate(config.grid):
         t0 = time.perf_counter()
-        tasks = [(cell_index, cell, config.master_seed, lo, hi) for lo, hi in _chunks(cell, config.reps)]
+        tasks = [(cell_index, cell, config.master_seed, lo, hi) for lo, hi in _chunks(cell, config.reps, procs)]
         rows = [row for chunk in parallel_map(_run_chunk, tasks, workers) for row in chunk]
         runtime = time.perf_counter() - t0
         cid = cell.cell_id(cell_index)

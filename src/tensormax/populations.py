@@ -212,6 +212,13 @@ def check_workers(workers) -> None:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
 
 
+def usable_workers(workers: int) -> int:
+    """min(workers, CPUs available to the process), for an integer ``workers`` >= 1."""
+    check_workers(workers)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(int(workers), cpus or 1)
+
+
 def parallel_map(fn, tasks, workers: int) -> list:
     """``[fn(t) for t in tasks]``, in task order, on up to ``workers`` processes.
 
@@ -220,10 +227,8 @@ def parallel_map(fn, tasks, workers: int) -> list:
     when that is 1.  Tasks carry their own stream addresses, so the
     result does not depend on the worker count.
     """
-    check_workers(workers)
     tasks = list(tasks)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    procs = min(int(workers), len(tasks), cpus or 1)
+    procs = min(usable_workers(workers), len(tasks))
     if procs <= 1:
         return [fn(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=procs) as pool:

@@ -211,18 +211,6 @@ def _norm_bounds(squares: np.ndarray, n: int) -> np.ndarray:
     return np.sqrt(squares, out=squares)
 
 
-def _row_major(mats: list[np.ndarray]) -> list[np.ndarray]:
-    """Each (R, n, p) stack as (R, p, n), so that column i of every replicate is ``rows[:, i]``.
-
-    A stack that appears at several depths is transposed once.
-    """
-    done = {}
-    for M in mats:
-        if id(M) not in done:
-            done[id(M)] = np.ascontiguousarray(M.transpose(0, 2, 1))
-    return [done[id(M)] for M in mats]
-
-
 def _heads(rows: list[np.ndarray], depth: int, stop: int, start: int = 0, partial=None, head=()):
     """Increasing ``depth``-tuples below ``stop``, lexicographic, with their products.
 
@@ -463,11 +451,20 @@ def _max_entries_core(mats: list[np.ndarray], n: int) -> list[_Maxima]:
     ``mats[d]`` is the (R, n, p) stack supplying the factor at depth d;
     the result holds one maximum per replicate.  Tuples are 0-based.
     """
-    rows = _row_major(mats[:-1]) if len(mats) > 2 else []
-    screen = _Screen(mats, n, rows[-1] if rows else None)
+    # Views of one buffer become one stack with one row-major (R, p, n)
+    # copy, in which column i of every replicate is ``rows[:, i]``.  So a
+    # matrix repeated at several depths is transposed once, and for m = 2
+    # the two factors stay one array and their product is X^T X.
+    keys = [(M.__array_interface__["data"][0], M.shape, M.strides) for M in mats]
+    distinct = {}
+    for key, M in zip(keys, mats):
+        if key not in distinct:
+            distinct[key] = M, np.ascontiguousarray(M.transpose(0, 2, 1)) if len(mats) > 2 else None
+    mats, rows = zip(*(distinct[key] for key in keys))
+    screen = _Screen(mats, n, rows[-2])
     # Overflow is detected from the values and reported by ValueError.
     with np.errstate(over="ignore", invalid="ignore"):
-        for prefixes, s, Q in _prefix_groups(rows[:-1], mats[0].shape[2], n):
+        for prefixes, s, Q in _prefix_groups(rows[:-2], mats[0].shape[2], n):
             screen.block(prefixes, s, Q)
         screen.recheck()
     (w_abs, w_sig), (arg_abs, arg_sig) = screen.w.tolist(), screen.arg.tolist()
@@ -478,13 +475,8 @@ def _max_entries_core(mats: list[np.ndarray], n: int) -> list[_Maxima]:
 
 
 def _max_entry_core(mats: list[np.ndarray], n: int) -> _Maxima:
-    """The engine on n-by-p matrices: a stack of one replicate.
-
-    ``mats[d]`` supplies the factor at depth d; a matrix repeated in
-    ``mats`` stays one stack, so m = 2 keeps the X^T X product.
-    """
-    stacks = {id(M): M[None] for M in mats}
-    return _max_entries_core([stacks[id(M)] for M in mats], n)[0]
+    """The engine on n-by-p matrices, ``mats[d]`` supplying depth d: a stack of one replicate."""
+    return _max_entries_core([M[None] for M in mats], n)[0]
 
 
 def _result(best: _Maxima, n: int, p: int, m: int) -> StatResult:
@@ -541,21 +533,21 @@ def max_entry(X, m: int, workers: int = 1, cost_ceiling: int = DEFAULT_COST_CEIL
     return _result(_max_entry_core([A] * m, n), n, p, m)
 
 
-def max_entries(X, m: int, cost_ceiling: int = DEFAULT_COST_CEILING) -> list[StatResult]:
+def max_entries(X, m: int) -> list[StatResult]:
     """:func:`max_entry` of every matrix in an (R, n, p) stack, in one pass.
 
     Every prefix group is one batched matrix product over the stack, and
     the screen bounds, candidates and canonical recheck are kept per
     replicate, so ``max_entries(X, m)[r] == max_entry(X[r], m)`` bit for
-    bit.  ``cost_ceiling`` bounds the multiply-adds of each matrix, as
-    in :func:`max_entry`; the caller bounds R.  Raises ValueError on
-    invalid input, or when a tuple sum of any replicate overflows
-    float64.
+    bit.  Each matrix is held to :data:`DEFAULT_COST_CEILING`
+    multiply-adds, checked before any work (BudgetError); the caller
+    bounds R.  Raises ValueError on invalid input, or when a tuple sum of
+    any replicate overflows float64.
     """
     A = _as_matrix(X, ndim=3)
     _, n, p = A.shape
     m = _check_order(m, p)
-    check_budget(p, m, n, cost_ceiling)
+    check_budget(p, m, n, DEFAULT_COST_CEILING)
     return [_result(best, n, p, m) for best in _max_entries_core([A] * m, n)]
 
 

@@ -182,16 +182,20 @@ class TestOneSidedCell:
 class TestStackedChunks:
     """Replicates run in stacks; how they are cut never shows in the output."""
 
-    def test_chunks_tile_the_replicates(self):
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_chunks_tile_the_replicates(self, workers):
         cell = CellConfig(n=200, p=20, m=2, spec=NORMAL)  # 32 replicates per stack
         for reps in (1, 3, 4, 31, 100, 1000):
-            chunks = lab._chunks(cell, reps)
+            chunks = lab._chunks(cell, reps, workers)
             assert chunks[0][0] == 0 and chunks[-1][1] == reps
             assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
-            assert all(0 < hi - lo <= 32 for lo, hi in chunks)
-            assert len(chunks) >= min(reps, lab._MIN_CHUNKS)
+            sizes = [hi - lo for lo, hi in chunks]
+            assert 0 < min(sizes) and max(sizes) <= 32 and max(sizes) - min(sizes) <= 1
+            assert len(chunks) >= min(reps, workers)
+        assert lab._chunks(cell, 100, 1) == [(0, 25), (25, 50), (50, 75), (75, 100)]
+        assert len(lab._chunks(cell, 100, 8)) == 8
         big = CellConfig(n=2000, p=400, m=2, spec=NORMAL)  # larger than a stack
-        assert lab._chunks(big, 3) == [(0, 1), (1, 2), (2, 3)]
+        assert lab._chunks(big, 3, 1) == [(0, 1), (1, 2), (2, 3)]
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("cap", ["one_value", "three_replicates", "default"])

@@ -439,10 +439,11 @@ class TestMaxEntries:
             statcore.max_entries(X, 2)
         with pytest.raises(ValueError, match="m"):
             statcore.max_entries(np.ones((2, 4, 5)), 6)
-        cost = enumeration_cost(12, 6, 2).multiply_adds
+        # n * sum_{s<=20} C(40, s) is about 6e11 multiply-adds per matrix:
+        # rejected at once, where enumerating would not finish
+        assert enumeration_cost(40, 20, 1).multiply_adds > statcore.DEFAULT_COST_CEILING
         with pytest.raises(BudgetError):
-            statcore.max_entries(np.ones((3, 2, 12)), 6, cost_ceiling=cost - 1)
-        assert len(statcore.max_entries(np.ones((3, 2, 12)), 6, cost_ceiling=cost)) == 3
+            statcore.max_entries(np.ones((2, 1, 40)), 20)
 
     def test_gaussian_stack_rechecks_a_handful_per_replicate(self):
         rng = np.random.default_rng(601)
