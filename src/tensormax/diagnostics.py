@@ -6,12 +6,35 @@ intensity lambda = C(p, m) * P(single tuple exceeds) tends to exp(-z/2),
 the first clustering term b1 is bounded by
 C(p, m) * m**2 * p**(m-1) * tail**2, and the second term b2 is driven by
 joint tails of two tuple sums sharing s coordinates.  This module
-estimates those pieces by plain Monte Carlo, plus the moderate deviation
-ratio P(S_n/sqrt(n) >= x) / (1 - Phi(x)) that links product-variable
-sums to the Gaussian tail.
+estimates those pieces by counting threshold crossings of simulated
+product sums, plus the moderate deviation ratio
+P(S_n/sqrt(n) >= x) / (1 - Phi(x)) that links product-variable sums to
+the Gaussian tail.
+
+Each replicate simulates S = sum over n of an m-fold product of i.i.d.
+draws (for a pair tail, two such sums sharing the s leading factors),
+drawing only what the law of S depends on:
+
+* standard normal: given the other factors, a sum whose last factor is
+  normal is exactly N(0, V), with V the sum of the squared products of
+  the other factors.  So only those are drawn, and S = sqrt(V) * Z with
+  one normal Z per sum; when a single normal factor is left, V is one
+  chi2_n draw.  The two sums of a pair tail each integrate out their own
+  last factor, which leaves them conditionally independent given V1, V2
+  (for s = 1, m = 2 they share V ~ chi2_n: three scalars per replicate);
+* Rademacher: a product of +/-1 values is the XOR of their sign bits, so
+  the int8 bits are drawn as ``populations.draw`` draws them and S is
+  n - 2 * (number of -1 products).  Those sums are exact integers, as
+  the float products were, so the counts equal the plain ones exactly;
+* every other family: all the factors are drawn and multiplied in
+  float64.
+
+Either way each replicate's indicator is a Bernoulli variable with the
+plain estimator's success probability, so ``hits`` is a binomial count
+with the same law and the same standard error.
 
 At the asymptotic thresholds the joint pair tails are of order
-p**(-2m) and unobservable by plain sampling, so the pair tail estimator
+p**(-2m) and unobservable by sampling, so the pair tail estimator
 takes an arbitrary user threshold and the analytic decay rates are
 reported alongside instead of being "verified".
 
@@ -28,7 +51,15 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .asymptotics import ONE_SIDED, TWO_SIDED, lambda_limit, nu_p
-from .populations import PopulationSpec, SeedSpec, draw, make_generator, parallel_map
+from .populations import (
+    RADEMACHER,
+    STANDARD_NORMAL,
+    PopulationSpec,
+    SeedSpec,
+    draw,
+    make_generator,
+    parallel_map,
+)
 from .serial import JsonRecord
 
 # Scalars drawn per replicate block; block layout depends only on
@@ -157,19 +188,81 @@ def _block_sizes(reps: int, scalars_per_rep: int) -> list[int]:
     return sizes
 
 
-def _product_sums_block(spec: PopulationSpec, n: int, m: int, seed: SeedSpec, index: int, count: int) -> np.ndarray:
-    """Sums over n of m-fold products for one replicate block, unscaled."""
-    rng = make_generator(seed, extra=(index,))
-    prod = draw(spec, rng, (count, n))
-    for _ in range(m - 1):
-        prod *= draw(spec, rng, (count, n))
-    return prod.sum(axis=1)
+def _normal_squares(rng: np.random.Generator, shape, k: int, out: np.ndarray | None = None) -> np.ndarray | None:
+    """out * (x_1 * ... * x_k)**2 over k fresh standard normal factors; ``out`` is not modified."""
+    for _ in range(k):
+        x = rng.standard_normal(shape)
+        np.square(x, out=x)
+        out = x if out is None else np.multiply(out, x, out=x)
+    return out
+
+
+def _normal_square_sums(rng: np.random.Generator, shape, k: int, weight: np.ndarray | None = None) -> np.ndarray:
+    """Row sums of weight * (x_1 * ... * x_k)**2; a lone factor's sum is one chi2_n draw."""
+    count, n = shape
+    if weight is None and k == 1:
+        return rng.chisquare(n, count)
+    return _normal_squares(rng, shape, k, weight).sum(axis=1)
+
+
+def _product(spec: PopulationSpec, rng: np.random.Generator, shape, k: int) -> np.ndarray | None:
+    """Product of k fresh factors, None for k = 0.
+
+    Rademacher factors stay the int8 bits ``draw`` would map to +/-1
+    (drawn by the same call) and multiply by XOR; the others are float64.
+    """
+    out = None
+    for _ in range(k):
+        if spec.family == RADEMACHER:
+            x, combine = rng.integers(0, 2, size=shape, dtype=np.int8), np.bitwise_xor
+        else:
+            x, combine = draw(spec, rng, shape), np.multiply
+        out = x if out is None else combine(out, x, out=out)
+    return out
+
+
+def _product_sums(
+    spec: PopulationSpec, rng: np.random.Generator, shape, shared: int, fresh: int, copies: int
+) -> list[np.ndarray]:
+    """Row sums of xi * eta_c for c < copies, each unscaled with shape (count,).
+
+    xi is the product of ``shared`` factors common to every copy and eta_c
+    the product of ``fresh`` factors of its own; each factor is a
+    (count, n) array of i.i.d. draws from ``spec``.  The sums are jointly
+    distributed as the plain ones; see the module docstring for what each
+    family draws.
+    """
+    count, n = shape
+    if spec.family == STANDARD_NORMAL:
+        if fresh == 1:
+            variances = [_normal_square_sums(rng, shape, shared)] * copies
+        else:
+            weight = _normal_squares(rng, shape, shared)
+            variances = [_normal_square_sums(rng, shape, fresh - 1, weight) for _ in range(copies)]
+        return [np.sqrt(v) * rng.standard_normal(count) for v in variances]
+    xi = _product(spec, rng, shape, shared)
+    sums = []
+    for _ in range(copies):
+        eta = _product(spec, rng, shape, fresh)
+        if spec.family != RADEMACHER:
+            sums.append((eta if xi is None else xi * eta).sum(axis=1))
+            continue
+        if xi is not None:
+            np.bitwise_xor(eta, xi, out=eta)
+        # A bit is 1 for +1, so the XOR of an even number of them is 1
+        # where the product is -1 and of an odd number where it is +1.
+        ones = np.count_nonzero(eta, axis=1)
+        negatives = ones if (shared + fresh) % 2 == 0 else n - ones
+        sums.append((n - 2 * negatives).astype(np.float64))
+    return sums
 
 
 def _tail_block(args) -> int:
     """Hits |S|/sqrt(n) > t (two-sided) or S/sqrt(n) >= x (one-sided) in one block."""
     spec, n, m, sided, threshold, seed, index, count = args
-    scaled = _product_sums_block(spec, n, m, seed, index, count) / math.sqrt(n)
+    rng = make_generator(seed, extra=(index,))
+    (sums,) = _product_sums(spec, rng, (count, n), 0, m, 1)
+    scaled = sums / math.sqrt(n)
     if sided == TWO_SIDED:
         # IEEE division is sign-symmetric: this counts |S|/sqrt(n) > t exactly.
         return int(np.count_nonzero(np.abs(scaled) > threshold))
@@ -179,20 +272,9 @@ def _tail_block(args) -> int:
 def _pair_tail_block(args) -> int:
     pspec, threshold, seed, index, count = args
     rng = make_generator(seed, extra=(index,))
-    s, m, n = pspec.s, pspec.m, pspec.n
-
-    def product_of(k: int) -> np.ndarray:
-        out = draw(pspec.spec, rng, (count, n))
-        for _ in range(k - 1):
-            out *= draw(pspec.spec, rng, (count, n))
-        return out
-
-    xi = product_of(s)
-    eta = product_of(m - s)
-    zeta = product_of(m - s)
-    s1 = np.abs((xi * eta).sum(axis=1))
-    s2 = np.abs((xi * zeta).sum(axis=1))
-    return int(np.count_nonzero((s1 >= threshold) & (s2 >= threshold)))
+    s, m = pspec.s, pspec.m
+    s1, s2 = _product_sums(pspec.spec, rng, (count, pspec.n), s, m - s, 2)
+    return int(np.count_nonzero((np.abs(s1) >= threshold) & (np.abs(s2) >= threshold)))
 
 
 def estimate_single_tail(

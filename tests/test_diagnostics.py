@@ -5,6 +5,12 @@ limit theorem with the erfc-based Gaussian tail for product sums, a
 second independent simulation for the joint pair tail, and closed-form
 arithmetic for the exact pieces.  Tolerances are 3 binomial standard
 errors unless the quantity is deterministic.
+
+The block kernels draw only what each family's product sums depend on.
+Their oracles are the plain draw-and-multiply path: the Rademacher and
+float sums must equal it bit for bit on the same sub-stream, and the
+Gaussian sums must match its law (two-sample KS, and plain
+re-simulations of the joint pair tail).
 """
 
 import math
@@ -27,10 +33,137 @@ from tensormax import (
     normal_upper_tail,
     stein_chen_report,
 )
-from tensormax.populations import RADEMACHER, STANDARD_NORMAL
+from tensormax import diagnostics
+from tensormax.asymptotics import ONE_SIDED, TWO_SIDED
+from tensormax.populations import (
+    RADEMACHER,
+    STANDARD_NORMAL,
+    STUDENT_T_STANDARDIZED,
+    draw,
+    make_generator,
+)
 
 NORMAL = PopulationSpec(STANDARD_NORMAL)
 SEED = SeedSpec(2025, 0)
+KERNEL_SEEDS = (SeedSpec(2025, 0), SeedSpec(7, 3), SeedSpec(2**64 - 1, 11))
+
+
+def plain_product(spec, rng, shape, k):
+    """Oracle: k factors drawn with ``draw`` and multiplied in float64."""
+    out = draw(spec, rng, shape)
+    for _ in range(k - 1):
+        out *= draw(spec, rng, shape)
+    return out
+
+
+def plain_sums(spec, n, m, seed, index, count):
+    """Oracle: one block's product sums drawn and multiplied in full."""
+    rng = make_generator(seed, extra=(index,))
+    return plain_product(spec, rng, (count, n), m).sum(axis=1)
+
+
+def plain_pair_sums(spec, n, s, m, seed, index, count):
+    """Oracle: one block's pair sums over shared xi and fresh eta, zeta."""
+    rng = make_generator(seed, extra=(index,))
+    xi = plain_product(spec, rng, (count, n), s)
+    eta = plain_product(spec, rng, (count, n), m - s)
+    zeta = plain_product(spec, rng, (count, n), m - s)
+    return (xi * eta).sum(axis=1), (xi * zeta).sum(axis=1)
+
+
+class TestBlockKernelsBitIdentical:
+    """Rademacher and float sums equal the plain path's on the same sub-stream."""
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("seed", KERNEL_SEEDS)
+    def test_rademacher_tail_kernel(self, m, seed):
+        spec, n, count = PopulationSpec(RADEMACHER), 37, 3000
+        oracle = plain_sums(spec, n, m, seed, 4, count)
+        (sums,) = diagnostics._product_sums(spec, make_generator(seed, extra=(4,)), (count, n), 0, m, 1)
+        assert np.array_equal(sums, oracle)
+        scaled = oracle / math.sqrt(n)
+        for t in (0.0, 0.5, 1.0, 1.5, 2.3):
+            two = diagnostics._tail_block((spec, n, m, TWO_SIDED, t, seed, 4, count))
+            one = diagnostics._tail_block((spec, n, m, ONE_SIDED, t, seed, 4, count))
+            assert two == np.count_nonzero(np.abs(scaled) > t)
+            assert one == np.count_nonzero(scaled >= t)
+
+    @pytest.mark.parametrize("m,s", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2)])
+    @pytest.mark.parametrize("seed", KERNEL_SEEDS)
+    def test_rademacher_pair_kernel(self, m, s, seed):
+        spec, n, count = PopulationSpec(RADEMACHER), 29, 3000
+        o1, o2 = plain_pair_sums(spec, n, s, m, seed, 2, count)
+        s1, s2 = diagnostics._product_sums(spec, make_generator(seed, extra=(2,)), (count, n), s, m - s, 2)
+        assert np.array_equal(s1, o1) and np.array_equal(s2, o2)
+        for a in (0.2, 0.6, 1.0):
+            pspec = PairTailSpec(s=s, a_n=a, n=n, p=10, m=m, spec=spec)
+            thr = a * math.sqrt(n * math.log(10))
+            hits = diagnostics._pair_tail_block((pspec, thr, seed, 2, count))
+            assert hits == np.count_nonzero((np.abs(o1) >= thr) & (np.abs(o2) >= thr))
+
+    @pytest.mark.parametrize("m,s", [(2, 1), (3, 1), (3, 2)])
+    def test_float_path_unchanged(self, m, s):
+        spec, n, count = PopulationSpec(STUDENT_T_STANDARDIZED, df=5), 23, 500
+        (sums,) = diagnostics._product_sums(spec, make_generator(SEED, extra=(1,)), (count, n), 0, m, 1)
+        assert np.array_equal(sums, plain_sums(spec, n, m, SEED, 1, count))
+        pair = diagnostics._product_sums(spec, make_generator(SEED, extra=(1,)), (count, n), s, m - s, 2)
+        for got, want in zip(pair, plain_pair_sums(spec, n, s, m, SEED, 1, count)):
+            assert np.array_equal(got, want)
+
+
+class TestGaussianReduction:
+    """Gaussian sums are drawn as sqrt(V) * Z; their law must be the plain one."""
+
+    @pytest.mark.parametrize(
+        "shared,fresh,copies",
+        [(0, 2, 1), (0, 3, 1), (1, 1, 2), (1, 2, 2), (2, 1, 2)],
+        ids=["m2", "m3", "pair-m2-s1", "pair-m3-s1", "pair-m3-s2"],
+    )
+    def test_ks_against_plain_sums(self, shared, fresh, copies):
+        # m = 2 draws V as one chi2_n value, m = 3 as a sum of squared
+        # products of drawn factors.  n = 5 keeps the m-fold products far
+        # from Gaussian, so a sum with a factor too few or too many fails.
+        n, count = 5, 20_000
+        reduced = diagnostics._product_sums(NORMAL, make_generator(SEED), (count, n), shared, fresh, copies)
+        rng = np.random.default_rng(424242)
+        xi = np.prod([rng.standard_normal((count, n)) for _ in range(shared)], axis=0)
+        for sums in reduced:
+            eta = np.prod([rng.standard_normal((count, n)) for _ in range(fresh)], axis=0)
+            plain = (xi * eta).sum(axis=1)
+            assert scipy.stats.ks_2samp(sums, plain).pvalue > 0.01
+
+    def test_pair_s1_m2_is_one_chi2_and_two_normals(self):
+        # both sums integrate out their own last factor and share
+        # V = sum xi**2 ~ chi2_n: three scalars per replicate, none of n
+        n, count = 500, 1000
+        s1, s2 = diagnostics._product_sums(NORMAL, make_generator(SEED), (count, n), 1, 1, 2)
+        rng = make_generator(SEED)
+        root_v = np.sqrt(rng.chisquare(n, count))
+        assert np.array_equal(s1, root_v * rng.standard_normal(count))
+        assert np.array_equal(s2, root_v * rng.standard_normal(count))
+
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_pair_tail_m3_agrees_with_plain_resimulation(self, s):
+        # n = 20 keeps the dependence through the shared factors visible:
+        # P(joint) sits about 0.004 (s = 1) and 0.012 (s = 2) above
+        # P(single)**2, and 3 combined SE come to about 0.003
+        pspec = PairTailSpec(s=s, a_n=0.8, n=20, p=20, m=3, spec=NORMAL)
+        reps = 10**5
+        est = estimate_pair_tail(pspec, reps, SEED)
+        rng = np.random.default_rng(20260 + s)
+        thr = 0.8 * math.sqrt(20 * math.log(20))
+        hits = 0
+        for _ in range(10):
+            shape = (reps // 10, 20)
+            xi = np.prod([rng.standard_normal(shape) for _ in range(s)], axis=0)
+            eta = np.prod([rng.standard_normal(shape) for _ in range(3 - s)], axis=0)
+            zeta = np.prod([rng.standard_normal(shape) for _ in range(3 - s)], axis=0)
+            s1 = np.abs((xi * eta).sum(axis=1))
+            s2 = np.abs((xi * zeta).sum(axis=1))
+            hits += int(np.count_nonzero((s1 >= thr) & (s2 >= thr)))
+        oracle = hits / reps
+        se_o = math.sqrt(oracle * (1 - oracle) / reps)
+        assert abs(est.probability - oracle) <= 3.0 * (est.std_error + se_o)
 
 
 class TestTailEstimateArithmetic:
