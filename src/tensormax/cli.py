@@ -20,7 +20,7 @@ import numpy as np
 
 from . import diagnostics, hypotest, lab, statcore
 from .asymptotics import ONE_SIDED, TWO_SIDED, GumbelLimit
-from .populations import FAMILIES, PopulationSpec, SeedSpec
+from .populations import FAMILIES, PopulationSpec, SeedSpec, check_workers
 from .statcore import BudgetError
 
 DEFAULT_MASTER_SEED = 12345
@@ -84,8 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--cost-ceiling", type=int, default=statcore.DEFAULT_COST_CEILING,
                    help="multiply-add budget for the enumeration (default 1e10)")
     t.add_argument("--workers", type=int, default=1,
-                   help="accepted for compatibility, must be >= 1; the enumeration has one "
-                        "code path and BLAS threading follows the environment (default 1)")
+                   help="validated as >= 1 and otherwise unused for now; BLAS threading "
+                        "follows the environment (default 1)")
 
     d = subs.add_parser("diagnose", help="Monte Carlo diagnostics of the limit ingredients")
     d.add_argument("--what", choices=("lambda", "b1", "pairtail", "mdr"), required=True)
@@ -151,12 +151,12 @@ def _cmd_test(args) -> int:
         "workers": args.workers,
     }
     _log_config("test", resolved)
+    check_workers(args.workers)
     if len(matrices) == 1:
         if args.m is None:
             raise ValueError("--m is required when testing a single input matrix")
         result = hypotest.test_independence(
-            matrices[0], args.m, sided=_SIDED[args.sided],
-            workers=args.workers, cost_ceiling=args.cost_ceiling,
+            matrices[0], args.m, sided=_SIDED[args.sided], cost_ceiling=args.cost_ceiling
         )
     else:
         if args.m is not None and args.m != len(matrices):
@@ -165,8 +165,7 @@ def _cmd_test(args) -> int:
                 f"(the multi-population order is the number of matrices)"
             )
         result = hypotest.test_independence_multi(
-            matrices, sided=_SIDED[args.sided],
-            workers=args.workers, cost_ceiling=args.cost_ceiling,
+            matrices, sided=_SIDED[args.sided], cost_ceiling=args.cost_ceiling
         )
     print(json.dumps(result.to_json(), indent=2))
     return EXIT_OK

@@ -218,6 +218,8 @@ def _product(spec: PopulationSpec, rng: np.random.Generator, shape, k: int) -> n
         else:
             x, combine = draw(spec, rng, shape), np.multiply
         out = x if out is None else combine(out, x, out=out)
+        # released before the next factor is drawn
+        del x
     return out
 
 
@@ -245,7 +247,10 @@ def _product_sums(
     for _ in range(copies):
         eta = _product(spec, rng, shape, fresh)
         if spec.family != RADEMACHER:
-            sums.append((eta if xi is None else xi * eta).sum(axis=1))
+            if xi is not None:
+                eta *= xi
+            sums.append(eta.sum(axis=1))
+            del eta
             continue
         if xi is not None:
             np.bitwise_xor(eta, xi, out=eta)

@@ -87,7 +87,7 @@ def test_independence(
     X,
     m: int,
     sided: str = TWO_SIDED,
-    workers: int = 1,
+    *,
     cost_ceiling: int = statcore.DEFAULT_COST_CEILING,
     profile: AssumptionProfile | None = None,
 ) -> TestResult:
@@ -111,19 +111,19 @@ def test_independence(
         (n, p, m); decisions compare it against levels 0.01/0.05/0.10.
     """
     limit = _limit_for(np.shape(X), m, sided, cost_ceiling)
-    stat = statcore.max_entry(X, m, workers=workers, cost_ceiling=cost_ceiling)
+    stat = statcore.max_entry(X, m, cost_ceiling=cost_ceiling)
     return _finish(stat, limit, profile)
 
 
 def test_independence_multi(
     matrices,
     sided: str = TWO_SIDED,
-    workers: int = 1,
+    *,
     cost_ceiling: int = statcore.DEFAULT_COST_CEILING,
     profile: AssumptionProfile | None = None,
 ) -> TestResult:
     """Independence test for the multi-population product tensor."""
     matrices = list(matrices)
     limit = _limit_for(np.shape(matrices[0]) if matrices else (), len(matrices), sided, cost_ceiling)
-    stat = statcore.max_entry_multi(matrices, workers=workers, cost_ceiling=cost_ceiling)
+    stat = statcore.max_entry_multi(matrices, cost_ceiling=cost_ceiling)
     return _finish(stat, limit, profile)

@@ -20,14 +20,15 @@ argmax tuples included:
 * :func:`max_entry` screens every tuple with BLAS and recomputes only a
   few candidates the canonical way.
 
-**The screen.**  Prefixes of depth m-2 are walked depth-first, carrying
-the left-to-right partial product q across shared prefixes.  For a
-prefix whose last index is s-1, the last two tuple levels are one matrix
-product, G = (q * X[:, s:])^T X[:, s:] / sqrt(n), whose strict upper
-triangle holds every tuple (prefix, a, b) with s <= a < b.  For m = 2
-there is no prefix and G = X^T X / sqrt(n).  Prefixes that end at the
-same index share X[:, s:], so they are stacked into one GEMM, and rows
-are tiled so that no tile holds more than about a million entries.
+**The screen.**  Prefixes of depth m-2 are grouped by their last index
+s-1, in chunks; each group gathers the columns of its prefixes and
+multiplies them left to right into the partial products q.  The last two
+tuple levels are then one matrix product,
+G = (q * X[:, s:])^T X[:, s:] / sqrt(n), whose strict upper triangle
+holds every tuple (prefix, a, b) with s <= a < b.  For m = 2 there is no
+prefix and G = X^T X / sqrt(n).  Prefixes that end at the same index
+share X[:, s:], so they are stacked into one GEMM, and rows are tiled so
+that no tile holds more than about a million entries.
 
 **Stacks of replicates.**  :func:`max_entries` runs the screen on an
 (R, n, p) stack of independent matrices at once.  Partial products have
@@ -35,10 +36,10 @@ shape (R, n), each prefix group is one batched ``np.matmul`` over the
 stack, and the slack, the lower bound L, the candidates, the overflow
 settling and the recheck below are all kept per replicate, so every
 replicate gets exactly the answer it gets alone.  :func:`max_entry` and
-:func:`max_entry_multi` are the R = 1 case of the same engine.  The tile
-limit counts entries across the replicate axis, so a stack's tiles are no
-larger than one matrix's; the caller bounds R itself (``lab`` caps a
-stack at 2**17 values, 1 MB).
+:func:`max_entry_multi` are the R = 1 case of the same engine, entered
+through the same budget check.  The tile limit counts entries across the
+replicate axis, so a stack's tiles are no larger than one matrix's; the
+caller bounds R itself (``lab`` caps a stack at 2**17 values, 1 MB).
 
 **The bound.**  A GEMM entry sums in its own order and may fuse
 multiply-adds, so it can differ from the canonical entry in the last
@@ -80,7 +81,9 @@ canonical way at once.  A non-finite canonical entry raises ValueError
 the work of sharing prefixes down to single triangle entries, and stays
 the budget unit.  The screen does that work at m = 2 (one symmetric
 rank-n update) and at most twice it at the last level for m >= 3, where
-each prefix's product is a full square.  Reported tuples are 1-based.
+each prefix's product is a full square.  The prefix products add
+n * (m-3) multiplies for each of the C(p, m-2) prefixes, far below the
+n * (p-s)**2 of the prefix's own GEMM.  Reported tuples are 1-based.
 """
 
 from __future__ import annotations
@@ -92,7 +95,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .populations import check_workers
 from .serial import JsonRecord
 
 DEFAULT_COST_CEILING = 10**10
@@ -211,22 +213,6 @@ def _norm_bounds(squares: np.ndarray, n: int) -> np.ndarray:
     return np.sqrt(squares, out=squares)
 
 
-def _heads(rows: list[np.ndarray], depth: int, stop: int, start: int = 0, partial=None, head=()):
-    """Increasing ``depth``-tuples below ``stop``, lexicographic, with their products.
-
-    The product of every replicate, shape (R, n), is built left to right
-    and shared depth-first between tuples with a common start; it is None
-    for the empty tuple.
-    """
-    d = len(head)
-    if d == depth:
-        yield head, partial
-        return
-    for i in range(start, stop - depth + d + 1):
-        col = rows[d][:, i]
-        yield from _heads(rows, depth, stop, i + 1, col if partial is None else partial * col, head + (i,))
-
-
 def _prefix_groups(rows: list[np.ndarray], p: int, n: int):
     """Prefixes of depth m-2 grouped by their last index, in screen-sized chunks.
 
@@ -243,22 +229,13 @@ def _prefix_groups(rows: list[np.ndarray], p: int, n: int):
     for j in range(depth - 1, p - 2):
         w = p - j - 1
         chunk = max(1, _TILE_ENTRIES // (R * w * max(w, n)))
-        x_j = rows[-1][:, j]
-        prefixes, products = [], []
-        for head, h in _heads(rows, depth - 1, j):
-            prefixes.append(head + (j,))
-            products.append(x_j if h is None else h * x_j)
-            if len(prefixes) == chunk:
-                yield _group(prefixes, j + 1, products)
-                prefixes, products = [], []
-        if prefixes:
-            yield _group(prefixes, j + 1, products)
-
-
-def _group(prefixes: list[tuple[int, ...]], s: int, products: list[np.ndarray]):
-    # each product has shape (R, n); Q stacks them as (R, k, n)
-    Q = np.ascontiguousarray(np.array(products).swapaxes(0, 1))
-    return np.array(prefixes, dtype=np.intp), s, Q
+        heads = itertools.combinations(range(j), depth - 1)
+        while group := [head + (j,) for head in itertools.islice(heads, chunk)]:
+            g = np.array(group, dtype=np.intp)
+            Q = rows[0][:, g[:, 0]]
+            for d in range(1, depth):
+                Q *= rows[d][:, g[:, d]]
+            yield g, j + 1, Q
 
 
 class _Maxima(NamedTuple):
@@ -451,16 +428,16 @@ def _max_entries_core(mats: list[np.ndarray], n: int) -> list[_Maxima]:
     ``mats[d]`` is the (R, n, p) stack supplying the factor at depth d;
     the result holds one maximum per replicate.  Tuples are 0-based.
     """
-    # Views of one buffer become one stack with one row-major (R, p, n)
-    # copy, in which column i of every replicate is ``rows[:, i]``.  So a
-    # matrix repeated at several depths is transposed once, and for m = 2
-    # the two factors stay one array and their product is X^T X.
-    keys = [(M.__array_interface__["data"][0], M.shape, M.strides) for M in mats]
-    distinct = {}
-    for key, M in zip(keys, mats):
-        if key not in distinct:
-            distinct[key] = M, np.ascontiguousarray(M.transpose(0, 2, 1)) if len(mats) > 2 else None
-    mats, rows = zip(*(distinct[key] for key in keys))
+    # Depths below m-1 need a row-major (R, p, n) copy, in which column i
+    # of every replicate is ``rows[:, i]``.  A stack repeated at several
+    # depths is one object, so it is transposed once; for m = 2 it stays
+    # one array and its product is X^T X.
+    copies = {}
+    if len(mats) > 2:
+        for M in mats[:-1]:
+            if id(M) not in copies:
+                copies[id(M)] = np.ascontiguousarray(M.transpose(0, 2, 1))
+    rows = [copies.get(id(M)) for M in mats]
     screen = _Screen(mats, n, rows[-2])
     # Overflow is detected from the values and reported by ValueError.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -472,11 +449,6 @@ def _max_entries_core(mats: list[np.ndarray], n: int) -> list[_Maxima]:
         _Maxima(wa, tuple(aa), ws, tuple(sa), k)
         for wa, aa, ws, sa, k in zip(w_abs, arg_abs, w_sig, arg_sig, screen.rechecked.tolist())
     ]
-
-
-def _max_entry_core(mats: list[np.ndarray], n: int) -> _Maxima:
-    """The engine on n-by-p matrices, ``mats[d]`` supplying depth d: a stack of one replicate."""
-    return _max_entries_core([M[None] for M in mats], n)[0]
 
 
 def _result(best: _Maxima, n: int, p: int, m: int) -> StatResult:
@@ -498,7 +470,18 @@ def _check_order(m, p: int) -> int:
     return int(m)
 
 
-def max_entry(X, m: int, workers: int = 1, cost_ceiling: int = DEFAULT_COST_CEILING) -> StatResult:
+def _enumerate(stacks: list[np.ndarray], cost_ceiling: int) -> list[StatResult]:
+    """Every replicate's maximum, ``stacks[d]`` the valid (R, n, p) stack supplying depth d.
+
+    The budget is checked per matrix before any work.
+    """
+    _, n, p = stacks[0].shape
+    m = len(stacks)
+    check_budget(p, m, n, cost_ceiling)
+    return [_result(best, n, p, m) for best in _max_entries_core(stacks, n)]
+
+
+def max_entry(X, m: int, *, cost_ceiling: int = DEFAULT_COST_CEILING) -> StatResult:
     """Maximum (absolute and signed) off-diagonal tensor entry.
 
     Parameters
@@ -507,10 +490,6 @@ def max_entry(X, m: int, workers: int = 1, cost_ceiling: int = DEFAULT_COST_CEIL
         n-by-p data matrix; rows are observations.
     m : int
         Tensor order, 2 <= m <= p.
-    workers : int
-        Accepted for interface stability and validated as >= 1.  It
-        changes neither the code path nor the result; BLAS threading is
-        set by the environment.
     cost_ceiling : int
         Maximum multiply-adds allowed; a BudgetError is raised before
         any work when the enumeration would exceed it.
@@ -526,11 +505,7 @@ def max_entry(X, m: int, workers: int = 1, cost_ceiling: int = DEFAULT_COST_CEIL
         On invalid input, or when some tuple sum overflows float64.
     """
     A = _as_matrix(X)
-    n, p = A.shape
-    m = _check_order(m, p)
-    check_workers(workers)
-    check_budget(p, m, n, cost_ceiling)
-    return _result(_max_entry_core([A] * m, n), n, p, m)
+    return _enumerate([A[None]] * _check_order(m, A.shape[1]), cost_ceiling)[0]
 
 
 def max_entries(X, m: int) -> list[StatResult]:
@@ -545,19 +520,16 @@ def max_entries(X, m: int) -> list[StatResult]:
     any replicate overflows float64.
     """
     A = _as_matrix(X, ndim=3)
-    _, n, p = A.shape
-    m = _check_order(m, p)
-    check_budget(p, m, n, DEFAULT_COST_CEILING)
-    return [_result(best, n, p, m) for best in _max_entries_core([A] * m, n)]
+    return _enumerate([A] * _check_order(m, A.shape[2]), DEFAULT_COST_CEILING)
 
 
-def max_entry_multi(matrices, workers: int = 1, cost_ceiling: int = DEFAULT_COST_CEILING) -> StatResult:
+def max_entry_multi(matrices, *, cost_ceiling: int = DEFAULT_COST_CEILING) -> StatResult:
     """Maximum entry of the multi-population product tensor.
 
     The factor at tuple depth s is drawn from ``matrices[s]``; all
     matrices must share the same (n, p).  The order m is the number of
     matrices.  With identical matrices this reduces exactly to
-    :func:`max_entry`.  ``workers`` and ``cost_ceiling`` are as there.
+    :func:`max_entry`.  ``cost_ceiling`` is as there.
     """
     mats = [_as_matrix(M) for M in matrices]
     m = len(mats)
@@ -571,9 +543,10 @@ def max_entry_multi(matrices, workers: int = 1, cost_ceiling: int = DEFAULT_COST
             )
     if m > p:
         raise ValueError(f"m must be <= p, got m={m}, p={p}")
-    check_workers(workers)
-    check_budget(p, m, n, cost_ceiling)
-    return _result(_max_entry_core(mats, n), n, p, m)
+    # One stack per distinct matrix, so that a matrix repeated at several
+    # depths shares its copies as in max_entry.
+    stacks = {id(M): M[None] for M in mats}
+    return _enumerate([stacks[id(M)] for M in mats], cost_ceiling)[0]
 
 
 def max_entry_bruteforce(X, m: int) -> StatResult:

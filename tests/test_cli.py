@@ -1,11 +1,14 @@
 """Command line surface: outputs, exit codes, idempotence."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tensormax.cli import main
+
+X_M2 = str(Path(__file__).parent / "golden" / "x_m2.csv")
 
 
 def run_cli(capsys, *argv):
@@ -215,6 +218,7 @@ def test_simulate_config_missing_reps_names_the_field(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ("diagnose", "--what", "mdr", "--x", "1", "--n", "10", "--m", "2", "--reps", "100"),
     ("diagnose", "--what", "lambda", "--n", "10", "--p", "5", "--m", "2", "--reps", "100"),
+    ("test", "--input", X_M2, "--m", "2"),
 ])
 def test_diagnose_zero_workers_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--workers", "0")

@@ -14,6 +14,7 @@ re-simulations of the joint pair tail).
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,6 +110,28 @@ class TestBlockKernelsBitIdentical:
         pair = diagnostics._product_sums(spec, make_generator(SEED, extra=(1,)), (count, n), s, m - s, 2)
         for got, want in zip(pair, plain_pair_sums(spec, n, s, m, SEED, 1, count)):
             assert np.array_equal(got, want)
+
+
+def traced_peak(fn, *args):
+    """Peak bytes that tracemalloc sees allocated while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_float_blocks_release_each_factor():
+    # A block holds the running product and the factor being drawn, plus
+    # xi in a pair block; a factor already multiplied in is released.
+    spec, n, count = PopulationSpec(STUDENT_T_STANDARDIZED, df=8), 100, 2000
+    array = count * n * 8
+    tail = traced_peak(diagnostics._tail_block, (spec, n, 4, TWO_SIDED, 1.0, SEED, 0, count))
+    assert tail < 2.5 * array
+    pspec = PairTailSpec(s=1, a_n=0.5, n=n, p=10, m=4, spec=spec)
+    pair = traced_peak(diagnostics._pair_tail_block, (pspec, 1.0, SEED, 0, count))
+    assert pair < 3.5 * array
 
 
 class TestGaussianReduction:

@@ -168,13 +168,6 @@ class TestInvariants:
             if m % 2 == 0:
                 assert a.w_signed == b.w_signed
 
-    def test_worker_count_invariance(self):
-        rng = np.random.default_rng(13)
-        X = rng.standard_normal((25, 14))
-        base = max_entry(X, 3, workers=1)
-        for workers in (2, 4, 9):
-            assert max_entry(X, 3, workers=workers) == base
-
     def test_row_of_positives_n1_m2(self):
         X = np.array([[0.5, 2.0, 1.5]])
         r = max_entry(X, 2)
@@ -246,12 +239,12 @@ class TestEngineOracle:
     plain loop, produces the canonical sums.
     """
 
-    SHAPES = {2: (300, 14), 3: (160, 11), 4: (130, 9)}
+    SHAPES = {2: (300, 14), 3: (160, 11), 4: (130, 9), 5: (130, 10), 6: (130, 10)}
 
     def _check(self, X, m):
         assert max_entry(X, m) == max_entry_bruteforce(X, m)
 
-    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
     def test_near_ties_from_permuted_duplicate(self, m):
         # Columns duplicated with their rows permuted: every tuple inside
         # the copy has a twin whose sum is equal in exact arithmetic but is
@@ -262,7 +255,7 @@ class TestEngineOracle:
             Y = rng.standard_normal((n, p // 2))
             self._check(np.hstack([Y, Y[rng.permutation(n)]]), m)
 
-    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
     def test_exact_ties_rademacher_and_small_integers(self, m):
         rng = np.random.default_rng(200 + m)
         n, p = self.SHAPES[m]
@@ -270,17 +263,19 @@ class TestEngineOracle:
             self._check(rng.choice([-1.0, 1.0], (size, p)), m)
             self._check(rng.integers(-2, 3, (size, p)).astype(float), m)
 
-    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("scale", [1e-150, 1e60])
     def test_extreme_scales(self, m, scale):
-        # 1e-150: products are subnormal or zero; 1e60: entries near 1e240.
+        # 1e-150: products are subnormal or zero; 1e60: entries near 1e240,
+        # the scale lowered for m > 4 so that the entries stay there.
         rng = np.random.default_rng(300 + m)
         n, p = self.SHAPES[m]
+        scale = min(scale, 10.0 ** (240 / m))
         for trial in range(3):
             self._check(rng.standard_normal((n, p)) * scale, m)
             self._check(rng.standard_t(3, (n, p)) * scale, m)
 
-    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
     def test_multi_population(self, m):
         rng = np.random.default_rng(400 + m)
         n, p = self.SHAPES[m]
@@ -293,7 +288,7 @@ class TestEngineOracle:
                 mats = [M * 1e-150 for M in mats]
             assert _as_tuple(max_entry_multi(mats)) == multi_bruteforce(mats)
 
-    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
     def test_tiles_and_early_rechecks(self, m, monkeypatch):
         # Tiny tiles and a tiny candidate pool exercise the row tiling, the
         # prefix chunks and the early recheck that bounds memory on ties.
@@ -304,6 +299,16 @@ class TestEngineOracle:
         self._check(rng.standard_normal((n, p)), m)
         self._check(rng.choice([-1.0, 1.0], (5, p)), m)
         self._check(np.zeros((3, p)), m)
+
+    @pytest.mark.parametrize("m", [5, 6])
+    def test_prefix_chunks(self, m, monkeypatch):
+        # Mid-sized tiles split a prefix group into chunks of several
+        # prefixes and a shorter last one.
+        monkeypatch.setattr(statcore, "_TILE_ENTRIES", 4096)
+        rng = np.random.default_rng(550 + m)
+        n, p = self.SHAPES[m]
+        self._check(rng.standard_normal((n, p)), m)
+        self._check(rng.choice([-1.0, 1.0], (n, p)), m)
 
     def test_ties_across_prefix_groups(self):
         # Several 4-tuples share the maximum; the smallest of them,
@@ -324,7 +329,8 @@ class TestEngineOracle:
         for (n, p, m) in ((500, 60, 2), (200, 30, 3), (100, 16, 4)):
             for trial in range(3):
                 X = rng.standard_normal((n, p))
-                assert statcore._max_entry_core([X] * m, n).rechecked <= 6
+                (best,) = statcore._max_entries_core([X[None]] * m, n)
+                assert best.rechecked <= 6
 
 
 class TestOverflow:
@@ -359,17 +365,63 @@ class TestOverflow:
             max_entry(X, 3)
 
 
-def test_workers_validated():
+def test_cost_ceiling_is_keyword_only():
+    # A positional third argument, such as a stale worker count, is not
+    # read as a ceiling.
     X = np.ones((3, 4))
-    for workers in (0, -1, 1.5):
-        with pytest.raises(ValueError, match="workers"):
-            max_entry(X, 2, workers=workers)
+    with pytest.raises(TypeError):
+        max_entry(X, 2, 1)
+    with pytest.raises(TypeError):
+        max_entry_multi([X, X], 1)
+
+
+class TestSharedCopies:
+    """A matrix repeated at several depths is one array to the engine."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Record every screen built, and the row copies every prefix walk gets."""
+        screens, walks = [], []
+        prefix_groups = statcore._prefix_groups
+
+        class Screen(statcore._Screen):
+            def __init__(self, *args):
+                super().__init__(*args)
+                screens.append(self)
+
+        def groups(rows, p, n):
+            walks.append(rows)
+            return prefix_groups(rows, p, n)
+
+        monkeypatch.setattr(statcore, "_Screen", Screen)
+        monkeypatch.setattr(statcore, "_prefix_groups", groups)
+        return screens, walks
+
+    def test_m2_product_is_x_transpose_x(self, monkeypatch):
+        screens, _ = self.spy(monkeypatch)
+        X = np.random.default_rng(14).standard_normal((20, 9))
+        max_entry(X, 2)
+        max_entry_multi([X, X])
+        assert len(screens) == 2
+        assert all(s.pen is s.last for s in screens)
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_transposed_once(self, m, monkeypatch):
+        screens, walks = self.spy(monkeypatch)
+        X = np.random.default_rng(15).standard_normal((20, 9))
+        for run in (lambda: max_entry(X, m), lambda: max_entry_multi([X] * m)):
+            screens.clear()
+            walks.clear()
+            run()
+            (screen,), (rows,) = screens, walks
+            assert screen.pen is screen.last
+            assert len(rows) == m - 2 and all(r is screen.pen_rows for r in rows)
 
 
 class TestMaxEntries:
     """A stack of replicates through one screen gives each replicate the oracle's answer."""
 
-    SHAPES = {2: (300, 14), 3: (160, 11), 4: (130, 9)}
+    SHAPES = {2: (300, 14), 3: (160, 11), 4: (130, 9), 5: (130, 10), 6: (130, 10)}
 
     @staticmethod
     def mixed_stack(rng, n, p):
@@ -386,7 +438,7 @@ class TestMaxEntries:
         ])
 
     @pytest.mark.parametrize("small_tiles", [False, True])
-    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
     def test_each_replicate_matches_the_oracle(self, m, small_tiles, monkeypatch):
         if small_tiles:
             monkeypatch.setattr(statcore, "_TILE_ENTRIES", 64)
@@ -403,7 +455,7 @@ class TestMaxEntries:
             assert statcore.max_entries(X[r:r + 1], m) == [got[r]]
 
     @pytest.mark.parametrize("small_tiles", [False, True])
-    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
     def test_tied_replicates_keep_the_smallest_tuple(self, m, small_tiles, monkeypatch):
         if small_tiles:
             monkeypatch.setattr(statcore, "_TILE_ENTRIES", 64)
