@@ -91,8 +91,10 @@ class GumbelLimit:
         object.__setattr__(self, "c", 0.5 * c_two if self.sided == ONE_SIDED else c_two)
 
     def cdf(self, z: float) -> float:
-        """F(z) = exp(-c * exp(-z/2)) for finite scalar z."""
+        """F(z) = exp(-c * exp(-z/2)) for scalar z, with F(+inf) = 1."""
         z = float(z)
+        if math.isnan(z):
+            raise ValueError("z must not be NaN")
         if z < _Z_UNDERFLOW:
             return 0.0
         return math.exp(-self.c * math.exp(-0.5 * z))
@@ -185,11 +187,14 @@ def nu_p(z: float, p: int, m: int) -> float:
     Raises
     ------
     ValueError
-        If the radicand is not positive (p too small for the given z).
+        If z is not finite or the radicand is not positive (p too small
+        for the given z).
     """
     _check_order(m)
     _check_p(p)
     z = float(z)
+    if not math.isfinite(z):
+        raise ValueError(f"z must be finite, got {z}")
     lp = math.log(p)
     radicand = lp - (math.log(lp) + 2.0 * log_rate_constant(m) - z) / (2.0 * m)
     if radicand <= 0.0:

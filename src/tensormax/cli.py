@@ -32,6 +32,15 @@ EXIT_IO = 4
 
 _SIDED = {"two": TWO_SIDED, "one": ONE_SIDED}
 
+# The flags each diagnose mode reads: all are required, and all go into
+# the logged config.  Listed in the order they are checked.
+_DIAGNOSE_FLAGS = {
+    "lambda": ("z", "n", "p", "m"),
+    "b1": ("p", "m", "single_tail"),
+    "pairtail": ("s", "a", "n", "p", "m"),
+    "mdr": ("n", "m", "x"),
+}
+
 
 def _log_config(name: str, resolved: dict) -> None:
     print(f"tensormax {name} config: {json.dumps(resolved, sort_keys=True)}", file=sys.stderr)
@@ -113,12 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require(args, names: list[str]) -> None:
-    for name in names:
-        if getattr(args, name, None) is None:
-            raise ValueError(f"--{name.replace('_', '-')} is required for this diagnose mode")
-
-
 def _cmd_quantile(args) -> int:
     limit = GumbelLimit(args.m, _SIDED[args.sided])
     if args.q is not None:
@@ -174,32 +177,27 @@ def _cmd_test(args) -> int:
 def _cmd_diagnose(args) -> int:
     spec = _population(args)
     seed = _seed(args)
+    flags = {name: getattr(args, name) for name in _DIAGNOSE_FLAGS[args.what]}
+    for name, value in flags.items():
+        if value is None:
+            raise ValueError(f"--{name.replace('_', '-')} is required for this diagnose mode")
     resolved = {
         "what": args.what,
         "population": spec.to_json(),
         "seed": seed.to_json(),
         "reps": args.reps,
         "workers": args.workers,
+        **flags,
     }
+    _log_config("diagnose", resolved)
     if args.what == "lambda":
-        _require(args, ["n", "p", "m"])
-        resolved.update({"z": args.z, "n": args.n, "p": args.p, "m": args.m})
-        _log_config("diagnose", resolved)
-        report = diagnostics.estimate_lambda(
+        out = diagnostics.estimate_lambda(
             args.z, args.n, args.p, args.m, spec, args.reps, seed, workers=args.workers
-        )
-        print(json.dumps(report.to_json(), indent=2))
+        ).to_json()
     elif args.what == "b1":
-        _require(args, ["p", "m", "single_tail"])
-        resolved.update({"p": args.p, "m": args.m, "single_tail": args.single_tail})
-        _log_config("diagnose", resolved)
         value = diagnostics.b1_bound(args.p, args.m, args.single_tail)
-        print(json.dumps({"p": args.p, "m": args.m, "single_tail": args.single_tail,
-                          "b1_bound": value}, indent=2))
+        out = {"p": args.p, "m": args.m, "single_tail": args.single_tail, "b1_bound": value}
     elif args.what == "pairtail":
-        _require(args, ["s", "a", "n", "p", "m"])
-        resolved.update({"s": args.s, "a": args.a, "n": args.n, "p": args.p, "m": args.m})
-        _log_config("diagnose", resolved)
         pspec = diagnostics.PairTailSpec(s=args.s, a_n=args.a, n=args.n, p=args.p,
                                          m=args.m, spec=spec)
         est = diagnostics.estimate_pair_tail(pspec, args.reps, seed, workers=args.workers)
@@ -209,15 +207,11 @@ def _cmd_diagnose(args) -> int:
             "estimate": est.to_json(),
             "analytic_decay": diagnostics.pair_tail_decay_exponents(pspec),
         }
-        print(json.dumps(out, indent=2))
     else:  # mdr
-        _require(args, ["n", "m", "x"])
-        resolved.update({"x": args.x, "n": args.n, "m": args.m})
-        _log_config("diagnose", resolved)
-        report = diagnostics.moderate_deviation_ratio(
+        out = diagnostics.moderate_deviation_ratio(
             spec, args.m, args.n, args.x, args.reps, seed, workers=args.workers
-        )
-        print(json.dumps(report.to_json(), indent=2))
+        ).to_json()
+    print(json.dumps(out, indent=2))
     return EXIT_OK
 
 

@@ -38,9 +38,12 @@ p**(-2m) and unobservable by sampling, so the pair tail estimator
 takes an arbitrary user threshold and the analytic decay rates are
 reported alongside instead of being "verified".
 
-Replicates are generated in fixed-size blocks, one sub-stream per block,
-and hit counts are merged by integer addition, so every estimate is
-deterministic for a given (seed, reps) at any worker count.
+Every estimator counts through one driver, ``_count``: replicates are
+cut into blocks of about ``_BLOCK_SCALARS`` nominal scalars, a layout
+that depends only on (reps, n, factors per replicate), block i draws
+from its own sub-stream (seed, i), and the blocks' hit counts are
+merged by integer addition.  So every estimate is deterministic for a
+given (seed, reps) at any worker count.
 """
 
 from __future__ import annotations
@@ -62,8 +65,7 @@ from .populations import (
 )
 from .serial import JsonRecord
 
-# Scalars drawn per replicate block; block layout depends only on
-# (reps, n, columns), never on worker count.
+# Nominal scalars per replicate block (see ``_count``).
 _BLOCK_SCALARS = 2**24
 
 MIN_EXPECTED_HITS_LAMBDA = 50
@@ -81,6 +83,8 @@ class TailEstimate(JsonRecord):
 
     @classmethod
     def from_counts(cls, hits: int, reps: int) -> "TailEstimate":
+        if reps < 1:
+            raise ValueError(f"reps must be >= 1, got {reps}")
         prob = hits / reps
         return cls(
             probability=prob,
@@ -129,8 +133,8 @@ class PairTailSpec:
     def __post_init__(self):
         if not 1 <= self.s <= self.m - 1:
             raise ValueError(f"s must lie in [1, m-1] = [1, {self.m - 1}], got {self.s}")
-        if self.a_n <= 0.0:
-            raise ValueError(f"a_n must be positive, got {self.a_n}")
+        if not 0.0 < self.a_n < math.inf:
+            raise ValueError(f"a_n must be positive and finite, got {self.a_n}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.p < 3:
@@ -177,15 +181,6 @@ def b1_bound(p: int, m: int, single_tail: float) -> float:
     if m < 2 or p < m:
         raise ValueError(f"need 2 <= m <= p, got m={m}, p={p}")
     return math.comb(p, m) * (m * m) * float(p) ** (m - 1) * single_tail * single_tail
-
-
-def _block_sizes(reps: int, scalars_per_rep: int) -> list[int]:
-    """Fixed partition of reps into blocks of ~_BLOCK_SCALARS scalars."""
-    block = max(1, min(reps, _BLOCK_SCALARS // max(1, scalars_per_rep)))
-    sizes = [block] * (reps // block)
-    if reps % block:
-        sizes.append(reps % block)
-    return sizes
 
 
 def _normal_squares(rng: np.random.Generator, shape, k: int, out: np.ndarray | None = None) -> np.ndarray | None:
@@ -262,10 +257,8 @@ def _product_sums(
     return sums
 
 
-def _tail_block(args) -> int:
-    """Hits |S|/sqrt(n) > t (two-sided) or S/sqrt(n) >= x (one-sided) in one block."""
-    spec, n, m, sided, threshold, seed, index, count = args
-    rng = make_generator(seed, extra=(index,))
+def _tail_kernel(rng, count: int, spec: PopulationSpec, n: int, m: int, sided: str, threshold: float) -> int:
+    """Hits |S|/sqrt(n) > t (two-sided) or S/sqrt(n) >= x (one-sided) among ``count`` sums."""
     (sums,) = _product_sums(spec, rng, (count, n), 0, m, 1)
     scaled = sums / math.sqrt(n)
     if sided == TWO_SIDED:
@@ -274,12 +267,43 @@ def _tail_block(args) -> int:
     return int(np.count_nonzero(scaled >= threshold))
 
 
-def _pair_tail_block(args) -> int:
-    pspec, threshold, seed, index, count = args
-    rng = make_generator(seed, extra=(index,))
-    s, m = pspec.s, pspec.m
-    s1, s2 = _product_sums(pspec.spec, rng, (count, pspec.n), s, m - s, 2)
+def _pair_kernel(rng, count: int, spec: PopulationSpec, n: int, s: int, m: int, threshold: float) -> int:
+    """Hits |S1| >= t and |S2| >= t among ``count`` unscaled pair sums sharing s factors."""
+    s1, s2 = _product_sums(spec, rng, (count, n), s, m - s, 2)
     return int(np.count_nonzero((np.abs(s1) >= threshold) & (np.abs(s2) >= threshold)))
+
+
+def _run_block(task) -> int:
+    kernel, params, seed, index, count = task
+    return kernel(make_generator(seed, extra=(index,)), count, *params)
+
+
+def _count(kernel, params: tuple, reps: int, scalars_per_rep: int, seed: SeedSpec, workers: int) -> TailEstimate:
+    """Sum ``kernel(rng, count, *params)`` over the blocks of ``reps`` replicates.
+
+    The layout depends only on (reps, scalars_per_rep) and block i draws
+    from sub-stream (seed, i), so the count is the same at any worker count.
+    """
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
+    block = max(1, min(reps, _BLOCK_SCALARS // max(1, scalars_per_rep)))
+    sizes = [block] * (reps // block) + ([reps % block] if reps % block else [])
+    tasks = [(kernel, params, seed, i, c) for i, c in enumerate(sizes)]
+    return TailEstimate.from_counts(sum(parallel_map(_run_block, tasks, workers)), reps)
+
+
+def _single_tail(
+    spec: PopulationSpec, n: int, m: int, sided: str, threshold: float, reps: int, seed: SeedSpec, workers: int
+) -> TailEstimate:
+    """The single-tail kernel's count over reps n-term sums of m-fold products."""
+    if m < 2:
+        raise ValueError(f"m must be >= 2, got {m}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if sided == TWO_SIDED and threshold <= 0.0:
+        # The limit from above: every replicate exceeds, so none is drawn.
+        return TailEstimate.from_counts(reps, reps)
+    return _count(_tail_kernel, (spec, n, m, sided, float(threshold)), reps, n * m, seed, workers)
 
 
 def estimate_single_tail(
@@ -302,18 +326,7 @@ def estimate_single_tail(
     in fixed-size blocks with one sub-stream each and the counts add up
     order-free.
     """
-    if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
-    if threshold <= 0.0:
-        return TailEstimate.from_counts(reps, reps)
-    sizes = _block_sizes(reps, n * m)
-    groups = [(spec, n, m, TWO_SIDED, float(threshold), seed, i, c) for i, c in enumerate(sizes)]
-    hits = sum(parallel_map(_tail_block, groups, workers))
-    return TailEstimate.from_counts(hits, reps)
+    return _single_tail(spec, n, m, TWO_SIDED, threshold, reps, seed, workers)
 
 
 def estimate_lambda(
@@ -371,13 +384,9 @@ def estimate_pair_tail(
     The shared xi columns induce the dependence; eta and zeta use fresh
     draws.  Thresholds are a_n * sqrt(n * log p) on the unscaled sums.
     """
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
-    threshold = pspec.a_n * math.sqrt(pspec.n * math.log(pspec.p))
-    sizes = _block_sizes(reps, pspec.n * (2 * pspec.m - pspec.s))
-    groups = [(pspec, threshold, seed, i, c) for i, c in enumerate(sizes)]
-    hits = sum(parallel_map(_pair_tail_block, groups, workers))
-    return TailEstimate.from_counts(hits, reps)
+    n, s, m = pspec.n, pspec.s, pspec.m
+    threshold = pspec.a_n * math.sqrt(n * math.log(pspec.p))
+    return _count(_pair_kernel, (pspec.spec, n, s, m, threshold), reps, n * (2 * m - s), seed, workers)
 
 
 def pair_tail_decay_exponents(pspec: PairTailSpec) -> dict:
@@ -412,19 +421,11 @@ def moderate_deviation_ratio(
     MIN_EXPECTED_HITS_RATIO the report carries an advisory flag rather
     than failing.
     """
-    if x < 0.0:
-        raise ValueError(f"x must be >= 0, got {x}")
-    if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
-    sizes = _block_sizes(reps, n * m)
-    groups = [(spec, n, m, ONE_SIDED, float(x), seed, i, c) for i, c in enumerate(sizes)]
-    hits = sum(parallel_map(_tail_block, groups, workers))
-    est = TailEstimate.from_counts(hits, reps)
     gauss = normal_upper_tail(x)
+    # The tail underflows to 0 past x ~ 38.5, where the ratio has no denominator.
+    if not 0.0 <= x < math.inf or gauss == 0.0:
+        raise ValueError(f"x must be finite and >= 0 with a nonzero Gaussian tail, got {x}")
+    est = _single_tail(spec, n, m, ONE_SIDED, x, reps, seed, workers)
     advisory = []
     if reps * gauss < MIN_EXPECTED_HITS_RATIO:
         advisory.append(
@@ -439,7 +440,7 @@ def moderate_deviation_ratio(
         std_error=est.std_error,
         gaussian_tail=gauss,
         ratio=est.probability / gauss,
-        hits=hits,
+        hits=est.hits,
         reps=int(reps),
         advisory=tuple(advisory),
     )

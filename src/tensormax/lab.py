@@ -152,31 +152,24 @@ def _chunks(cell: CellConfig, reps: int, workers: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-def _run_chunk(args) -> list[tuple[int, int, float, float, float, float]]:
-    cell_index, cell, master_seed, lo, hi = args
+def _run_chunk(args) -> np.ndarray:
+    """The (w_abs, w_signed) rows of replicates [lo, hi) of a cell."""
+    cell, master_seed, lo, hi = args
     X = np.empty((hi - lo, cell.n, cell.p))
     for r in range(lo, hi):
         X[r - lo] = sample_matrix(cell.spec, cell.n, cell.p, SeedSpec(master_seed, r))
-    results = statcore.max_entries(X, cell.m)
-    w_abs = np.array([res.w_abs for res in results])
-    t = center(w_abs, cell.p, cell.m)
-    ratio = w_abs / math.sqrt(math.log(cell.p))
-    return [
-        (cell_index, r, res.w_abs, res.w_signed, t_r, ratio_r)
-        for r, res, t_r, ratio_r in zip(range(lo, hi), results, t.tolist(), ratio.tolist())
-    ]
+    return np.array([(res.w_abs, res.w_signed) for res in statcore.max_entries(X, cell.m)])
 
 
 def _summarize_cell(
     cell_index: int,
     cell: CellConfig,
-    rows: list[tuple],
+    w_signed: np.ndarray,
+    t_abs: np.ndarray,
+    ratios: np.ndarray,
     z_grid: tuple[float, ...],
     runtime: float,
 ) -> CellReport:
-    w_signed = np.array([r[3] for r in rows])
-    t_abs = np.array([r[4] for r in rows])
-    ratios = np.array([r[5] for r in rows])
     limit = GumbelLimit(cell.m, cell.sided)
     flagged = 0
     if cell.sided == ONE_SIDED:
@@ -188,20 +181,19 @@ def _summarize_cell(
             t_cell = np.array([normalize(0.0, cell.n, cell.p, cell.m).t_value])
     else:
         t_cell = t_abs
-    zg = np.asarray(z_grid)
-    ecdf = tuple(float(np.count_nonzero(t_cell <= z) / t_cell.size) for z in zg)
+    ecdf = tuple((np.searchsorted(np.sort(t_cell), z_grid, side="right") / t_cell.size).tolist())
     ks = ks_distance(t_cell, limit)
     pvals = np.array([limit.sf(t) for t in t_cell])
     type1 = {lvl: float(np.count_nonzero(pvals < lvl) / t_cell.size) for lvl in LEVELS}
     return CellReport(
         cell_id=cell.cell_id(cell_index),
         cell=cell,
-        reps=len(rows),
+        reps=ratios.size,
         ecdf=ecdf,
         ks_distance=ks,
         type1=type1,
         ratio_mean=float(np.mean(ratios)),
-        ratio_sd=float(np.std(ratios, ddof=1)) if len(rows) > 1 else 0.0,
+        ratio_sd=float(np.std(ratios, ddof=1)) if ratios.size > 1 else 0.0,
         flagged_nonpositive=flagged,
         runtime_seconds=runtime,
     )
@@ -230,14 +222,17 @@ def run_experiment(
     cell_reports: list[CellReport] = []
     for cell_index, cell in enumerate(config.grid):
         t0 = time.perf_counter()
-        tasks = [(cell_index, cell, config.master_seed, lo, hi) for lo, hi in _chunks(cell, config.reps, procs)]
-        rows = [row for chunk in parallel_map(_run_chunk, tasks, workers) for row in chunk]
+        tasks = [(cell, config.master_seed, lo, hi) for lo, hi in _chunks(cell, config.reps, procs)]
+        w_abs, w_signed = np.concatenate(parallel_map(_run_chunk, tasks, workers)).T
         runtime = time.perf_counter() - t0
+        t_abs = center(w_abs, cell.p, cell.m)
+        ratios = w_abs / math.sqrt(math.log(cell.p))
         cid = cell.cell_id(cell_index)
         all_records.extend(
-            ReplicateRecord(cid, r[1], r[2], r[3], r[4], r[5]) for r in rows
+            ReplicateRecord(cid, *row)
+            for row in zip(range(config.reps), w_abs.tolist(), w_signed.tolist(), t_abs.tolist(), ratios.tolist())
         )
-        cell_reports.append(_summarize_cell(cell_index, cell, rows, config.z_grid, runtime))
+        cell_reports.append(_summarize_cell(cell_index, cell, w_signed, t_abs, ratios, config.z_grid, runtime))
     report = ExperimentReport(config=config, cells=tuple(cell_reports), records=tuple(all_records))
     if config.output_path is not None:
         persist(report, config.output_path)

@@ -62,8 +62,13 @@ class TestCdf:
     def test_limits(self):
         lim = GumbelLimit(2)
         assert lim.cdf(1e6) == 1.0
+        assert lim.cdf(math.inf) == 1.0
         assert lim.cdf(-2000.0) == 0.0
         assert lim.sf(-2000.0) == 1.0
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="z"):
+            GumbelLimit(2).cdf(math.nan)
 
     def test_strictly_increasing_where_representable(self):
         # Mathematically the CDF is strictly increasing on all of R; in
@@ -171,6 +176,11 @@ class TestNuP:
     def test_radicand_domain_error(self):
         with pytest.raises(ValueError, match="radicand"):
             nu_p(-50.0, 3, 2)
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+    def test_non_finite_z_rejected(self, z):
+        with pytest.raises(ValueError, match="z must be finite"):
+            nu_p(z, 100, 2)
 
 
 class TestLambdaLimit:

@@ -227,6 +227,36 @@ def test_diagnose_zero_workers_is_usage_error(capsys, argv):
     assert "workers" in err
 
 
+DIAGNOSE_MDR = ("diagnose", "--what", "mdr", "--n", "10", "--m", "2", "--reps", "100")
+DIAGNOSE_LAMBDA = ("diagnose", "--what", "lambda", "--n", "10", "--p", "5", "--m", "2", "--reps", "100")
+DIAGNOSE_PAIRTAIL = ("diagnose", "--what", "pairtail", "--s", "1", "--n", "10", "--p", "5", "--m", "2",
+                     "--reps", "100")
+
+
+@pytest.mark.parametrize("argv", [
+    (*DIAGNOSE_MDR, "--x", "nan"),
+    (*DIAGNOSE_MDR, "--x", "inf"),
+    (*DIAGNOSE_LAMBDA, "--z", "nan"),
+    (*DIAGNOSE_LAMBDA, "--z", "inf"),
+    (*DIAGNOSE_PAIRTAIL, "--a", "nan"),
+    (*DIAGNOSE_PAIRTAIL, "--a", "inf"),
+    ("quantile", "--m", "2", "--z", "nan"),
+])
+def test_non_finite_value_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("tensormax: error:") == 1 and "Traceback" not in err
+
+
+def test_mdr_x_past_the_gaussian_tail_is_usage_error(capsys):
+    # 1 - Phi(40) underflows to 0, so the ratio has no denominator
+    code, out, err = run_cli(capsys, *DIAGNOSE_MDR, "--x", "40")
+    assert code == 2
+    assert out == ""
+    assert "tensormax: error: x must be finite" in err
+
+
 def test_simulate_config_with_a_fractional_integer_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"grid": [{"n": 30.9, "p": 6, "m": 2,

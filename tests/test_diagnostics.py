@@ -84,8 +84,8 @@ class TestBlockKernelsBitIdentical:
         assert np.array_equal(sums, oracle)
         scaled = oracle / math.sqrt(n)
         for t in (0.0, 0.5, 1.0, 1.5, 2.3):
-            two = diagnostics._tail_block((spec, n, m, TWO_SIDED, t, seed, 4, count))
-            one = diagnostics._tail_block((spec, n, m, ONE_SIDED, t, seed, 4, count))
+            two = diagnostics._tail_kernel(make_generator(seed, extra=(4,)), count, spec, n, m, TWO_SIDED, t)
+            one = diagnostics._tail_kernel(make_generator(seed, extra=(4,)), count, spec, n, m, ONE_SIDED, t)
             assert two == np.count_nonzero(np.abs(scaled) > t)
             assert one == np.count_nonzero(scaled >= t)
 
@@ -97,9 +97,8 @@ class TestBlockKernelsBitIdentical:
         s1, s2 = diagnostics._product_sums(spec, make_generator(seed, extra=(2,)), (count, n), s, m - s, 2)
         assert np.array_equal(s1, o1) and np.array_equal(s2, o2)
         for a in (0.2, 0.6, 1.0):
-            pspec = PairTailSpec(s=s, a_n=a, n=n, p=10, m=m, spec=spec)
             thr = a * math.sqrt(n * math.log(10))
-            hits = diagnostics._pair_tail_block((pspec, thr, seed, 2, count))
+            hits = diagnostics._pair_kernel(make_generator(seed, extra=(2,)), count, spec, n, s, m, thr)
             assert hits == np.count_nonzero((np.abs(o1) >= thr) & (np.abs(o2) >= thr))
 
     @pytest.mark.parametrize("m,s", [(2, 1), (3, 1), (3, 2)])
@@ -113,10 +112,11 @@ class TestBlockKernelsBitIdentical:
 
 
 def traced_peak(fn, *args):
-    """Peak bytes that tracemalloc sees allocated while ``fn(*args)`` runs."""
+    """Peak bytes that tracemalloc sees allocated while ``fn(rng, *args)`` runs."""
+    rng = make_generator(SEED, extra=(0,))
     tracemalloc.start()
     try:
-        fn(*args)
+        fn(rng, *args)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -127,11 +127,51 @@ def test_float_blocks_release_each_factor():
     # xi in a pair block; a factor already multiplied in is released.
     spec, n, count = PopulationSpec(STUDENT_T_STANDARDIZED, df=8), 100, 2000
     array = count * n * 8
-    tail = traced_peak(diagnostics._tail_block, (spec, n, 4, TWO_SIDED, 1.0, SEED, 0, count))
+    tail = traced_peak(diagnostics._tail_kernel, count, spec, n, 4, TWO_SIDED, 1.0)
     assert tail < 2.5 * array
-    pspec = PairTailSpec(s=1, a_n=0.5, n=n, p=10, m=4, spec=spec)
-    pair = traced_peak(diagnostics._pair_tail_block, (pspec, 1.0, SEED, 0, count))
+    pair = traced_peak(diagnostics._pair_kernel, count, spec, n, 1, 4, 1.0)
     assert pair < 3.5 * array
+
+
+class TestManyBlocks:
+    """With small blocks each estimate is the sum of its kernel over sub-streams (seed, i)."""
+
+    BLOCK = 1000
+
+    @staticmethod
+    def kernel_sum(kernel, params, sizes, seed):
+        return sum(kernel(make_generator(seed, extra=(i,)), c, *params) for i, c in enumerate(sizes))
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(diagnostics, "_BLOCK_SCALARS", self.BLOCK)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_single_tail(self, workers):
+        n, m, reps, t = 10, 3, 200, 1.2
+        sizes = [33] * 6 + [2]  # 1000 // (n * m) = 33 replicates per block
+        est = estimate_single_tail(NORMAL, n, m, t, reps, SEED, workers=workers)
+        want = self.kernel_sum(diagnostics._tail_kernel, (NORMAL, n, m, TWO_SIDED, t), sizes, SEED)
+        assert est.hits == want and est.reps == reps and 0 < want < reps
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_moderate_deviation_ratio(self, workers):
+        spec, n, m, reps, x = PopulationSpec(RADEMACHER), 25, 2, 310, 0.5
+        sizes = [20] * 15 + [10]  # 1000 // (n * m) = 20
+        rep = moderate_deviation_ratio(spec, m, n, x, reps, SEED, workers=workers)
+        want = self.kernel_sum(diagnostics._tail_kernel, (spec, n, m, ONE_SIDED, x), sizes, SEED)
+        assert rep.hits == want and rep.reps == reps and 0 < want < reps
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pair_tail(self, workers):
+        spec = PopulationSpec(STUDENT_T_STANDARDIZED, df=5)
+        pspec = PairTailSpec(s=1, a_n=0.2, n=12, p=10, m=3, spec=spec)
+        reps = 150
+        sizes = [16] * 9 + [6]  # 1000 // (n * (2m - s)) = 1000 // 60 = 16
+        est = estimate_pair_tail(pspec, reps, SEED, workers=workers)
+        thr = 0.2 * math.sqrt(12 * math.log(10))
+        want = self.kernel_sum(diagnostics._pair_kernel, (spec, 12, 1, 3, thr), sizes, SEED)
+        assert est.hits == want and est.reps == reps and 0 < want < reps
 
 
 class TestGaussianReduction:
@@ -335,8 +375,9 @@ class TestPairTail:
     def test_validation(self):
         with pytest.raises(ValueError, match="s"):
             PairTailSpec(s=2, a_n=1.0, n=10, p=10, m=2, spec=NORMAL)
-        with pytest.raises(ValueError, match="a_n"):
-            PairTailSpec(s=1, a_n=0.0, n=10, p=10, m=2, spec=NORMAL)
+        for a_n in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="a_n"):
+                PairTailSpec(s=1, a_n=a_n, n=10, p=10, m=2, spec=NORMAL)
 
 
 class TestModerateDeviationRatio:
@@ -360,9 +401,16 @@ class TestModerateDeviationRatio:
         rep = moderate_deviation_ratio(NORMAL, 2, 100, 6.0, 1000, SEED)
         assert rep.advisory
 
-    def test_validation(self):
-        with pytest.raises(ValueError, match="x"):
-            moderate_deviation_ratio(NORMAL, 2, 10, -1.0, 10, SEED)
+    def test_validation(self, monkeypatch):
+        # 40 is finite, but its Gaussian tail underflows to 0; no x here may draw
+        monkeypatch.setattr(diagnostics, "_count", None)
+        for x in (-1.0, math.nan, math.inf, 40.0):
+            with pytest.raises(ValueError, match="x"):
+                moderate_deviation_ratio(NORMAL, 2, 10, x, 10, SEED)
+
+    def test_largest_x_with_a_gaussian_tail(self):
+        rep = moderate_deviation_ratio(NORMAL, 2, 10, 38.4, 10, SEED)
+        assert rep.gaussian_tail > 0.0 and rep.hits == 0 and rep.ratio == 0.0
 
 
 class TestSteinChenReport:
