@@ -37,30 +37,36 @@ MAX_ORDER = 20
 _Z_UNDERFLOW = -1419.0
 
 
+def check_int(name: str, value, lo: int, hi: int | None = None) -> int:
+    """``int(value)`` for an integer lo <= value <= hi, else a ValueError naming ``name``.
+
+    Python and numpy integers pass; bool, float, str and None do not.
+    ``hi=None`` leaves the range open above.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {value}")
+    if hi is not None and value > hi:
+        raise ValueError(f"{name} must be <= {hi}, got {value}")
+    return int(value)
+
+
+def check_sided(sided: str) -> str:
+    """``sided`` if it names one of the two limit laws, else ValueError."""
+    if sided not in (TWO_SIDED, ONE_SIDED):
+        raise ValueError(f"sided must be {TWO_SIDED!r} or {ONE_SIDED!r}, got {sided!r}")
+    return sided
+
+
 def log_rate_constant(m: int) -> float:
     """log(m! * sqrt(m*pi)), evaluated through log-gamma.
 
     This is the quantity whose exponential scales the Gumbel exponent;
     keeping it in log space avoids factorial overflow for larger m.
     """
-    _check_order(m)
+    m = check_int("m", m, 2, MAX_ORDER)
     return math.lgamma(m + 1) + 0.5 * math.log(m * math.pi)
-
-
-def _check_order(m: int) -> None:
-    if not isinstance(m, (int, np.integer)):
-        raise ValueError(f"m must be an integer, got {m!r}")
-    if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
-    if m > MAX_ORDER:
-        raise ValueError(f"m must be <= {MAX_ORDER} (factorial guard), got {m}")
-
-
-def _check_p(p: int) -> None:
-    if not isinstance(p, (int, np.integer)):
-        raise ValueError(f"p must be an integer, got {p!r}")
-    if p < 3:
-        raise ValueError(f"p must be >= 3 so that log(log(p)) > 0, got {p}")
 
 
 @dataclass(frozen=True)
@@ -82,9 +88,8 @@ class GumbelLimit:
     c: float = field(init=False)
 
     def __post_init__(self):
-        _check_order(self.m)
-        if self.sided not in (TWO_SIDED, ONE_SIDED):
-            raise ValueError(f"sided must be {TWO_SIDED!r} or {ONE_SIDED!r}, got {self.sided!r}")
+        check_int("m", self.m, 2, MAX_ORDER)
+        check_sided(self.sided)
         c_two = math.exp(-log_rate_constant(self.m))
         # Halving is exact in binary floating point, so the two/one ratio
         # is exactly 2 for every m.
@@ -166,8 +171,8 @@ def center(w, p: int, m: int):
     bits as the scalar result for that value.  Every w must be finite and
     >= 0.
     """
-    _check_order(m)
-    _check_p(p)
+    check_int("m", m, 2, MAX_ORDER)
+    check_int("p", p, 3)
     ws = np.asarray(w, dtype=np.float64)
     if not np.all(np.isfinite(ws) & (ws >= 0.0)):
         raise ValueError(f"w must be finite and >= 0, got {w}")
@@ -190,8 +195,8 @@ def nu_p(z: float, p: int, m: int) -> float:
         If z is not finite or the radicand is not positive (p too small
         for the given z).
     """
-    _check_order(m)
-    _check_p(p)
+    check_int("m", m, 2, MAX_ORDER)
+    check_int("p", p, 3)
     z = float(z)
     if not math.isfinite(z):
         raise ValueError(f"z must be finite, got {z}")
@@ -215,5 +220,5 @@ def lambda_limit(z: float) -> float:
 
 def ratio_target(m: int) -> float:
     """Limit in probability of W / sqrt(log p), namely sqrt(2m)."""
-    _check_order(m)
+    check_int("m", m, 2, MAX_ORDER)
     return math.sqrt(2.0 * m)

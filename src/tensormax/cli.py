@@ -19,8 +19,8 @@ import sys
 import numpy as np
 
 from . import diagnostics, hypotest, lab, statcore
-from .asymptotics import ONE_SIDED, TWO_SIDED, GumbelLimit
-from .populations import FAMILIES, PopulationSpec, SeedSpec, check_workers
+from .asymptotics import ONE_SIDED, TWO_SIDED, GumbelLimit, check_int
+from .populations import FAMILIES, PopulationSpec, SeedSpec
 from .statcore import BudgetError
 
 DEFAULT_MASTER_SEED = 12345
@@ -154,7 +154,7 @@ def _cmd_test(args) -> int:
         "workers": args.workers,
     }
     _log_config("test", resolved)
-    check_workers(args.workers)
+    check_int("workers", args.workers, 1)
     if len(matrices) == 1:
         if args.m is None:
             raise ValueError("--m is required when testing a single input matrix")

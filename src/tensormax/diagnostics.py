@@ -53,7 +53,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .asymptotics import ONE_SIDED, TWO_SIDED, lambda_limit, nu_p
+from .asymptotics import ONE_SIDED, TWO_SIDED, check_int, lambda_limit, nu_p
 from .populations import (
     RADEMACHER,
     STANDARD_NORMAL,
@@ -83,8 +83,7 @@ class TailEstimate(JsonRecord):
 
     @classmethod
     def from_counts(cls, hits: int, reps: int) -> "TailEstimate":
-        if reps < 1:
-            raise ValueError(f"reps must be >= 1, got {reps}")
+        reps = check_int("reps", reps, 1)
         prob = hits / reps
         return cls(
             probability=prob,
@@ -131,16 +130,12 @@ class PairTailSpec:
     spec: PopulationSpec
 
     def __post_init__(self):
-        if not 1 <= self.s <= self.m - 1:
-            raise ValueError(f"s must lie in [1, m-1] = [1, {self.m - 1}], got {self.s}")
+        m = check_int("m", self.m, 2)
+        check_int("s", self.s, 1, m - 1)
         if not 0.0 < self.a_n < math.inf:
             raise ValueError(f"a_n must be positive and finite, got {self.a_n}")
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.p < 3:
-            raise ValueError(f"p must be >= 3, got {self.p}")
-        if self.m < 2:
-            raise ValueError(f"m must be >= 2, got {self.m}")
+        check_int("n", self.n, 1)
+        check_int("p", self.p, 3)
 
 
 @dataclass(frozen=True)
@@ -169,18 +164,33 @@ def normal_upper_tail(x: float) -> float:
     return 0.5 * math.erfc(float(x) / math.sqrt(2.0))
 
 
+def _b1_factor(p: int, m: int) -> float:
+    """b1 / tail**2 = C(p, m) * m**2 * p**(m-1) for integers 2 <= m <= p; ValueError if it overflows.
+
+    For m = 2 that is p above about 4.5e102.
+    """
+    p = check_int("p", p, 2)
+    m = check_int("m", m, 2, p)
+    try:
+        factor = math.comb(p, m) * (m * m) * float(p) ** (m - 1)
+    except OverflowError:
+        factor = math.inf
+    if factor == math.inf:
+        raise ValueError(f"p={p} is too large for m={m}: C(p, m) * m**2 * p**(m-1) overflows float64")
+    return factor
+
+
 def b1_bound(p: int, m: int, single_tail: float) -> float:
     """First clustering bound C(p, m) * m**2 * p**(m-1) * tail**2.
 
     C(p, m) counts the tuples and m**2 * p**(m-1) bounds the number of
     neighbors sharing at least one coordinate with a given tuple.  With
-    tail ~ m!/p**m the bound decays like 1/p.
+    tail ~ m!/p**m the bound decays like 1/p.  A (p, m) whose
+    C(p, m) * m**2 * p**(m-1) overflows float64 raises ValueError.
     """
     if not 0.0 <= single_tail <= 1.0:
         raise ValueError(f"single_tail must lie in [0, 1], got {single_tail}")
-    if m < 2 or p < m:
-        raise ValueError(f"need 2 <= m <= p, got m={m}, p={p}")
-    return math.comb(p, m) * (m * m) * float(p) ** (m - 1) * single_tail * single_tail
+    return _b1_factor(p, m) * single_tail * single_tail
 
 
 def _normal_squares(rng: np.random.Generator, shape, k: int, out: np.ndarray | None = None) -> np.ndarray | None:
@@ -279,13 +289,11 @@ def _run_block(task) -> int:
 
 
 def _count(kernel, params: tuple, reps: int, scalars_per_rep: int, seed: SeedSpec, workers: int) -> TailEstimate:
-    """Sum ``kernel(rng, count, *params)`` over the blocks of ``reps`` replicates.
+    """Sum ``kernel(rng, count, *params)`` over the blocks of ``reps`` >= 1 replicates.
 
     The layout depends only on (reps, scalars_per_rep) and block i draws
     from sub-stream (seed, i), so the count is the same at any worker count.
     """
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
     block = max(1, min(reps, _BLOCK_SCALARS // max(1, scalars_per_rep)))
     sizes = [block] * (reps // block) + ([reps % block] if reps % block else [])
     tasks = [(kernel, params, seed, i, c) for i, c in enumerate(sizes)]
@@ -296,10 +304,7 @@ def _single_tail(
     spec: PopulationSpec, n: int, m: int, sided: str, threshold: float, reps: int, seed: SeedSpec, workers: int
 ) -> TailEstimate:
     """The single-tail kernel's count over reps n-term sums of m-fold products."""
-    if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    m, n, reps = check_int("m", m, 2), check_int("n", n, 1), check_int("reps", reps, 1)
     if sided == TWO_SIDED and threshold <= 0.0:
         # The limit from above: every replicate exceeds, so none is drawn.
         return TailEstimate.from_counts(reps, reps)
@@ -347,7 +352,10 @@ def estimate_lambda(
     (spec, n, m, seed, reps), estimates at different z on the same seed
     use common random numbers and are monotone in z.
     """
-    threshold = math.sqrt(2.0 * m) * nu_p(z, p, m)
+    nu = nu_p(z, p, m)
+    # b1 and lambda_hat need C(p, m) as a float: checked before the draws
+    _b1_factor(p, m)
+    threshold = math.sqrt(2.0 * m) * nu
     tail = estimate_single_tail(spec, n, m, threshold, reps, seed, workers=workers)
     lam_hat = math.comb(p, m) * tail.probability
     advisory = []
@@ -386,6 +394,7 @@ def estimate_pair_tail(
     """
     n, s, m = pspec.n, pspec.s, pspec.m
     threshold = pspec.a_n * math.sqrt(n * math.log(pspec.p))
+    reps = check_int("reps", reps, 1)
     return _count(_pair_kernel, (pspec.spec, n, s, m, threshold), reps, n * (2 * m - s), seed, workers)
 
 
@@ -467,11 +476,12 @@ def stein_chen_report(
     (default: the asymptotically exact sqrt(2m) * nu_p(z) / sqrt(log p),
     usually unobservable; pass a reduced value to see hits).
     """
-    report = estimate_lambda(z, n, p, m, spec, reps, seed, workers=workers)
+    # Every argument is checked before the lambda draws: z, p and m here.
+    nu = nu_p(z, p, m)
     if a_n is None:
-        a_n = math.sqrt(2.0 * m / math.log(p)) * nu_p(z, p, m)
-    psi = {}
-    for s in range(1, m):
-        pspec = PairTailSpec(s=s, a_n=float(a_n), n=n, p=p, m=m, spec=spec)
-        psi[s] = estimate_pair_tail(pspec, pair_reps or reps, seed, workers=workers)
+        a_n = math.sqrt(2.0 * m / math.log(p)) * nu
+    pspecs = [PairTailSpec(s=s, a_n=float(a_n), n=n, p=p, m=m, spec=spec) for s in range(1, m)]
+    pair_reps = reps if pair_reps is None else check_int("pair_reps", pair_reps, 1)
+    report = estimate_lambda(z, n, p, m, spec, reps, seed, workers=workers)
+    psi = {ps.s: estimate_pair_tail(ps, pair_reps, seed, workers=workers) for ps in pspecs}
     return replace(report, psi_estimates=psi)

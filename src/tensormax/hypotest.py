@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import statcore
-from .asymptotics import ONE_SIDED, TWO_SIDED, GumbelLimit, _check_p, normalize
+from .asymptotics import TWO_SIDED, GumbelLimit, check_int, check_sided, normalize
 from .populations import AssumptionProfile, RegimeReport, check_regime
 from .serial import JsonRecord
 from .statcore import StatResult
@@ -51,11 +51,10 @@ def _limit_for(shape: tuple, m, sided: str, cost_ceiling: int) -> GumbelLimit:
     malformed matrix or an order above p is left to statcore, which
     names it.
     """
-    if sided not in (TWO_SIDED, ONE_SIDED):
-        raise ValueError(f"sided must be {TWO_SIDED!r} or {ONE_SIDED!r}, got {sided!r}")
+    check_sided(sided)
     if len(shape) == 2:
         n, p = shape
-        _check_p(p)
+        check_int("p", p, 3)
         if isinstance(m, (int, np.integer)) and 2 <= m <= p:
             statcore.check_budget(p, m, n, cost_ceiling)
     return GumbelLimit(m, sided)

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import statcore
-from .asymptotics import ONE_SIDED, TWO_SIDED, GumbelLimit, center, normalize
+from .asymptotics import MAX_ORDER, ONE_SIDED, TWO_SIDED, GumbelLimit, center, check_int, check_sided, normalize
 from .hypotest import LEVELS
 from .populations import PopulationSpec, SeedSpec, parallel_map, sample_matrix, usable_workers
 from .serial import JsonRecord
@@ -57,14 +57,11 @@ class CellConfig(JsonRecord):
     sided: str = TWO_SIDED
 
     def __post_init__(self):
-        if self.p < 3:
-            raise ValueError(f"cell p must be >= 3, got {self.p}")
-        if not 2 <= self.m <= self.p:
-            raise ValueError(f"cell m must satisfy 2 <= m <= p, got m={self.m}, p={self.p}")
-        if self.n < 1:
-            raise ValueError(f"cell n must be >= 1, got {self.n}")
-        if self.sided not in (TWO_SIDED, ONE_SIDED):
-            raise ValueError(f"cell sided must be {TWO_SIDED!r} or {ONE_SIDED!r}, got {self.sided!r}")
+        p = check_int("p", self.p, 3)
+        # every replicate is enumerated (m <= p) and centred by the limit law (m <= 20)
+        check_int("m", self.m, 2, min(p, MAX_ORDER))
+        check_int("n", self.n, 1)
+        check_sided(self.sided)
 
     def cell_id(self, index: int) -> str:
         return f"c{index:02d}_{self.spec.family}_m{self.m}_n{self.n}_p{self.p}"
@@ -79,12 +76,11 @@ class ExperimentConfig(JsonRecord):
     output_path: str | None = None
 
     def __post_init__(self):
-        if self.reps < 1:
-            raise ValueError(f"reps must be >= 1, got {self.reps}")
+        check_int("reps", self.reps, 1)
         if not self.grid:
             raise ValueError("grid must contain at least one cell")
-        if len(self.z_grid) < 2:
-            raise ValueError("z_grid must contain at least two points")
+        if len(self.z_grid) < 2 or not all(map(math.isfinite, self.z_grid)):
+            raise ValueError(f"z_grid must hold at least two finite points, got {self.z_grid}")
 
     def total_cost(self) -> int:
         return sum(

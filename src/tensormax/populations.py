@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import asymptotics
+from .asymptotics import check_int, nu_p
 from .serial import NEVER_WRITE, WRITE_IF_SET, JsonRecord
 
 STANDARD_NORMAL = "standard_normal"
@@ -64,9 +64,7 @@ class SeedSpec(JsonRecord):
 
     def __post_init__(self):
         for name in ("master_seed", "stream_id"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or not 0 <= int(v) <= _UINT64_MAX:
-                raise ValueError(f"{name} must be an unsigned 64-bit integer, got {v!r}")
+            check_int(name, getattr(self, name), 0, _UINT64_MAX)
 
 
 @dataclass(frozen=True)
@@ -81,11 +79,8 @@ class PopulationSpec(JsonRecord):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; choose one of {FAMILIES}")
         if self.family == STUDENT_T_STANDARDIZED:
-            if self.df is None or not isinstance(self.df, (int, np.integer)) or self.df <= 2:
-                raise ValueError(
-                    f"df must be an integer > 2 for {STUDENT_T_STANDARDIZED} "
-                    f"(variance undefined otherwise), got {self.df!r}"
-                )
+            # the variance df/(df-2) needs df > 2
+            check_int("df", self.df, 3)
         elif self.df is not None:
             raise ValueError(f"df only applies to {STUDENT_T_STANDARDIZED}, got family {self.family!r}")
         if not self.label:
@@ -119,9 +114,7 @@ class AssumptionProfile:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
         if self.t0 <= 0.0:
             raise ValueError(f"t0 must be positive, got {self.t0}")
-        if self.m < 2:
-            raise ValueError(f"m must be >= 2, got {self.m}")
-        a, m = float(self.alpha), self.m
+        a, m = float(self.alpha), check_int("m", self.m, 2)
         object.__setattr__(self, "beta", a / (2.0 * m - a))
         object.__setattr__(self, "tau1", 4.0 * m * a + 2.0)
         object.__setattr__(self, "tau2", 2.0 * m * a + 1.5)
@@ -200,23 +193,14 @@ def sample_matrix(spec: PopulationSpec, n: int, p: int, seed: SeedSpec) -> np.nd
         C-contiguous float64 array of shape (n, p), filled in row-major
         order from a single stream.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    if not isinstance(p, (int, np.integer)) or p < 3:
-        raise ValueError(f"p must be an integer >= 3, got {p!r}")
-    return sample_values(spec, (int(n), int(p)), seed)
-
-
-def check_workers(workers) -> None:
-    if not isinstance(workers, (int, np.integer)) or workers < 1:
-        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+    return sample_values(spec, (check_int("n", n, 1), check_int("p", p, 3)), seed)
 
 
 def usable_workers(workers: int) -> int:
     """min(workers, CPUs available to the process), for an integer ``workers`` >= 1."""
-    check_workers(workers)
+    workers = check_int("workers", workers, 1)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(int(workers), cpus or 1)
+    return min(workers, cpus or 1)
 
 
 def parallel_map(fn, tasks, workers: int) -> list:
@@ -244,12 +228,12 @@ def check_regime(n: int, p: int, m: int, profile: AssumptionProfile | None = Non
     (n, p) can only ever be checked against the shape of the conditions,
     not their limits.
     """
+    n, p = check_int("n", n, 1), check_int("p", p, 3)
+    m = check_int("m", m, 2, p)
     if profile is None:
-        profile = AssumptionProfile(alpha=1.0, t0=1.0, m=int(m))
+        profile = AssumptionProfile(alpha=1.0, t0=1.0, m=m)
     elif profile.m != m:
         raise ValueError(f"profile was built for m={profile.m}, got m={m}")
-    if n < 1 or p < 3 or m < 2 or m > p:
-        raise ValueError(f"invalid dimensions n={n}, p={p}, m={m}")
     log_p = math.log(p)
     n_pow_beta = float(n) ** profile.beta
     n_pow_alpha = float(n) ** profile.alpha
@@ -261,7 +245,7 @@ def check_regime(n: int, p: int, m: int, profile: AssumptionProfile | None = Non
     c_n = None
     if n > 1:
         try:
-            c_n = math.sqrt(2.0 * m / math.log(n)) * asymptotics.nu_p(0.0, p, m)
+            c_n = math.sqrt(2.0 * m / math.log(n)) * nu_p(0.0, p, m)
         except ValueError:
             c_n = None
     return RegimeReport(

@@ -95,6 +95,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .asymptotics import check_int
 from .serial import JsonRecord
 
 DEFAULT_COST_CEILING = 10**10
@@ -152,10 +153,9 @@ class StatResult(JsonRecord):
 
 def enumeration_cost(p: int, m: int, n: int) -> EnumerationCost:
     """Closed-form cost estimate for enumerating all increasing m-tuples."""
-    if p < 1 or m < 1 or n < 1:
-        raise ValueError(f"invalid dimensions p={p}, m={m}, n={n}")
-    if m > p:
-        raise ValueError(f"m must be <= p, got m={m}, p={p}")
+    p = check_int("p", p, 1)
+    m = check_int("m", m, 1, p)
+    n = check_int("n", n, 1)
     tuples = math.comb(p, m)
     nodes = sum(math.comb(p, s) for s in range(1, m + 1))
     ops = n * nodes
@@ -464,12 +464,6 @@ def _result(best: _Maxima, n: int, p: int, m: int) -> StatResult:
     )
 
 
-def _check_order(m, p: int) -> int:
-    if not isinstance(m, (int, np.integer)) or m < 2 or m > p:
-        raise ValueError(f"m must satisfy 2 <= m <= p={p}, got {m!r}")
-    return int(m)
-
-
 def _enumerate(stacks: list[np.ndarray], cost_ceiling: int) -> list[StatResult]:
     """Every replicate's maximum, ``stacks[d]`` the valid (R, n, p) stack supplying depth d.
 
@@ -505,7 +499,7 @@ def max_entry(X, m: int, *, cost_ceiling: int = DEFAULT_COST_CEILING) -> StatRes
         On invalid input, or when some tuple sum overflows float64.
     """
     A = _as_matrix(X)
-    return _enumerate([A[None]] * _check_order(m, A.shape[1]), cost_ceiling)[0]
+    return _enumerate([A[None]] * check_int("m", m, 2, A.shape[1]), cost_ceiling)[0]
 
 
 def max_entries(X, m: int) -> list[StatResult]:
@@ -520,7 +514,7 @@ def max_entries(X, m: int) -> list[StatResult]:
     any replicate overflows float64.
     """
     A = _as_matrix(X, ndim=3)
-    return _enumerate([A] * _check_order(m, A.shape[2]), DEFAULT_COST_CEILING)
+    return _enumerate([A] * check_int("m", m, 2, A.shape[2]), DEFAULT_COST_CEILING)
 
 
 def max_entry_multi(matrices, *, cost_ceiling: int = DEFAULT_COST_CEILING) -> StatResult:
@@ -532,17 +526,14 @@ def max_entry_multi(matrices, *, cost_ceiling: int = DEFAULT_COST_CEILING) -> St
     :func:`max_entry`.  ``cost_ceiling`` is as there.
     """
     mats = [_as_matrix(M) for M in matrices]
-    m = len(mats)
-    if m < 2:
-        raise ValueError(f"need at least 2 matrices, got {m}")
-    n, p = mats[0].shape
+    n, p = mats[0].shape if mats else (0, 0)
     for idx, M in enumerate(mats[1:], start=2):
         if M.shape != (n, p):
             raise ValueError(
                 f"matrix {idx} has shape {M.shape}, expected {(n, p)} shared by all populations"
             )
-    if m > p:
-        raise ValueError(f"m must be <= p, got m={m}, p={p}")
+    # the order is the number of matrices
+    check_int("m", len(mats), 2, p)
     # One stack per distinct matrix, so that a matrix repeated at several
     # depths shares its copies as in max_entry.
     stacks = {id(M): M[None] for M in mats}
@@ -560,7 +551,7 @@ def max_entry_bruteforce(X, m: int) -> StatResult:
     """
     A = _as_matrix(X)
     n, p = A.shape
-    m = _check_order(m, p)
+    m = check_int("m", m, 2, p)
     cost = math.comb(p, m) * n
     if cost > ORACLE_COST_CEILING:
         raise BudgetError(

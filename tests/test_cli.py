@@ -1,6 +1,7 @@
 """Command line surface: outputs, exit codes, idempotence."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -241,6 +242,11 @@ DIAGNOSE_PAIRTAIL = ("diagnose", "--what", "pairtail", "--s", "1", "--n", "10", 
     (*DIAGNOSE_PAIRTAIL, "--a", "nan"),
     (*DIAGNOSE_PAIRTAIL, "--a", "inf"),
     ("quantile", "--m", "2", "--z", "nan"),
+    # C(p, 2) * 4 * p overflows float64: Infinity, NaN (0 * inf), then OverflowError after the draws
+    ("diagnose", "--what", "b1", "--p", str(10**150), "--m", "2", "--single-tail", "1"),
+    ("diagnose", "--what", "lambda", "--n", "10", "--p", str(10**150), "--m", "2", "--reps", "100"),
+    ("diagnose", "--what", "lambda", "--n", "10", "--p", str(10**160), "--m", "2", "--reps", "100"),
+    ("diagnose", "--what", "b1", "--p", str(10**200), "--m", "2", "--single-tail", "1"),
 ])
 def test_non_finite_value_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -266,4 +272,18 @@ def test_simulate_config_with_a_fractional_integer_is_usage_error(tmp_path, caps
     assert code == 2
     assert out == ""
     assert "CellConfig.n" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_config_with_a_non_finite_z_grid_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    # json writes and reads NaN and Infinity
+    cfg.write_text(json.dumps({"grid": [{"n": 10, "p": 6, "m": 2,
+                                         "spec": {"family": "standard_normal"}}],
+                               "reps": 2, "master_seed": 7, "z_grid": [math.nan, math.inf],
+                               "output_path": str(tmp_path / "out")}))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.count("tensormax: error:") == 1 and "z_grid" in err
     assert not (tmp_path / "out").exists()

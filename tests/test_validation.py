@@ -1,0 +1,121 @@
+"""Every public entry point rejects a bad argument with ValueError before any work.
+
+The enumeration engine, the Monte Carlo driver and the generator factory
+are patched to raise, so a check that comes after a draw or an
+enumeration shows up as ``Worked`` instead of ValueError.
+"""
+
+import functools
+import math
+
+import numpy as np
+import pytest
+
+import tensormax as tm
+from tensormax import diagnostics, populations, statcore
+
+NORMAL = tm.PopulationSpec("standard_normal")
+SEED = tm.SeedSpec(1)
+X = np.ones((4, 5))
+# p = 22 leaves room for m = 21 within the default budget
+WIDE = np.ones((3, 22))
+
+BAD_TYPES = (2.5, True, "3", None)
+
+
+class Worked(Exception):
+    """Raised by the patched engine, driver and generator factory."""
+
+
+@pytest.fixture(autouse=True)
+def no_work(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise Worked("work started before validation")
+
+    monkeypatch.setattr(statcore, "_max_entries_core", refuse)
+    monkeypatch.setattr(diagnostics, "_count", refuse)
+    monkeypatch.setattr(populations, "make_generator", refuse)
+
+
+def _experiment(n=10, p=21, m=2, reps=2, workers=1):
+    cell = tm.CellConfig(n=n, p=p, m=m, spec=NORMAL)
+    return tm.run_experiment(tm.ExperimentConfig(grid=(cell,), reps=reps, master_seed=1), workers=workers)
+
+
+def _report(n=10, p=10, m=3, reps=10, a_n=0.5, pair_reps=None):
+    return tm.stein_chen_report(0.0, n, p, m, NORMAL, reps, SEED, a_n=a_n, pair_reps=pair_reps)
+
+
+def _pair_tail(s=1, n=10, p=5, m=2, reps=10):
+    return tm.estimate_pair_tail(tm.PairTailSpec(s=s, a_n=1.0, n=n, p=p, m=m, spec=NORMAL), reps, SEED)
+
+
+# entry point: (call whose defaults are valid, {integer argument: values out of its range})
+TABLE = {
+    "max_entry": (lambda m=2: tm.max_entry(X, m), {"m": (1, 6)}),
+    "max_entries": (lambda m=2: tm.max_entries(X[None], m), {"m": (1, 6)}),
+    "sample_matrix": (lambda n=4, p=5: tm.sample_matrix(NORMAL, n, p, SEED), {"n": (0,), "p": (2,)}),
+    "estimate_single_tail": (
+        lambda n=10, m=2, reps=10: tm.estimate_single_tail(NORMAL, n, m, 1.0, reps, SEED),
+        {"n": (0,), "m": (1,), "reps": (0,)},
+    ),
+    "moderate_deviation_ratio": (
+        lambda m=2, n=10, reps=10: tm.moderate_deviation_ratio(NORMAL, m, n, 1.0, reps, SEED),
+        {"m": (1,), "n": (0,), "reps": (0,)},
+    ),
+    "estimate_pair_tail": (_pair_tail, {"s": (0, 2), "n": (0,), "p": (2,), "m": (1,), "reps": (0,)}),
+    "estimate_lambda": (
+        lambda n=10, p=10, m=2, reps=10: tm.estimate_lambda(0.0, n, p, m, NORMAL, reps, SEED),
+        # C(10**160, 2) is past the float range
+        {"n": (0,), "p": (2, 10**160), "m": (1, 21), "reps": (0,)},
+    ),
+    "b1_bound": (lambda p=10, m=2: tm.b1_bound(p, m, 0.5), {"p": (1, 10**150), "m": (1, 11)}),
+    "run_experiment": (
+        _experiment,
+        {"n": (0,), "p": (2,), "m": (1, 21), "reps": (0,), "workers": (0,)},
+    ),
+    "test_independence": (lambda m=2: tm.test_independence(WIDE, m), {"m": (1, 21)}),
+    "stein_chen_report": (_report, {"n": (0,), "p": (2, 10**160), "m": (1, 21), "reps": (0,)}),
+}
+
+
+def _show(value) -> str:
+    return f"10**{len(str(value)) - 1}" if type(value) is int and value > 10**6 else repr(value)
+
+
+CASES = [
+    pytest.param(functools.partial(call, **{arg: bad}), id=f"{entry}-{arg}={_show(bad)}")
+    for entry, (call, ranges) in TABLE.items()
+    for arg, out_of_range in ranges.items()
+    for bad in (*BAD_TYPES, *out_of_range)
+] + [
+    # the order of the multi-population tensor is the number of matrices
+    pytest.param(lambda: tm.max_entry_multi([X]), id="max_entry_multi-m=1"),
+    pytest.param(lambda: tm.max_entry_multi([X] * 6), id="max_entry_multi-m=6"),
+    # pair_reps=None is the default, as many pair replicates as reps
+    *(pytest.param(functools.partial(_report, pair_reps=bad), id=f"stein_chen_report-pair_reps={bad!r}")
+      for bad in (2.5, True, "3", 0)),
+    pytest.param(functools.partial(_report, a_n=-1.0), id="stein_chen_report-a_n=-1.0"),
+]
+
+
+@pytest.mark.parametrize("call", CASES)
+def test_rejected_before_any_work(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+@pytest.mark.parametrize("entry", sorted(TABLE))
+def test_the_defaults_reach_the_work(entry):
+    # so that each rejection above is owed to the bad value alone
+    call, _ = TABLE[entry]
+    if entry == "b1_bound":
+        assert math.isfinite(call())
+        return
+    with pytest.raises(Worked):
+        call()
+
+
+def test_max_entry_multi_defaults_reach_the_work():
+    with pytest.raises(Worked):
+        tm.max_entry_multi([X, X])
