@@ -52,6 +52,25 @@ def check_int(name: str, value, lo: int, hi: int | None = None) -> int:
     return int(value)
 
 
+def check_real(name: str, value, lo=-math.inf, hi=math.inf, finite=True, ends="[]") -> float:
+    """``float(value)`` for a real value from lo to hi, else a ValueError naming ``name``.
+
+    Python and numpy integers and floats pass; bool, str, None, NaN and, if ``finite``, +-inf do not.
+    ``ends`` writes the interval as in mathematics: ``"[]"``, ``"(]"``, ``"[)"`` or ``"()"``.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an int past the float range
+        x = math.inf if value > 0 else -math.inf
+    if math.isnan(x) or (finite and math.isinf(x)):
+        raise ValueError(f"{name} must be finite, got {x}" if finite else f"{name} must not be NaN")
+    if x < lo or x > hi or (x == lo and ends[0] == "(") or (x == hi and ends[1] == ")"):
+        raise ValueError(f"{name} must lie in {ends[0]}{lo:g}, {hi:g}{ends[1]}, got {x!r}")
+    return x
+
+
 def check_sided(sided: str) -> str:
     """``sided`` if it names one of the two limit laws, else ValueError."""
     if sided not in (TWO_SIDED, ONE_SIDED):
@@ -96,13 +115,10 @@ class GumbelLimit:
         object.__setattr__(self, "c", 0.5 * c_two if self.sided == ONE_SIDED else c_two)
 
     def cdf(self, z: float) -> float:
-        """F(z) = exp(-c * exp(-z/2)) for scalar z, with F(+inf) = 1."""
-        z = float(z)
-        if math.isnan(z):
-            raise ValueError("z must not be NaN")
-        if z < _Z_UNDERFLOW:
+        """F(z) = exp(-c * exp(-z/2)) for scalar z, with F(-inf) = 0 and F(+inf) = 1."""
+        if check_real("z", z, finite=False) < _Z_UNDERFLOW:
             return 0.0
-        return math.exp(-self.c * math.exp(-0.5 * z))
+        return math.exp(-self.c * lambda_limit(z))
 
     def sf(self, z: float) -> float:
         """Upper tail 1 - F(z), computed without cancellation.
@@ -110,16 +126,13 @@ class GumbelLimit:
         Uses expm1 so that p-values far in the right tail keep full
         relative accuracy (1 - F(z) ~ c * exp(-z/2) there).
         """
-        z = float(z)
-        if z < _Z_UNDERFLOW:
+        if check_real("z", z, finite=False) < _Z_UNDERFLOW:
             return 1.0
-        return -math.expm1(-self.c * math.exp(-0.5 * z))
+        return -math.expm1(-self.c * lambda_limit(z))
 
     def quantile(self, q: float) -> float:
         """Closed-form inverse of the CDF: z = -2 * log(-log(q) / c)."""
-        q = float(q)
-        if not 0.0 < q < 1.0:
-            raise ValueError(f"q must lie in (0, 1), got {q}")
+        q = check_real("q", q, 0.0, 1.0, ends="()")
         return -2.0 * math.log(-math.log(q) / self.c)
 
     def cdf_array(self, z) -> np.ndarray:
@@ -146,10 +159,10 @@ def normalize(w: float, n: int, p: int, m: int) -> NormalizedStat:
     Parameters
     ----------
     w : float
-        The maximum entry statistic, >= 0.  A signed maximum must be
-        clipped (or flagged) by the caller before normalizing.
+        The maximum entry statistic, finite and >= 0.  A signed maximum
+        must be clipped (or flagged) by the caller before normalizing.
     n : int
-        Sample size; carried along for reporting, not used in the formula.
+        Sample size, >= 1; carried along for reporting, not used in the formula.
     p : int
         Number of coordinates, >= 3.
     m : int
@@ -159,8 +172,8 @@ def normalize(w: float, n: int, p: int, m: int) -> NormalizedStat:
     -------
     NormalizedStat
     """
-    w = float(w)
-    return NormalizedStat(t_value=center(w, p, m), w=w, n=int(n), p=int(p), m=int(m))
+    w, n = check_real("w", w, 0.0), check_int("n", n, 1)
+    return NormalizedStat(t_value=center(w, p, m), w=w, n=n, p=int(p), m=int(m))
 
 
 def center(w, p: int, m: int):
@@ -197,9 +210,7 @@ def nu_p(z: float, p: int, m: int) -> float:
     """
     check_int("m", m, 2, MAX_ORDER)
     check_int("p", p, 3)
-    z = float(z)
-    if not math.isfinite(z):
-        raise ValueError(f"z must be finite, got {z}")
+    z = check_real("z", z)
     lp = math.log(p)
     radicand = lp - (math.log(lp) + 2.0 * log_rate_constant(m) - z) / (2.0 * m)
     if radicand <= 0.0:
@@ -210,12 +221,13 @@ def nu_p(z: float, p: int, m: int) -> float:
 
 
 def lambda_limit(z: float) -> float:
-    """Limiting Poisson intensity exp(-z/2) of threshold exceedances.
+    """Limiting Poisson intensity exp(-z/2) of threshold exceedances, for z >= -1419.
 
-    Consistency with the limit law: cdf(z) == exp(-c * lambda_limit(z))
-    holds bit for bit because both sides evaluate the same expression.
+    Below that z the intensity overflows double precision.  Consistency
+    with the limit law: cdf(z) == exp(-c * lambda_limit(z)) holds bit for
+    bit because ``GumbelLimit.cdf`` computes it that way.
     """
-    return math.exp(-0.5 * float(z))
+    return math.exp(-0.5 * check_real("z", z, _Z_UNDERFLOW, finite=False))
 
 
 def ratio_target(m: int) -> float:

@@ -53,7 +53,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .asymptotics import ONE_SIDED, TWO_SIDED, check_int, lambda_limit, nu_p
+from .asymptotics import ONE_SIDED, TWO_SIDED, check_int, check_real, lambda_limit, nu_p
 from .populations import (
     RADEMACHER,
     STANDARD_NORMAL,
@@ -132,8 +132,7 @@ class PairTailSpec:
     def __post_init__(self):
         m = check_int("m", self.m, 2)
         check_int("s", self.s, 1, m - 1)
-        if not 0.0 < self.a_n < math.inf:
-            raise ValueError(f"a_n must be positive and finite, got {self.a_n}")
+        check_real("a_n", self.a_n, 0.0, ends="()")
         check_int("n", self.n, 1)
         check_int("p", self.p, 3)
 
@@ -161,7 +160,7 @@ def normal_upper_tail(x: float) -> float:
     never computed as one minus a CDF, which would cancel catastrophically
     past x ~ 8.
     """
-    return 0.5 * math.erfc(float(x) / math.sqrt(2.0))
+    return 0.5 * math.erfc(check_real("x", x, finite=False) / math.sqrt(2.0))
 
 
 def _b1_factor(p: int, m: int) -> float:
@@ -188,8 +187,7 @@ def b1_bound(p: int, m: int, single_tail: float) -> float:
     tail ~ m!/p**m the bound decays like 1/p.  A (p, m) whose
     C(p, m) * m**2 * p**(m-1) overflows float64 raises ValueError.
     """
-    if not 0.0 <= single_tail <= 1.0:
-        raise ValueError(f"single_tail must lie in [0, 1], got {single_tail}")
+    single_tail = check_real("single_tail", single_tail, 0.0, 1.0)
     return _b1_factor(p, m) * single_tail * single_tail
 
 
@@ -305,10 +303,11 @@ def _single_tail(
 ) -> TailEstimate:
     """The single-tail kernel's count over reps n-term sums of m-fold products."""
     m, n, reps = check_int("m", m, 2), check_int("n", n, 1), check_int("reps", reps, 1)
+    threshold = check_real("threshold", threshold, finite=False)
     if sided == TWO_SIDED and threshold <= 0.0:
         # The limit from above: every replicate exceeds, so none is drawn.
         return TailEstimate.from_counts(reps, reps)
-    return _count(_tail_kernel, (spec, n, m, sided, float(threshold)), reps, n * m, seed, workers)
+    return _count(_tail_kernel, (spec, n, m, sided, threshold), reps, n * m, seed, workers)
 
 
 def estimate_single_tail(
@@ -430,10 +429,10 @@ def moderate_deviation_ratio(
     MIN_EXPECTED_HITS_RATIO the report carries an advisory flag rather
     than failing.
     """
-    gauss = normal_upper_tail(x)
+    gauss = normal_upper_tail(check_real("x", x, 0.0))
     # The tail underflows to 0 past x ~ 38.5, where the ratio has no denominator.
-    if not 0.0 <= x < math.inf or gauss == 0.0:
-        raise ValueError(f"x must be finite and >= 0 with a nonzero Gaussian tail, got {x}")
+    if gauss == 0.0:
+        raise ValueError(f"x must be finite with a nonzero Gaussian tail, got {x}")
     est = _single_tail(spec, n, m, ONE_SIDED, x, reps, seed, workers)
     advisory = []
     if reps * gauss < MIN_EXPECTED_HITS_RATIO:
@@ -480,7 +479,7 @@ def stein_chen_report(
     nu = nu_p(z, p, m)
     if a_n is None:
         a_n = math.sqrt(2.0 * m / math.log(p)) * nu
-    pspecs = [PairTailSpec(s=s, a_n=float(a_n), n=n, p=p, m=m, spec=spec) for s in range(1, m)]
+    pspecs = [PairTailSpec(s=s, a_n=a_n, n=n, p=p, m=m, spec=spec) for s in range(1, m)]
     pair_reps = reps if pair_reps is None else check_int("pair_reps", pair_reps, 1)
     report = estimate_lambda(z, n, p, m, spec, reps, seed, workers=workers)
     psi = {ps.s: estimate_pair_tail(ps, pair_reps, seed, workers=workers) for ps in pspecs}

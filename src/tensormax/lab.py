@@ -33,7 +33,9 @@ from pathlib import Path
 import numpy as np
 
 from . import statcore
-from .asymptotics import MAX_ORDER, ONE_SIDED, TWO_SIDED, GumbelLimit, center, check_int, check_sided, normalize
+from .asymptotics import (
+    MAX_ORDER, ONE_SIDED, TWO_SIDED, GumbelLimit, center, check_int, check_real, check_sided, normalize,
+)
 from .hypotest import LEVELS
 from .populations import PopulationSpec, SeedSpec, parallel_map, sample_matrix, usable_workers
 from .serial import JsonRecord
@@ -79,8 +81,10 @@ class ExperimentConfig(JsonRecord):
         check_int("reps", self.reps, 1)
         if not self.grid:
             raise ValueError("grid must contain at least one cell")
-        if len(self.z_grid) < 2 or not all(map(math.isfinite, self.z_grid)):
-            raise ValueError(f"z_grid must hold at least two finite points, got {self.z_grid}")
+        if len(self.z_grid) < 2:
+            raise ValueError(f"z_grid must hold at least two points, got {self.z_grid}")
+        for z in self.z_grid:
+            check_real("z_grid", z)
 
     def total_cost(self) -> int:
         return sum(
@@ -126,8 +130,8 @@ def ks_distance(samples, limit: GumbelLimit) -> float:
     the supremum of |F_hat - F| over the whole line is attained.
     """
     xs = np.sort(np.asarray(samples, dtype=np.float64))
-    if xs.size == 0:
-        raise ValueError("samples must be non-empty")
+    if xs.size == 0 or not np.isfinite(xs).all():
+        raise ValueError("samples must be non-empty and finite")
     r = xs.size
     grid = np.arange(1, r + 1, dtype=np.float64)
     cdf = limit.cdf_array(xs)
@@ -208,6 +212,7 @@ def run_experiment(
     worker count.  If ``config.output_path`` is set the report is
     persisted there.
     """
+    check_real("budget", budget, 0.0)
     total = config.total_cost()
     if total > budget:
         raise statcore.BudgetError(

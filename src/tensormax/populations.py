@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .asymptotics import check_int, nu_p
+from .asymptotics import check_int, check_real, nu_p
 from .serial import NEVER_WRITE, WRITE_IF_SET, JsonRecord
 
 STANDARD_NORMAL = "standard_normal"
@@ -110,11 +110,8 @@ class AssumptionProfile:
     tau2: float = field(init=False)
 
     def __post_init__(self):
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if self.t0 <= 0.0:
-            raise ValueError(f"t0 must be positive, got {self.t0}")
-        a, m = float(self.alpha), check_int("m", self.m, 2)
+        a, m = check_real("alpha", self.alpha, 0.0, 1.0, ends="(]"), check_int("m", self.m, 2)
+        check_real("t0", self.t0, 0.0, ends="()")
         object.__setattr__(self, "beta", a / (2.0 * m - a))
         object.__setattr__(self, "tau1", 4.0 * m * a + 2.0)
         object.__setattr__(self, "tau2", 2.0 * m * a + 1.5)

@@ -4,10 +4,11 @@ A dataclass that inherits :class:`JsonRecord` is written as an object of
 its init fields in declaration order: tuples become lists, numpy scalars
 Python numbers, and dict keys strings (floats as ``f"{k:.2f}"``, the level
 tables).  It is read back by each field's annotation, so
-``dict[float, bool]`` turns ``{"0.05": true}`` into ``{0.05: True}``.  A
-number read into an ``int`` must be integral: 30.0 reads as 30, while
-30.9 or a bool raises ValueError naming the class and the field, rather
-than being truncated.  A missing key takes the field's default
+``dict[float, bool]`` turns ``{"0.05": true}`` into ``{0.05: True}``.  An
+``int`` or ``float`` field takes only a JSON number, and an ``int`` only
+an integral one: 30.0 reads as 30, while 30.9, a bool or a string
+raises ValueError naming the class and the field, rather than being
+truncated or parsed.  A missing key takes the field's default
 (TypeError naming the field if it has none) and unknown keys are
 ignored.  Field metadata :data:`WRITE_IF_SET` omits a None value;
 :data:`NEVER_WRITE` skips the field both ways.
@@ -55,8 +56,9 @@ def _encode(value):
 
 def _decode(tp, value, where: str):
     """``value`` read as annotation ``tp``; ``where`` names the field in errors."""
-    if tp is int and (isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())):
-        raise ValueError(f"{where} must be an integer, got {value!r}")
+    if tp in (int, float) and (isinstance(value, bool) or not isinstance(value, (int, float))
+                               or (tp is int and isinstance(value, float) and not value.is_integer())):
+        raise ValueError(f"{where} must be {'an integer' if tp is int else 'a number'}, got {value!r}")
     if tp in _SCALARS:
         return tp(value)
     origin, args = typing.get_origin(tp), typing.get_args(tp)

@@ -95,7 +95,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .asymptotics import check_int
+from .asymptotics import check_int, check_real
 from .serial import JsonRecord
 
 DEFAULT_COST_CEILING = 10**10
@@ -187,7 +187,8 @@ def _as_matrix(X, ndim: int = 2) -> np.ndarray:
 
 
 def check_budget(p: int, m: int, n: int, ceiling: int) -> None:
-    """Raise BudgetError when enumerating (p, m, n) needs more than ``ceiling`` multiply-adds."""
+    """Raise BudgetError when enumerating (p, m, n) needs more than ``ceiling`` (finite, >= 0) multiply-adds."""
+    check_real("cost_ceiling", ceiling, 0.0)
     cost = enumeration_cost(p, m, n)
     if cost.saturated or cost.multiply_adds > ceiling:
         ops = "more than 9.2e18" if cost.saturated else f"{cost.multiply_adds:,}"

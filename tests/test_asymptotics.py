@@ -20,7 +20,7 @@ from tensormax import (
     nu_p,
     ratio_target,
 )
-from tensormax.asymptotics import center
+from tensormax.asymptotics import center, check_real
 
 # mpmath, 40 digits: exp(-1/(2*sqrt(2*pi)))
 CDF0_M2_TWO = 0.8191638613764112
@@ -222,3 +222,31 @@ class TestCenter:
             center(np.ones(3), 2, 2)
         with pytest.raises(ValueError, match="m"):
             center(np.ones(3), 10, 1)
+
+
+class TestCheckReal:
+    def test_python_and_numpy_reals_read_as_float(self):
+        for value in (2, np.int64(2), np.float32(2.0), np.float64(2.0), 2.0):
+            x = check_real("v", value)
+            assert type(x) is float and x == 2.0
+
+    def test_ends_as_written(self):
+        assert check_real("q", 0.0, 0.0, 1.0) == 0.0
+        assert check_real("alpha", 1.0, 0.0, 1.0, ends="(]") == 1.0
+        with pytest.raises(ValueError, match=r"q must lie in \(0, 1\), got 1.0"):
+            check_real("q", 1.0, 0.0, 1.0, ends="()")
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\], got 0.0"):
+            check_real("alpha", 0.0, 0.0, 1.0, ends="(]")
+
+    def test_infinities_only_when_not_finite(self):
+        assert check_real("z", -math.inf, finite=False) == -math.inf
+        with pytest.raises(ValueError, match="z must be finite, got inf"):
+            check_real("z", math.inf)
+        with pytest.raises(ValueError, match="z must not be NaN"):
+            check_real("z", math.nan, finite=False)
+
+    def test_an_int_past_the_float_range_is_infinite(self):
+        assert check_real("z", 10**400, finite=False) == math.inf
+        assert GumbelLimit(2).sf(10**400) == 0.0
+        with pytest.raises(ValueError, match="z must be finite"):
+            check_real("z", -(10**400))

@@ -247,6 +247,8 @@ DIAGNOSE_PAIRTAIL = ("diagnose", "--what", "pairtail", "--s", "1", "--n", "10", 
     ("diagnose", "--what", "lambda", "--n", "10", "--p", str(10**150), "--m", "2", "--reps", "100"),
     ("diagnose", "--what", "lambda", "--n", "10", "--p", str(10**160), "--m", "2", "--reps", "100"),
     ("diagnose", "--what", "b1", "--p", str(10**200), "--m", "2", "--single-tail", "1"),
+    # past the float range: read as inf, where it used to switch the guard off
+    ("test", "--input", X_M2, "--m", "2", "--cost-ceiling", str(10**400)),
 ])
 def test_non_finite_value_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -286,4 +288,24 @@ def test_simulate_config_with_a_non_finite_z_grid_is_usage_error(tmp_path, capsy
     assert code == 2
     assert out == ""
     assert err.count("tensormax: error:") == 1 and "z_grid" in err
+    assert not (tmp_path / "out").exists()
+
+
+CELL = {"n": 10, "p": 6, "m": 2, "spec": {"family": "standard_normal"}}
+
+
+@pytest.mark.parametrize("config, field", [
+    ({"grid": [{**CELL, "n": "30"}], "reps": 4, "master_seed": 7}, "CellConfig.n"),
+    ({"grid": [CELL], "reps": "4", "master_seed": 7}, "ExperimentConfig.reps"),
+    ({"grid": [CELL], "reps": 4, "master_seed": 7, "z_grid": ["0", "1e3"]}, "ExperimentConfig.z_grid"),
+    ({"grid": [CELL], "reps": 4, "master_seed": 7, "z_grid": [True, 2]}, "ExperimentConfig.z_grid"),
+    ({"grid": [{**CELL, "m": False}], "reps": 4, "master_seed": 7}, "CellConfig.m"),
+])
+def test_simulate_config_with_a_string_or_bool_number_is_usage_error(tmp_path, capsys, config, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**config, "output_path": str(tmp_path / "out")}))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.count("tensormax: error:") == 1 and field in err
     assert not (tmp_path / "out").exists()

@@ -67,6 +67,11 @@ class TestKsDistance:
         with pytest.raises(ValueError, match="empty"):
             ks_distance([], GumbelLimit(2))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ks_distance([bad, 1.0], GumbelLimit(2))
+
 
 class TestRunExperiment:
     def test_single_replicate_degenerate(self):

@@ -89,3 +89,24 @@ def test_int_fields_take_integral_numbers():
     cell = CellConfig.from_json({"n": 30.0, "p": 6, "m": 2, "spec": {"family": STANDARD_NORMAL}})
     assert cell == CellConfig(n=30, p=6, m=2, spec=NORMAL)
     assert type(cell.n) is int
+
+
+@pytest.mark.parametrize("cls, obj, field", [
+    (CellConfig, {"n": "30", "p": 6, "m": 2, "spec": {"family": STANDARD_NORMAL}}, "CellConfig.n"),
+    (ExperimentConfig, {"grid": [CELLS[0].to_json()], "reps": "4", "master_seed": 1}, "ExperimentConfig.reps"),
+    (ExperimentConfig, {"grid": [CELLS[0].to_json()], "reps": 4, "master_seed": 1, "z_grid": ["0", "1e3"]},
+     "ExperimentConfig.z_grid"),
+    (ExperimentConfig, {"grid": [CELLS[0].to_json()], "reps": 4, "master_seed": 1, "z_grid": [True, 2]},
+     "ExperimentConfig.z_grid"),
+    (TailEstimate, {"probability": None, "hits": 1, "reps": 2, "std_error": 0.5}, "TailEstimate.probability"),
+])
+def test_number_fields_take_only_json_numbers(cls, obj, field):
+    with pytest.raises(ValueError, match=field):
+        cls.from_json(obj)
+
+
+def test_float_fields_take_json_integers():
+    config = ExperimentConfig.from_json({"grid": [CELLS[0].to_json()], "reps": 4, "master_seed": 1,
+                                         "z_grid": [0, 2]})
+    assert config.z_grid == (0.0, 2.0)
+    assert all(type(z) is float for z in config.z_grid)

@@ -5,6 +5,7 @@ are patched to raise, so a check that comes after a draw or an
 enumeration shows up as ``Worked`` instead of ValueError.
 """
 
+import contextlib
 import functools
 import math
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import tensormax as tm
-from tensormax import diagnostics, populations, statcore
+from tensormax import diagnostics, lab, populations, statcore
 
 NORMAL = tm.PopulationSpec("standard_normal")
 SEED = tm.SeedSpec(1)
@@ -37,17 +38,19 @@ def no_work(monkeypatch):
     monkeypatch.setattr(populations, "make_generator", refuse)
 
 
-def _experiment(n=10, p=21, m=2, reps=2, workers=1):
+def _experiment(n=10, p=21, m=2, reps=2, workers=1, z_grid=lab.DEFAULT_Z_GRID,
+                budget=statcore.DEFAULT_COST_CEILING):
     cell = tm.CellConfig(n=n, p=p, m=m, spec=NORMAL)
-    return tm.run_experiment(tm.ExperimentConfig(grid=(cell,), reps=reps, master_seed=1), workers=workers)
+    config = tm.ExperimentConfig(grid=(cell,), reps=reps, master_seed=1, z_grid=z_grid)
+    return tm.run_experiment(config, workers=workers, budget=budget)
 
 
 def _report(n=10, p=10, m=3, reps=10, a_n=0.5, pair_reps=None):
     return tm.stein_chen_report(0.0, n, p, m, NORMAL, reps, SEED, a_n=a_n, pair_reps=pair_reps)
 
 
-def _pair_tail(s=1, n=10, p=5, m=2, reps=10):
-    return tm.estimate_pair_tail(tm.PairTailSpec(s=s, a_n=1.0, n=n, p=p, m=m, spec=NORMAL), reps, SEED)
+def _pair_tail(s=1, n=10, p=5, m=2, reps=10, a_n=1.0):
+    return tm.estimate_pair_tail(tm.PairTailSpec(s=s, a_n=a_n, n=n, p=p, m=m, spec=NORMAL), reps, SEED)
 
 
 # entry point: (call whose defaults are valid, {integer argument: values out of its range})
@@ -119,3 +122,92 @@ def test_the_defaults_reach_the_work(entry):
 def test_max_entry_multi_defaults_reach_the_work():
     with pytest.raises(Worked):
         tm.max_entry_multi([X, X])
+
+
+BAD_REALS = (math.nan, "1", None, True)
+INF = math.inf
+# the nearest floats outside a closed end
+BELOW_0 = math.nextafter(0.0, -INF)
+ABOVE_1 = math.nextafter(1.0, INF)
+CEILING = statcore.DEFAULT_COST_CEILING
+
+# entry point: (call whose defaults are valid, {real argument: values out of its range})
+REAL_TABLE = {
+    "GumbelLimit.cdf": (lambda z=0.0: tm.GumbelLimit(2).cdf(z), {"z": ()}),
+    "GumbelLimit.sf": (lambda z=0.0: tm.GumbelLimit(2).sf(z), {"z": ()}),
+    "GumbelLimit.quantile": (lambda q=0.5: tm.GumbelLimit(2).quantile(q), {"q": (0.0, 1.0, -INF, INF)}),
+    "nu_p": (lambda z=0.0: tm.nu_p(z, 100, 2), {"z": (-INF, INF)}),
+    # exp(-z/2) overflows below z = -1419.56
+    "lambda_limit": (lambda z=0.0: tm.lambda_limit(z), {"z": (math.nextafter(-1419.0, -INF), -INF)}),
+    "normalize": (lambda w=1.0: tm.normalize(w, 10, 10, 2), {"w": (BELOW_0, -INF, INF)}),
+    "normal_upper_tail": (lambda x=1.0: tm.normal_upper_tail(x), {"x": ()}),
+    "moderate_deviation_ratio": (
+        lambda x=1.0: tm.moderate_deviation_ratio(NORMAL, 2, 10, x, 10, SEED),
+        {"x": (BELOW_0, -INF, INF)},
+    ),
+    "estimate_single_tail": (
+        lambda threshold=1.0: tm.estimate_single_tail(NORMAL, 10, 2, threshold, 10, SEED),
+        {"threshold": ()},
+    ),
+    "estimate_lambda": (lambda z=0.0: tm.estimate_lambda(z, 10, 10, 2, NORMAL, 10, SEED), {"z": (-INF, INF)}),
+    "PairTailSpec": (_pair_tail, {"a_n": (0.0, -INF, INF)}),
+    "stein_chen_report": (
+        lambda z=0.0: tm.stein_chen_report(z, 10, 10, 3, NORMAL, 10, SEED, a_n=0.5),
+        {"z": (-INF, INF)},
+    ),
+    "b1_bound": (
+        lambda single_tail=0.5: tm.b1_bound(10, 2, single_tail),
+        {"single_tail": (BELOW_0, ABOVE_1, -INF, INF)},
+    ),
+    "AssumptionProfile": (
+        lambda alpha=1.0, t0=1.0: tm.AssumptionProfile(alpha=alpha, t0=t0),
+        {"alpha": (0.0, ABOVE_1, -INF, INF), "t0": (0.0, -INF, INF)},
+    ),
+    "ExperimentConfig": (lambda z_grid=0.0: _experiment(z_grid=(z_grid, 1.0)), {"z_grid": (-INF, INF)}),
+    "run_experiment": (lambda budget=CEILING: _experiment(budget=budget), {"budget": (BELOW_0, INF)}),
+    "max_entry": (lambda cost_ceiling=CEILING: tm.max_entry(X, 2, cost_ceiling=cost_ceiling),
+                  {"cost_ceiling": (BELOW_0, INF)}),
+    "max_entry_multi": (lambda cost_ceiling=CEILING: tm.max_entry_multi([X, X], cost_ceiling=cost_ceiling),
+                        {"cost_ceiling": (BELOW_0, INF)}),
+    "test_independence": (lambda cost_ceiling=CEILING: tm.test_independence(WIDE, 2, cost_ceiling=cost_ceiling),
+                          {"cost_ceiling": (BELOW_0, INF)}),
+}
+
+REAL_CASES = [
+    pytest.param(functools.partial(call, **{arg: bad}), id=f"{entry}-{arg}={bad!r}")
+    for entry, (call, ranges) in REAL_TABLE.items()
+    for arg, out_of_range in ranges.items()
+    for bad in (*BAD_REALS, *out_of_range)
+] + [
+    # a_n=None is the default, the asymptotically exact multiplier
+    *(pytest.param(functools.partial(_report, a_n=bad), id=f"stein_chen_report-a_n={bad!r}")
+      for bad in (math.nan, "1", True, 0.0, -INF, INF)),
+    # n is carried along for reporting only, but it is still a sample size
+    *(pytest.param(functools.partial(tm.normalize, 1.0, bad, 10, 2), id=f"normalize-n={bad!r}")
+      for bad in (*BAD_TYPES, 0)),
+]
+
+
+@pytest.mark.parametrize("call", REAL_CASES)
+def test_real_rejected_before_any_work(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+@pytest.mark.parametrize("entry", sorted(REAL_TABLE))
+def test_the_real_defaults_are_accepted(entry):
+    # a closed-form entry point returns; the others reach the work
+    call, _ = REAL_TABLE[entry]
+    with contextlib.suppress(Worked):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda z: tm.GumbelLimit(2).cdf(z), id="GumbelLimit.cdf"),
+    pytest.param(lambda z: tm.GumbelLimit(2).sf(z), id="GumbelLimit.sf"),
+    pytest.param(tm.normal_upper_tail, id="normal_upper_tail"),
+])
+def test_the_limit_law_takes_both_infinities_and_numpy_reals(call):
+    assert (call(-INF), call(INF)) in ((0.0, 1.0), (1.0, 0.0))
+    assert call(np.float32(2.5)) == call(np.float64(2.5)) == call(2.5)
+    assert call(np.int64(2)) == call(2) == call(2.0)
