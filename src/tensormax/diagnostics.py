@@ -22,10 +22,12 @@ drawing only what the law of S depends on:
   chi2_n draw.  The two sums of a pair tail each integrate out their own
   last factor, which leaves them conditionally independent given V1, V2
   (for s = 1, m = 2 they share V ~ chi2_n: three scalars per replicate);
-* Rademacher: a product of +/-1 values is the XOR of their sign bits, so
-  the int8 bits are drawn as ``populations.draw`` draws them and S is
-  n - 2 * (number of -1 products).  Those sums are exact integers, as
-  the float products were, so the counts equal the plain ones exactly;
+* Rademacher: a product of independent fair signs is a fair sign, so
+  S = n - 2 * Bin(n, 1/2), and the copies of a pair tail are independent
+  given xi (xi * eta and xi * zeta are independent fair signs).  So each
+  sum is one binomial draw, an exact integer in float64.  The counts are
+  binomial counts with the plain estimator's law, not bit-identical to
+  it;
 * every other family: all the factors are drawn and multiplied in
   float64.
 
@@ -209,18 +211,11 @@ def _normal_square_sums(rng: np.random.Generator, shape, k: int, weight: np.ndar
 
 
 def _product(spec: PopulationSpec, rng: np.random.Generator, shape, k: int) -> np.ndarray | None:
-    """Product of k fresh factors, None for k = 0.
-
-    Rademacher factors stay the int8 bits ``draw`` would map to +/-1
-    (drawn by the same call) and multiply by XOR; the others are float64.
-    """
+    """Product of k fresh float64 factors, None for k = 0."""
     out = None
     for _ in range(k):
-        if spec.family == RADEMACHER:
-            x, combine = rng.integers(0, 2, size=shape, dtype=np.int8), np.bitwise_xor
-        else:
-            x, combine = draw(spec, rng, shape), np.multiply
-        out = x if out is None else combine(out, x, out=out)
+        x = draw(spec, rng, shape)
+        out = x if out is None else np.multiply(out, x, out=out)
         # released before the next factor is drawn
         del x
     return out
@@ -238,6 +233,8 @@ def _product_sums(
     family draws.
     """
     count, n = shape
+    if spec.family == RADEMACHER:
+        return [(n - 2 * rng.binomial(n, 0.5, count)).astype(np.float64) for _ in range(copies)]
     if spec.family == STANDARD_NORMAL:
         if fresh == 1:
             variances = [_normal_square_sums(rng, shape, shared)] * copies
@@ -249,19 +246,10 @@ def _product_sums(
     sums = []
     for _ in range(copies):
         eta = _product(spec, rng, shape, fresh)
-        if spec.family != RADEMACHER:
-            if xi is not None:
-                eta *= xi
-            sums.append(eta.sum(axis=1))
-            del eta
-            continue
         if xi is not None:
-            np.bitwise_xor(eta, xi, out=eta)
-        # A bit is 1 for +1, so the XOR of an even number of them is 1
-        # where the product is -1 and of an odd number where it is +1.
-        ones = np.count_nonzero(eta, axis=1)
-        negatives = ones if (shared + fresh) % 2 == 0 else n - ones
-        sums.append((n - 2 * negatives).astype(np.float64))
+            eta *= xi
+        sums.append(eta.sum(axis=1))
+        del eta
     return sums
 
 

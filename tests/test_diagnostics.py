@@ -7,9 +7,11 @@ arithmetic for the exact pieces.  Tolerances are 3 binomial standard
 errors unless the quantity is deterministic.
 
 The block kernels draw only what each family's product sums depend on.
-Their oracles are the plain draw-and-multiply path: the Rademacher and
-float sums must equal it bit for bit on the same sub-stream, and the
-Gaussian sums must match its law (two-sample KS, and plain
+The float sums must equal the plain draw-and-multiply path bit for bit
+on the same sub-stream.  The Rademacher sums, one binomial draw each,
+are held to their exact law: integers of n's parity, and counts within
+4 standard errors of the binomial tail summed exactly.  The Gaussian
+sums must match the plain path's law (two-sample KS, and plain
 re-simulations of the joint pair tail).
 """
 
@@ -72,34 +74,65 @@ def plain_pair_sums(spec, n, s, m, seed, index, count):
     return (xi * eta).sum(axis=1), (xi * zeta).sum(axis=1)
 
 
+def rademacher_tail(n, hit):
+    """Exact P(hit(S)) for S = n - 2 Bin(n, 1/2), the law of every Rademacher product sum.
+
+    C(n, b + 1) comes from C(n, b) by one multiply and one exact division,
+    and ``hit`` compares in floating point the way the kernels compare.
+    """
+    total, c = 0, 1
+    for b in range(n + 1):
+        if hit(n - 2 * b):
+            total += c
+        c = c * (n - b) // (b + 1)
+    return total / 2**n
+
+
+def assert_rademacher_sums(sums, n):
+    """Every sum is an integer of n's parity with |S| <= n."""
+    assert np.array_equal(sums, np.round(sums))
+    assert np.all((sums - n) % 2 == 0) and np.all(np.abs(sums) <= n)
+
+
+def assert_within_4_se(hits, count, q):
+    assert abs(hits / count - q) <= 4.0 * math.sqrt(q * (1.0 - q) / count)
+
+
 class TestBlockKernelsBitIdentical:
-    """Rademacher and float sums equal the plain path's on the same sub-stream."""
+    """Float sums equal the plain path's bit for bit; Rademacher sums follow the exact binomial law."""
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     @pytest.mark.parametrize("seed", KERNEL_SEEDS)
     def test_rademacher_tail_kernel(self, m, seed):
         spec, n, count = PopulationSpec(RADEMACHER), 37, 3000
-        oracle = plain_sums(spec, n, m, seed, 4, count)
         (sums,) = diagnostics._product_sums(spec, make_generator(seed, extra=(4,)), (count, n), 0, m, 1)
-        assert np.array_equal(sums, oracle)
-        scaled = oracle / math.sqrt(n)
+        assert_rademacher_sums(sums, n)
+        scaled, root_n = sums / math.sqrt(n), math.sqrt(n)
         for t in (0.0, 0.5, 1.0, 1.5, 2.3):
             two = diagnostics._tail_kernel(make_generator(seed, extra=(4,)), count, spec, n, m, TWO_SIDED, t)
             one = diagnostics._tail_kernel(make_generator(seed, extra=(4,)), count, spec, n, m, ONE_SIDED, t)
             assert two == np.count_nonzero(np.abs(scaled) > t)
             assert one == np.count_nonzero(scaled >= t)
+            assert_within_4_se(two, count, rademacher_tail(n, lambda x: abs(x / root_n) > t))
+            assert_within_4_se(one, count, rademacher_tail(n, lambda x: x / root_n >= t))
 
     @pytest.mark.parametrize("m,s", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2)])
     @pytest.mark.parametrize("seed", KERNEL_SEEDS)
     def test_rademacher_pair_kernel(self, m, s, seed):
+        # given the shared product xi the two sums are independent, so the
+        # joint tail is q**2 and each margin is q
         spec, n, count = PopulationSpec(RADEMACHER), 29, 3000
-        o1, o2 = plain_pair_sums(spec, n, s, m, seed, 2, count)
         s1, s2 = diagnostics._product_sums(spec, make_generator(seed, extra=(2,)), (count, n), s, m - s, 2)
-        assert np.array_equal(s1, o1) and np.array_equal(s2, o2)
+        assert_rademacher_sums(s1, n)
+        assert_rademacher_sums(s2, n)
         for a in (0.2, 0.6, 1.0):
             thr = a * math.sqrt(n * math.log(10))
             hits = diagnostics._pair_kernel(make_generator(seed, extra=(2,)), count, spec, n, s, m, thr)
-            assert hits == np.count_nonzero((np.abs(o1) >= thr) & (np.abs(o2) >= thr))
+            assert hits == np.count_nonzero((np.abs(s1) >= thr) & (np.abs(s2) >= thr))
+            q = rademacher_tail(n, lambda x: abs(x) >= thr)
+            assert_within_4_se(hits, count, q * q)
+            for margin in (s1, s2):
+                assert_within_4_se(np.count_nonzero(np.abs(margin) >= thr), count, q)
 
     @pytest.mark.parametrize("m,s", [(2, 1), (3, 1), (3, 2)])
     def test_float_path_unchanged(self, m, s):
@@ -396,6 +429,14 @@ class TestModerateDeviationRatio:
         spec = PopulationSpec(RADEMACHER)
         rep = moderate_deviation_ratio(spec, 2, 2000, 2.0, 10**5, SEED)
         assert 0.8 <= rep.ratio <= 1.2
+
+    def test_rademacher_at_the_acceptance_size_matches_the_exact_tail(self):
+        # S = n - 2 Bin(n, 1/2) exactly: P(S/100 >= 2) = 0.0232928 at n = 10**4
+        n, x, reps = 10**4, 2.0, 10**6
+        rep = moderate_deviation_ratio(PopulationSpec(RADEMACHER), 2, n, x, reps, SEED)
+        q = rademacher_tail(n, lambda s: s / math.sqrt(n) >= x)
+        assert abs(q - 0.0232928) < 1e-7
+        assert_within_4_se(rep.hits, reps, q)
 
     def test_advisory_flag_for_rare_x(self):
         rep = moderate_deviation_ratio(NORMAL, 2, 100, 6.0, 1000, SEED)
