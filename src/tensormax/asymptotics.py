@@ -71,6 +71,24 @@ def check_real(name: str, value, lo=-math.inf, hi=math.inf, finite=True, ends="[
     return x
 
 
+def check_real_array(name: str, values, lo=-math.inf, finite=True) -> np.ndarray:
+    """float64 array of ``values``, each held to ``check_real``'s rules with the range [lo, +inf].
+
+    A numpy array needs an integer or float dtype; anything else is checked
+    value by value, so a bool, str or None inside a list fails as well.
+    """
+    if not isinstance(values, np.ndarray):
+        cells = np.asarray(values, dtype=object)
+        return np.array([check_real(name, v, lo, finite=finite) for v in cells.flat]).reshape(cells.shape)
+    if values.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be real numbers, got an array of dtype {values.dtype}")
+    xs = values.astype(np.float64, copy=False)
+    bad = np.isnan(xs) | (xs < lo) | (np.isinf(xs) if finite else False)
+    if bad.any():
+        raise ValueError(f"{name} must be {'finite and ' if finite else ''}in [{lo:g}, inf], got {float(xs[bad][0])!r}")
+    return xs
+
+
 def check_sided(sided: str) -> str:
     """``sided`` if it names one of the two limit laws, else ValueError."""
     if sided not in (TWO_SIDED, ONE_SIDED):
@@ -136,8 +154,8 @@ class GumbelLimit:
         return -2.0 * math.log(-math.log(q) / self.c)
 
     def cdf_array(self, z) -> np.ndarray:
-        """Vectorized CDF over an array of z values."""
-        z = np.asarray(z, dtype=np.float64)
+        """Vectorized CDF over an array of z values, +-inf allowed."""
+        z = check_real_array("z", z, finite=False)
         with np.errstate(over="ignore"):
             return np.exp(-self.c * np.exp(-0.5 * z))
 
@@ -186,11 +204,10 @@ def center(w, p: int, m: int):
     """
     check_int("m", m, 2, MAX_ORDER)
     check_int("p", p, 3)
-    ws = np.asarray(w, dtype=np.float64)
-    if not np.all(np.isfinite(ws) & (ws >= 0.0)):
-        raise ValueError(f"w must be finite and >= 0, got {w}")
+    ws = check_real_array("w", w, 0.0)
     lp = math.log(p)
-    return w * w - 2.0 * m * lp + math.log(lp)
+    t = ws * ws - 2.0 * m * lp + math.log(lp)
+    return t if ws.ndim else float(t)
 
 
 def nu_p(z: float, p: int, m: int) -> float:

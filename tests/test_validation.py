@@ -14,6 +14,7 @@ import pytest
 
 import tensormax as tm
 from tensormax import diagnostics, lab, populations, statcore
+from tensormax.asymptotics import center
 
 NORMAL = tm.PopulationSpec("standard_normal")
 SEED = tm.SeedSpec(1)
@@ -135,11 +136,13 @@ CEILING = statcore.DEFAULT_COST_CEILING
 REAL_TABLE = {
     "GumbelLimit.cdf": (lambda z=0.0: tm.GumbelLimit(2).cdf(z), {"z": ()}),
     "GumbelLimit.sf": (lambda z=0.0: tm.GumbelLimit(2).sf(z), {"z": ()}),
+    "GumbelLimit.cdf_array": (lambda z=0.0: tm.GumbelLimit(2).cdf_array(z), {"z": ()}),
     "GumbelLimit.quantile": (lambda q=0.5: tm.GumbelLimit(2).quantile(q), {"q": (0.0, 1.0, -INF, INF)}),
     "nu_p": (lambda z=0.0: tm.nu_p(z, 100, 2), {"z": (-INF, INF)}),
     # exp(-z/2) overflows below z = -1419.56
     "lambda_limit": (lambda z=0.0: tm.lambda_limit(z), {"z": (math.nextafter(-1419.0, -INF), -INF)}),
     "normalize": (lambda w=1.0: tm.normalize(w, 10, 10, 2), {"w": (BELOW_0, -INF, INF)}),
+    "center": (lambda w=1.0: center(w, 10, 2), {"w": (BELOW_0, -INF, INF)}),
     "normal_upper_tail": (lambda x=1.0: tm.normal_upper_tail(x), {"x": ()}),
     "moderate_deviation_ratio": (
         lambda x=1.0: tm.moderate_deviation_ratio(NORMAL, 2, 10, x, 10, SEED),
@@ -211,3 +214,34 @@ def test_the_limit_law_takes_both_infinities_and_numpy_reals(call):
     assert (call(-INF), call(INF)) in ((0.0, 1.0), (1.0, 0.0))
     assert call(np.float32(2.5)) == call(np.float64(2.5)) == call(2.5)
     assert call(np.int64(2)) == call(2) == call(2.0)
+
+
+# array form: (call, argument name, values that are not a valid array of it)
+ARRAY_FORMS = {
+    "center": (lambda w: center(w, 10, 2), "w", (
+        np.array([1.0, -0.5]), np.array([1.0, math.nan]), np.array([INF]),
+    )),
+    "GumbelLimit.cdf_array": (lambda z: tm.GumbelLimit(2).cdf_array(z), "z", (np.array([0.0, math.nan]),)),
+}
+BAD_ARRAYS = (
+    [math.nan, "1"], [1.0, None], [1.0, True], [[1.0], [1j]],
+    np.array([True, False]), np.array(["1"]), np.array([1.0 + 0j]), np.array([1.0], dtype=object),
+)
+
+
+@pytest.mark.parametrize("call,name,bad", [
+    pytest.param(call, name, bad, id=f"{entry}-{name}={bad!r}")
+    for entry, (call, name, out_of_range) in ARRAY_FORMS.items()
+    for bad in (*BAD_ARRAYS, *out_of_range)
+])
+def test_array_forms_reject_with_the_argument_name(call, name, bad):
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        call(bad)
+
+
+def test_array_forms_take_lists_and_integer_arrays_as_float64():
+    limit = tm.GumbelLimit(2)
+    zs = [-INF, -1, 0.5, INF]
+    got = limit.cdf_array(zs).tolist()
+    assert got == limit.cdf_array(np.array(zs)).tolist() and (got[0], got[-1]) == (0.0, 1.0)
+    assert center(np.arange(4), 10, 2).tolist() == center([0.0, 1.0, 2.0, 3.0], 10, 2).tolist()
