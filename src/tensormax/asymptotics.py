@@ -85,7 +85,8 @@ def check_real_array(name: str, values, lo=-math.inf, finite=True) -> np.ndarray
     xs = values.astype(np.float64, copy=False)
     bad = np.isnan(xs) | (xs < lo) | (np.isinf(xs) if finite else False)
     if bad.any():
-        raise ValueError(f"{name} must be {'finite and ' if finite else ''}in [{lo:g}, inf], got {float(xs[bad][0])!r}")
+        what = "finite and in" if finite else "in"
+        raise ValueError(f"{name} must be {what} [{lo:g}, inf], got {float(xs[bad][0])!r}")
     return xs
 
 

@@ -107,7 +107,8 @@ class TestBlockKernelsBitIdentical:
         spec, n, count = PopulationSpec(RADEMACHER), 37, 3000
         (sums,) = diagnostics._product_sums(spec, make_generator(seed, extra=(4,)), (count, n), 0, m, 1)
         assert_rademacher_sums(sums, n)
-        scaled, root_n = sums / math.sqrt(n), math.sqrt(n)
+        root_n = math.sqrt(n)
+        scaled = sums / root_n
         for t in (0.0, 0.5, 1.0, 1.5, 2.3):
             two = diagnostics._tail_kernel(make_generator(seed, extra=(4,)), count, spec, n, m, TWO_SIDED, t)
             one = diagnostics._tail_kernel(make_generator(seed, extra=(4,)), count, spec, n, m, ONE_SIDED, t)
