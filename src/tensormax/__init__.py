@@ -45,7 +45,6 @@ from .lab import (
 )
 from .populations import (
     FAMILIES,
-    AssumptionProfile,
     PopulationSpec,
     RegimeReport,
     SeedSpec,
@@ -68,7 +67,6 @@ from .statcore import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssumptionProfile",
     "BudgetError",
     "CellConfig",
     "CellReport",

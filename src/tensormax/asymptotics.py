@@ -155,7 +155,12 @@ class GumbelLimit:
         return -2.0 * math.log(-math.log(q) / self.c)
 
     def cdf_array(self, z) -> np.ndarray:
-        """Vectorized CDF over an array of z values, +-inf allowed."""
+        """Vectorized CDF over an array of z values, +-inf allowed.
+
+        It uses ``np.exp`` where :meth:`cdf` uses ``math.exp``, so the two
+        can differ in the last bit; the tests bound the gap at 1e-15.
+        ``lab.ks_distance`` reads this form, while p-values read :meth:`sf`.
+        """
         z = check_real_array("z", z, finite=False)
         with np.errstate(over="ignore"):
             return np.exp(-self.c * np.exp(-0.5 * z))

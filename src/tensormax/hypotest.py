@@ -16,7 +16,7 @@ import numpy as np
 
 from . import statcore
 from .asymptotics import TWO_SIDED, GumbelLimit, check_int, check_sided, normalize
-from .populations import AssumptionProfile, RegimeReport, check_regime
+from .populations import RegimeReport, check_regime
 from .serial import JsonRecord
 from .statcore import StatResult
 
@@ -60,7 +60,7 @@ def _limit_for(shape: tuple, m, sided: str, cost_ceiling: int) -> GumbelLimit:
     return GumbelLimit(m, sided)
 
 
-def _finish(stat: StatResult, limit: GumbelLimit, profile: AssumptionProfile | None) -> TestResult:
+def _finish(stat: StatResult, limit: GumbelLimit) -> TestResult:
     if limit.sided == TWO_SIDED:
         w = stat.w_abs
         flagged = False
@@ -70,7 +70,7 @@ def _finish(stat: StatResult, limit: GumbelLimit, profile: AssumptionProfile | N
     ns = normalize(w, stat.n, stat.p, stat.m)
     p_value = limit.sf(ns.t_value)
     decisions = {lvl: p_value < lvl for lvl in LEVELS}
-    regime = check_regime(stat.n, stat.p, stat.m, profile)
+    regime = check_regime(stat.n, stat.p, stat.m)
     return TestResult(
         stat=stat,
         t_value=ns.t_value,
@@ -88,7 +88,6 @@ def test_independence(
     sided: str = TWO_SIDED,
     *,
     cost_ceiling: int = statcore.DEFAULT_COST_CEILING,
-    profile: AssumptionProfile | None = None,
 ) -> TestResult:
     """Test coordinate independence from a single n-by-p sample.
 
@@ -111,7 +110,7 @@ def test_independence(
     """
     limit = _limit_for(np.shape(X), m, sided, cost_ceiling)
     stat = statcore.max_entry(X, m, cost_ceiling=cost_ceiling)
-    return _finish(stat, limit, profile)
+    return _finish(stat, limit)
 
 
 def test_independence_multi(
@@ -119,10 +118,9 @@ def test_independence_multi(
     sided: str = TWO_SIDED,
     *,
     cost_ceiling: int = statcore.DEFAULT_COST_CEILING,
-    profile: AssumptionProfile | None = None,
 ) -> TestResult:
     """Independence test for the multi-population product tensor."""
     matrices = list(matrices)
     limit = _limit_for(np.shape(matrices[0]) if matrices else (), len(matrices), sided, cost_ceiling)
     stat = statcore.max_entry_multi(matrices, cost_ceiling=cost_ceiling)
-    return _finish(stat, limit, profile)
+    return _finish(stat, limit)

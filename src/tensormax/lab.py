@@ -288,6 +288,9 @@ def load_report(path) -> ExperimentReport:
             if tuple(header) != RECORD_COLUMNS:
                 raise ValueError(f"unexpected records.csv header {header}")
             for row in reader:
+                if len(row) != len(RECORD_COLUMNS):
+                    raise ValueError(f"records.csv line {reader.line_num} has {len(row)} fields, "
+                                     f"expected {len(RECORD_COLUMNS)}")
                 records.append(
                     ReplicateRecord(
                         cell_id=row[0],

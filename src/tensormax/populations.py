@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .asymptotics import check_int, check_real, nu_p
-from .serial import NEVER_WRITE, WRITE_IF_SET, JsonRecord
+from .serial import WRITE_IF_SET, JsonRecord
 
 STANDARD_NORMAL = "standard_normal"
 RADEMACHER = "rademacher"
@@ -69,11 +69,10 @@ class SeedSpec(JsonRecord):
 
 @dataclass(frozen=True)
 class PopulationSpec(JsonRecord):
-    """A standardized population family, plus an optional display label."""
+    """A standardized population family, with the df of the Student t."""
 
     family: str
     df: int | None = field(default=None, metadata=WRITE_IF_SET)
-    label: str = field(default="", metadata=NEVER_WRITE)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -83,38 +82,11 @@ class PopulationSpec(JsonRecord):
             check_int("df", self.df, 3)
         elif self.df is not None:
             raise ValueError(f"df only applies to {STUDENT_T_STANDARDIZED}, got family {self.family!r}")
-        if not self.label:
-            text = self.family if self.df is None else f"{self.family}(df={self.df})"
-            object.__setattr__(self, "label", text)
 
-
-@dataclass(frozen=True)
-class AssumptionProfile:
-    """Moment-condition exponents and the regime thresholds they induce.
-
-    alpha in (0, 1] is the sub-exponential exponent of the ultra-high
-    dimension condition E exp(t0 |x|^alpha) < infinity; the same alpha
-    doubles as the polynomial growth exponent p = O(n^alpha).  The
-    derived quantities depend on the tensor order m:
-
-        beta = alpha / (2m - alpha)
-        tau1 = 4*m*alpha + 2
-        tau2 = 2*m*alpha + 3/2
-    """
-
-    alpha: float = 1.0
-    t0: float = 1.0
-    m: int = 2
-    beta: float = field(init=False)
-    tau1: float = field(init=False)
-    tau2: float = field(init=False)
-
-    def __post_init__(self):
-        a, m = check_real("alpha", self.alpha, 0.0, 1.0, ends="(]"), check_int("m", self.m, 2)
-        check_real("t0", self.t0, 0.0, ends="()")
-        object.__setattr__(self, "beta", a / (2.0 * m - a))
-        object.__setattr__(self, "tau1", 4.0 * m * a + 2.0)
-        object.__setattr__(self, "tau2", 2.0 * m * a + 1.5)
+    @property
+    def label(self) -> str:
+        """Display name: the family, with its df when set."""
+        return self.family if self.df is None else f"{self.family}(df={self.df})"
 
 
 @dataclass(frozen=True)
@@ -216,24 +188,26 @@ def parallel_map(fn, tasks, workers: int) -> list:
         return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * procs))))
 
 
-def check_regime(n: int, p: int, m: int, profile: AssumptionProfile | None = None) -> RegimeReport:
+def check_regime(n: int, p: int, m: int, alpha: float = 1.0) -> RegimeReport:
     """Classify (n, p, m) against the two asymptotic growth regimes.
 
-    The ultra-high-dimension regime asks log(p) <= n**beta with
-    beta = alpha/(2m - alpha); the polynomial regime asks p <= n**alpha.
-    The report is advisory only and never blocks a computation: finite
-    (n, p) can only ever be checked against the shape of the conditions,
-    not their limits.
+    alpha in (0, 1] is the sub-exponential moment exponent of the
+    ultra-high dimension condition E exp(t0 |x|^alpha) < infinity, and
+    doubles as the polynomial growth exponent.  The ultra-high-dimension
+    regime asks log(p) <= n**beta with beta = alpha/(2m - alpha); the
+    polynomial regime asks p <= n**alpha.  The report also carries the
+    moment thresholds tau1 = 4*m*alpha + 2 and tau2 = 2*m*alpha + 3/2.
+    It is advisory only and never blocks a computation: finite (n, p)
+    can only ever be checked against the shape of the conditions, not
+    their limits.
     """
     n, p = check_int("n", n, 1), check_int("p", p, 3)
     m = check_int("m", m, 2, p)
-    if profile is None:
-        profile = AssumptionProfile(alpha=1.0, t0=1.0, m=m)
-    elif profile.m != m:
-        raise ValueError(f"profile was built for m={profile.m}, got m={m}")
+    alpha = check_real("alpha", alpha, 0.0, 1.0, ends="(]")
+    beta = alpha / (2.0 * m - alpha)
     log_p = math.log(p)
-    n_pow_beta = float(n) ** profile.beta
-    n_pow_alpha = float(n) ** profile.alpha
+    n_pow_beta = float(n) ** beta
+    n_pow_alpha = float(n) ** alpha
     ultra = log_p <= n_pow_beta
     poly = float(p) <= n_pow_alpha
     regime = ULTRA_HIGH if ultra else (POLYNOMIAL if poly else OUTSIDE)
@@ -249,10 +223,10 @@ def check_regime(n: int, p: int, m: int, profile: AssumptionProfile | None = Non
         regime=regime,
         ultra_high=ultra,
         polynomial=poly,
-        alpha=profile.alpha,
-        beta=profile.beta,
-        tau1=profile.tau1,
-        tau2=profile.tau2,
+        alpha=alpha,
+        beta=beta,
+        tau1=4.0 * m * alpha + 2.0,
+        tau2=2.0 * m * alpha + 1.5,
         log_p=log_p,
         n_pow_beta=n_pow_beta,
         n_pow_alpha=n_pow_alpha,

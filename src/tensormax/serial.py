@@ -1,17 +1,18 @@
 """The one JSON codec behind every report and config.
 
 A dataclass that inherits :class:`JsonRecord` is written as an object of
-its init fields in declaration order: tuples become lists, numpy scalars
+its fields in declaration order: tuples become lists, numpy scalars
 Python numbers, and dict keys strings (floats as ``f"{k:.2f}"``, the level
 tables).  It is read back by each field's annotation, so
-``dict[float, bool]`` turns ``{"0.05": true}`` into ``{0.05: True}``.  An
-``int`` or ``float`` field takes only a JSON number, and an ``int`` only
-an integral one: 30.0 reads as 30, while 30.9, a bool or a string
+``dict[float, bool]`` turns ``{"0.05": true}`` into ``{0.05: True}``.  A
+scalar field takes only its own JSON type: a ``str`` a JSON string, a
+``bool`` true or false, and an ``int`` or ``float`` a JSON number, an
+``int`` only an integral one.  So 30.0 reads as 30, while 30.9, a bool
+for a number, a string for a number or a bool, or a number for a string
 raises ValueError naming the class and the field, rather than being
-truncated or parsed.  A missing key takes the field's default
+truncated, parsed or converted.  A missing key takes the field's default
 (TypeError naming the field if it has none) and unknown keys are
-ignored.  Field metadata :data:`WRITE_IF_SET` omits a None value;
-:data:`NEVER_WRITE` skips the field both ways.
+ignored.  Field metadata :data:`WRITE_IF_SET` omits a None value.
 """
 
 from __future__ import annotations
@@ -24,19 +25,15 @@ import typing
 import numpy as np
 
 WRITE_IF_SET = {"json": "if_set"}
-NEVER_WRITE = {"json": "never"}
-_SCALARS = (bool, int, float, str)
+# the JSON scalar types, and what a field of each type takes
+_SCALARS = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
 
 
 @functools.cache
 def _fields(cls) -> tuple:
-    """(name, annotation, written only if set) of each field the codec handles."""
+    """(name, annotation, written only if set) of each field."""
     hints = typing.get_type_hints(cls)
-    return tuple(
-        (f.name, hints[f.name], f.metadata == WRITE_IF_SET)
-        for f in dataclasses.fields(cls)
-        if f.init and f.metadata != NEVER_WRITE
-    )
+    return tuple((f.name, hints[f.name], f.metadata == WRITE_IF_SET) for f in dataclasses.fields(cls))
 
 
 def _encode(value):
@@ -56,10 +53,14 @@ def _encode(value):
 
 def _decode(tp, value, where: str):
     """``value`` read as annotation ``tp``; ``where`` names the field in errors."""
-    if tp in (int, float) and (isinstance(value, bool) or not isinstance(value, (int, float))
-                               or (tp is int and isinstance(value, float) and not value.is_integer())):
-        raise ValueError(f"{where} must be {'an integer' if tp is int else 'a number'}, got {value!r}")
     if tp in _SCALARS:
+        if tp in (bool, str):
+            ok = isinstance(value, tp)
+        else:
+            ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+                  and (tp is float or not isinstance(value, float) or value.is_integer()))
+        if not ok:
+            raise ValueError(f"{where} must be {_SCALARS[tp]}, got {value!r}")
         return tp(value)
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin in (typing.Union, types.UnionType):  # an optional field, spelled X | None

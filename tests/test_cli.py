@@ -309,3 +309,20 @@ def test_simulate_config_with_a_string_or_bool_number_is_usage_error(tmp_path, c
     assert out == ""
     assert err.count("tensormax: error:") == 1 and field in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("config, field", [
+    ({"grid": [CELL], "reps": 4, "master_seed": 7, "output_path": 5}, "ExperimentConfig.output_path"),
+    ({"grid": [{**CELL, "sided": True}], "reps": 4, "master_seed": 7}, "CellConfig.sided"),
+])
+def test_simulate_config_with_a_number_or_bool_string_is_usage_error(tmp_path, capsys, monkeypatch,
+                                                                      config, field):
+    # str(5) used to name the output directory ./5
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.count("tensormax: error:") == 1 and field in err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]

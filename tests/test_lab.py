@@ -133,6 +133,19 @@ class TestPersistence:
         assert loaded.records == report.records
         assert loaded.cells == report.cells
 
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda row: row.rsplit(b",", 1)[0], id="too_few_fields"),
+        pytest.param(lambda row: row + b",0.5", id="extra_field"),
+    ])
+    def test_record_row_of_the_wrong_width_names_its_line(self, tmp_path, edit):
+        run_experiment(small_config(tmpdir=tmp_path, reps=3))
+        path = tmp_path / "records.csv"
+        lines = path.read_bytes().split(b"\n")
+        lines[2] = edit(lines[2])
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(ValueError, match="records.csv line 3 has"):
+            load_report(tmp_path)
+
     def test_csv_schema_and_line_endings(self, tmp_path):
         run_experiment(small_config(tmpdir=tmp_path, reps=3))
         raw = (tmp_path / "records.csv").read_bytes()

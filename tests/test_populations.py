@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from tensormax import (
-    AssumptionProfile,
     CellConfig,
     ExperimentConfig,
     PopulationSpec,
@@ -124,23 +123,6 @@ class TestSampling:
             sample_matrix(spec, 0, 5, SEED)
 
 
-class TestAssumptionProfile:
-    def test_derived_quantities(self):
-        prof = AssumptionProfile(alpha=1.0, t0=1.0, m=2)
-        assert prof.beta == pytest.approx(1.0 / 3.0, abs=1e-15)
-        assert prof.tau1 == 10.0
-        assert prof.tau2 == 5.5
-        prof3 = AssumptionProfile(alpha=1.0, t0=1.0, m=3)
-        assert prof3.beta == pytest.approx(0.2, abs=1e-15)
-        assert prof3.tau1 == 14.0
-        assert prof3.tau2 == 7.5
-
-    def test_alpha_range(self):
-        for alpha in (0.0, -0.5, 1.5):
-            with pytest.raises(ValueError):
-                AssumptionProfile(alpha=alpha, t0=1.0, m=2)
-
-
 class TestCheckRegime:
     def test_ultra_high_example(self):
         rep = check_regime(500, 100, 2)
@@ -160,9 +142,20 @@ class TestCheckRegime:
         assert not rep.ultra_high and rep.polynomial
         assert rep.tau1 == 14.0 and rep.tau2 == 7.5
 
-    def test_profile_mismatch(self):
-        with pytest.raises(ValueError, match="m"):
-            check_regime(100, 100, 3, AssumptionProfile(alpha=1.0, t0=1.0, m=2))
+    def test_derived_quantities(self):
+        # (m, alpha) -> (beta, tau1, tau2)
+        cases = {(2, 1.0): (1.0 / 3.0, 10.0, 5.5), (3, 1.0): (0.2, 14.0, 7.5), (2, 0.5): (1.0 / 7.0, 6.0, 3.5)}
+        for (m, alpha), (beta, tau1, tau2) in cases.items():
+            rep = check_regime(500, 100, m, alpha)
+            assert rep.alpha == alpha
+            assert rep.beta == pytest.approx(beta, abs=1e-15)
+            assert (rep.tau1, rep.tau2) == (tau1, tau2)
+            assert rep.n_pow_alpha == pytest.approx(500**alpha, rel=1e-15)
+
+    def test_alpha_range(self):
+        for alpha in (0.0, -0.5, 1.5):
+            with pytest.raises(ValueError, match="alpha"):
+                check_regime(500, 100, 2, alpha)
 
     def test_threshold_growth_constant(self):
         rep = check_regime(500, 100, 2)

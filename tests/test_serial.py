@@ -9,6 +9,7 @@ from tensormax import (
     CellConfig,
     ExperimentConfig,
     PopulationSpec,
+    RegimeReport,
     SeedSpec,
     TailEstimate,
     check_regime,
@@ -63,9 +64,14 @@ def test_numpy_scalars_are_written_as_python_numbers():
 
 
 def test_population_writes_df_only_when_set_and_never_the_label():
-    assert PopulationSpec(STANDARD_NORMAL, label="N(0,1)").to_json() == {"family": STANDARD_NORMAL}
+    assert NORMAL.to_json() == {"family": STANDARD_NORMAL}
     assert T5.to_json() == {"family": STUDENT_T_STANDARDIZED, "df": 5}
+    assert (NORMAL.label, T5.label) == (STANDARD_NORMAL, f"{STUDENT_T_STANDARDIZED}(df=5)")
     assert PopulationSpec.from_json({"family": STANDARD_NORMAL, "label": "x"}).label == STANDARD_NORMAL
+    with pytest.raises(AttributeError):
+        NORMAL.label = "x"
+    with pytest.raises(TypeError, match="label"):
+        PopulationSpec(STANDARD_NORMAL, label="N(0,1)")
 
 
 def test_missing_field_takes_default_and_unknown_keys_are_ignored():
@@ -110,3 +116,19 @@ def test_float_fields_take_json_integers():
                                          "z_grid": [0, 2]})
     assert config.z_grid == (0.0, 2.0)
     assert all(type(z) is float for z in config.z_grid)
+
+
+@pytest.mark.parametrize("cls, obj, field", [
+    (ExperimentConfig, {"grid": [CELLS[0].to_json()], "reps": 4, "master_seed": 1, "output_path": 5},
+     "ExperimentConfig.output_path"),
+    (CellConfig, {"n": 30, "p": 6, "m": 2, "spec": {"family": STANDARD_NORMAL}, "sided": None}, "CellConfig.sided"),
+    (PopulationSpec, {"family": ["standard_normal"]}, "PopulationSpec.family"),
+    # each field is read before the record is built, so the other fields may be left out
+    (hypotest.TestResult, {"signed_nonpositive": "false"}, "TestResult.signed_nonpositive"),
+    (hypotest.TestResult, {"signed_nonpositive": 0}, "TestResult.signed_nonpositive"),
+    (hypotest.TestResult, {"decisions": {"0.05": "no"}}, "TestResult.decisions"),
+    (RegimeReport, {"regime": "ultra_high", "ultra_high": None}, "RegimeReport.ultra_high"),
+])
+def test_str_and_bool_fields_take_only_json_strings_and_booleans(cls, obj, field):
+    with pytest.raises(ValueError, match=field):
+        cls.from_json(obj)

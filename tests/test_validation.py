@@ -162,10 +162,7 @@ REAL_TABLE = {
         lambda single_tail=0.5: tm.b1_bound(10, 2, single_tail),
         {"single_tail": (BELOW_0, ABOVE_1, -INF, INF)},
     ),
-    "AssumptionProfile": (
-        lambda alpha=1.0, t0=1.0: tm.AssumptionProfile(alpha=alpha, t0=t0),
-        {"alpha": (0.0, ABOVE_1, -INF, INF), "t0": (0.0, -INF, INF)},
-    ),
+    "check_regime": (lambda alpha=1.0: tm.check_regime(100, 50, 2, alpha), {"alpha": (0.0, ABOVE_1, -INF, INF)}),
     "ExperimentConfig": (lambda z_grid=0.0: _experiment(z_grid=(z_grid, 1.0)), {"z_grid": (-INF, INF)}),
     "run_experiment": (lambda budget=CEILING: _experiment(budget=budget), {"budget": (BELOW_0, INF)}),
     "max_entry": (lambda cost_ceiling=CEILING: tm.max_entry(X, 2, cost_ceiling=cost_ceiling),
