@@ -168,23 +168,28 @@ class GumbelLimit:
 
 @dataclass(frozen=True)
 class NormalizedStat:
-    """A statistic value together with its centered form T."""
+    """A statistic value together with its centered form T.
 
-    t_value: float
-    w: float
+    ``t_value`` and ``w`` are floats for one statistic and arrays for an
+    array of them.
+    """
+
+    t_value: float | np.ndarray
+    w: float | np.ndarray
     n: int
     p: int
     m: int
 
 
-def normalize(w: float, n: int, p: int, m: int) -> NormalizedStat:
+def normalize(w, n: int, p: int, m: int) -> NormalizedStat:
     """Center the maximum entry statistic: T = w**2 - 2*m*log(p) + log(log(p)).
 
     Parameters
     ----------
-    w : float
-        The maximum entry statistic, finite and >= 0.  A signed maximum
-        must be clipped (or flagged) by the caller before normalizing.
+    w : float or array_like
+        The maximum entry statistic, or an array of them, each finite and
+        >= 0.  A signed maximum must be clipped by the caller first; see
+        :func:`tensormax.hypotest.sided_statistic`.
     n : int
         Sample size, >= 1; carried along for reporting, not used in the formula.
     p : int
@@ -195,25 +200,17 @@ def normalize(w: float, n: int, p: int, m: int) -> NormalizedStat:
     Returns
     -------
     NormalizedStat
+        A float w gives float fields and an array w array fields.  The
+        operations and their order are the same either way, so an array
+        entry has the same bits as the scalar result for that value.
     """
-    w, n = check_real("w", w, 0.0), check_int("n", n, 1)
-    return NormalizedStat(t_value=center(w, p, m), w=w, n=n, p=int(p), m=int(m))
-
-
-def center(w, p: int, m: int):
-    """T = w**2 - 2*m*log(p) + log(log(p)) for one statistic or an array of them.
-
-    A float gives a float and an array an array.  The operations and
-    their order are the same either way, so an array entry has the same
-    bits as the scalar result for that value.  Every w must be finite and
-    >= 0.
-    """
-    check_int("m", m, 2, MAX_ORDER)
-    check_int("p", p, 3)
+    n, m, p = check_int("n", n, 1), check_int("m", m, 2, MAX_ORDER), check_int("p", p, 3)
     ws = check_real_array("w", w, 0.0)
     lp = math.log(p)
     t = ws * ws - 2.0 * m * lp + math.log(lp)
-    return t if ws.ndim else float(t)
+    if not ws.ndim:
+        ws, t = float(ws), float(t)
+    return NormalizedStat(t_value=t, w=ws, n=n, p=p, m=m)
 
 
 def nu_p(z: float, p: int, m: int) -> float:

@@ -28,9 +28,8 @@ class TestResult(JsonRecord):
     """Statistic, normalized value, p-value and fixed-level decisions.
 
     ``signed_nonpositive`` marks the degenerate one-sided case where the
-    signed maximum is <= 0; the statistic is then clipped to 0 before
-    normalization (the event is asymptotically negligible under the
-    null) and the p-value is effectively 1.
+    signed maximum is <= 0; :func:`sided_statistic` then clips the
+    statistic to 0 before normalization.
     """
 
     stat: StatResult
@@ -60,25 +59,31 @@ def _limit_for(shape: tuple, m, sided: str, cost_ceiling: int) -> GumbelLimit:
     return GumbelLimit(m, sided)
 
 
+def sided_statistic(w_abs, w_signed, sided: str):
+    """The statistic a ``sided`` test reads, and how many signed maxima it clipped.
+
+    Two-sided: ``w_abs``, nothing clipped.  One-sided: ``w_signed``
+    clipped at 0, counting every ``w_signed <= 0`` (asymptotically
+    negligible under the null; the p-value is then about 1).  Takes one
+    pair of maxima or arrays of them.
+    """
+    if sided == TWO_SIDED:
+        return w_abs, 0
+    return np.maximum(w_signed, 0.0), int(np.count_nonzero(np.less_equal(w_signed, 0.0)))
+
+
 def _finish(stat: StatResult, limit: GumbelLimit) -> TestResult:
-    if limit.sided == TWO_SIDED:
-        w = stat.w_abs
-        flagged = False
-    else:
-        w = max(stat.w_signed, 0.0)
-        flagged = stat.w_signed <= 0.0
-    ns = normalize(w, stat.n, stat.p, stat.m)
-    p_value = limit.sf(ns.t_value)
-    decisions = {lvl: p_value < lvl for lvl in LEVELS}
-    regime = check_regime(stat.n, stat.p, stat.m)
+    w, flagged = sided_statistic(stat.w_abs, stat.w_signed, limit.sided)
+    t_value = normalize(w, stat.n, stat.p, stat.m).t_value
+    p_value = limit.sf(t_value)
     return TestResult(
         stat=stat,
-        t_value=ns.t_value,
+        t_value=t_value,
         p_value=p_value,
-        decisions=decisions,
-        regime=regime,
+        decisions={lvl: p_value < lvl for lvl in LEVELS},
+        regime=check_regime(stat.n, stat.p, stat.m),
         sided=limit.sided,
-        signed_nonpositive=flagged,
+        signed_nonpositive=bool(flagged),
     )
 
 

@@ -2,10 +2,16 @@
 
 Each grid cell is simulated under the null for a number of replicates;
 per replicate the maximum entry statistic is computed, centered, and
-recorded.  The report aggregates the empirical CDF of the centered
-statistic on a z grid, its exact Kolmogorov-Smirnov distance to the
-limit law, an empirical type-I error table at the fixed levels, and the
-mean/sd of W / sqrt(log p).
+recorded.  A cell reads the statistic of its sidedness by the rule of
+:func:`tensormax.hypotest.sided_statistic`: w_abs when two-sided, and
+w_signed clipped at 0 when one-sided, counting the clipped replicates
+in ``flagged_nonpositive``.  That centred statistic is the record's
+``t_value``, and the summary is computed from those same values: the
+empirical CDF on a z grid, the exact Kolmogorov-Smirnov distance to the
+limit law, and an empirical type-I error table at the fixed levels,
+which is the share of replicates that ``test_independence`` would
+reject.  The ratio summary is the mean/sd of w_abs / sqrt(log p)
+whatever the sidedness.
 
 Replicates run in stacks: a cell's replicates are cut into chunks of at
 most ``_STACK_VALUES`` data values (at least one replicate each), and
@@ -26,23 +32,21 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 import time
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import statcore
-from .asymptotics import (
-    MAX_ORDER, ONE_SIDED, TWO_SIDED, GumbelLimit, center, check_int, check_real, check_sided, normalize,
-)
-from .hypotest import LEVELS
+from .asymptotics import MAX_ORDER, TWO_SIDED, GumbelLimit, check_int, check_real, check_sided, normalize
+from .hypotest import LEVELS, sided_statistic
 from .populations import PopulationSpec, SeedSpec, parallel_map, sample_matrix, usable_workers
 from .serial import JsonRecord
 
 DEFAULT_Z_GRID = tuple(float(z) for z in np.linspace(-6.0, 12.0, 101))
-
-RECORD_COLUMNS = ("cell_id", "replicate", "w_abs", "w_signed", "t_value", "ratio")
 
 # Data values per stack of replicates (1 MB of float64).
 _STACK_VALUES = 2**17
@@ -94,12 +98,22 @@ class ExperimentConfig(JsonRecord):
 
 @dataclass(frozen=True)
 class ReplicateRecord:
+    """One row of records.csv; ``t_value`` is the centred statistic of the cell's sidedness."""
+
     cell_id: str
     replicate: int
     w_abs: float
     w_signed: float
     t_value: float
     ratio: float
+
+
+# records.csv has one column per ReplicateRecord field, read back by its type.
+_RECORD_TYPES = typing.get_type_hints(ReplicateRecord)
+RECORD_COLUMNS = tuple(_RECORD_TYPES)
+_record_values = operator.attrgetter(*RECORD_COLUMNS)
+# float columns carry 17 significant digits, which round-trips float64
+_RECORD_FORMATS = tuple(".17g" if tp is float else "" for tp in _RECORD_TYPES.values())
 
 
 @dataclass(frozen=True)
@@ -164,33 +178,22 @@ def _run_chunk(args) -> np.ndarray:
 def _summarize_cell(
     cell_index: int,
     cell: CellConfig,
-    w_signed: np.ndarray,
-    t_abs: np.ndarray,
+    t: np.ndarray,
     ratios: np.ndarray,
+    flagged: int,
     z_grid: tuple[float, ...],
     runtime: float,
 ) -> CellReport:
     limit = GumbelLimit(cell.m, cell.sided)
-    flagged = 0
-    if cell.sided == ONE_SIDED:
-        # Centered signed statistic, recomputable from the w_signed column.
-        positive = w_signed > 0.0
-        flagged = int(np.count_nonzero(~positive))
-        t_cell = center(w_signed[positive], cell.p, cell.m)
-        if t_cell.size == 0:
-            t_cell = np.array([normalize(0.0, cell.n, cell.p, cell.m).t_value])
-    else:
-        t_cell = t_abs
-    ecdf = tuple((np.searchsorted(np.sort(t_cell), z_grid, side="right") / t_cell.size).tolist())
-    ks = ks_distance(t_cell, limit)
-    pvals = np.array([limit.sf(t) for t in t_cell])
-    type1 = {lvl: float(np.count_nonzero(pvals < lvl) / t_cell.size) for lvl in LEVELS}
+    ecdf = tuple((np.searchsorted(np.sort(t), z_grid, side="right") / t.size).tolist())
+    pvals = np.array([limit.sf(x) for x in t.tolist()])
+    type1 = {lvl: float(np.count_nonzero(pvals < lvl) / t.size) for lvl in LEVELS}
     return CellReport(
         cell_id=cell.cell_id(cell_index),
         cell=cell,
-        reps=ratios.size,
+        reps=t.size,
         ecdf=ecdf,
-        ks_distance=ks,
+        ks_distance=ks_distance(t, limit),
         type1=type1,
         ratio_mean=float(np.mean(ratios)),
         ratio_sd=float(np.std(ratios, ddof=1)) if ratios.size > 1 else 0.0,
@@ -226,14 +229,15 @@ def run_experiment(
         tasks = [(cell, config.master_seed, lo, hi) for lo, hi in _chunks(cell, config.reps, procs)]
         w_abs, w_signed = np.concatenate(parallel_map(_run_chunk, tasks, workers)).T
         runtime = time.perf_counter() - t0
-        t_abs = center(w_abs, cell.p, cell.m)
+        w, flagged = sided_statistic(w_abs, w_signed, cell.sided)
+        t = normalize(w, cell.n, cell.p, cell.m).t_value
         ratios = w_abs / math.sqrt(math.log(cell.p))
         cid = cell.cell_id(cell_index)
         all_records.extend(
             ReplicateRecord(cid, *row)
-            for row in zip(range(config.reps), w_abs.tolist(), w_signed.tolist(), t_abs.tolist(), ratios.tolist())
+            for row in zip(range(config.reps), w_abs.tolist(), w_signed.tolist(), t.tolist(), ratios.tolist())
         )
-        cell_reports.append(_summarize_cell(cell_index, cell, w_signed, t_abs, ratios, config.z_grid, runtime))
+        cell_reports.append(_summarize_cell(cell_index, cell, t, ratios, flagged, config.z_grid, runtime))
     report = ExperimentReport(config=config, cells=tuple(cell_reports), records=tuple(all_records))
     if config.output_path is not None:
         persist(report, config.output_path)
@@ -253,17 +257,10 @@ def persist(report: ExperimentReport, path) -> None:
         with open(out / "records.csv", "w", newline="", encoding="ascii") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(RECORD_COLUMNS)
-            for rec in report.records:
-                writer.writerow(
-                    (
-                        rec.cell_id,
-                        rec.replicate,
-                        f"{rec.w_abs:.17g}",
-                        f"{rec.w_signed:.17g}",
-                        f"{rec.t_value:.17g}",
-                        f"{rec.ratio:.17g}",
-                    )
-                )
+            writer.writerows(
+                [format(v, spec) for v, spec in zip(_record_values(rec), _RECORD_FORMATS)]
+                for rec in report.records
+            )
         summary = {
             "config": report.config.to_json(),
             "cells": [c.to_json() for c in report.cells],
@@ -275,32 +272,31 @@ def persist(report: ExperimentReport, path) -> None:
         raise OSError(f"failed to persist report under {out}: {exc}") from exc
 
 
+def _parse_record(row: list[str], line: int) -> ReplicateRecord:
+    """Read one records.csv row; a ValueError names the line, and the column that does not parse."""
+    if len(row) != len(RECORD_COLUMNS):
+        raise ValueError(f"records.csv line {line} has {len(row)} fields, expected {len(RECORD_COLUMNS)}")
+    values = []
+    for (name, tp), text in zip(_RECORD_TYPES.items(), row):
+        try:
+            values.append(tp(text))
+        except ValueError:
+            raise ValueError(f"records.csv line {line} column {name} must be {tp.__name__}, got {text!r}") from None
+    return ReplicateRecord(*values)
+
+
 def load_report(path) -> ExperimentReport:
     """Rebuild an ExperimentReport from a persisted directory."""
     out = Path(path)
     try:
         with open(out / "summary.json", encoding="ascii") as fh:
             summary = json.load(fh)
-        records = []
         with open(out / "records.csv", newline="", encoding="ascii") as fh:
             reader = csv.reader(fh)
             header = next(reader)
             if tuple(header) != RECORD_COLUMNS:
                 raise ValueError(f"unexpected records.csv header {header}")
-            for row in reader:
-                if len(row) != len(RECORD_COLUMNS):
-                    raise ValueError(f"records.csv line {reader.line_num} has {len(row)} fields, "
-                                     f"expected {len(RECORD_COLUMNS)}")
-                records.append(
-                    ReplicateRecord(
-                        cell_id=row[0],
-                        replicate=int(row[1]),
-                        w_abs=float(row[2]),
-                        w_signed=float(row[3]),
-                        t_value=float(row[4]),
-                        ratio=float(row[5]),
-                    )
-                )
+            records = [_parse_record(row, reader.line_num) for row in reader]
     except OSError as exc:
         raise OSError(f"failed to load report from {out}: {exc}") from exc
     return ExperimentReport(

@@ -20,7 +20,7 @@ from tensormax import (
     nu_p,
     ratio_target,
 )
-from tensormax.asymptotics import center, check_real
+from tensormax.asymptotics import check_real
 
 # mpmath, 40 digits: exp(-1/(2*sqrt(2*pi)))
 CDF0_M2_TWO = 0.8191638613764112
@@ -141,6 +141,27 @@ class TestNormalize:
         with pytest.raises(ValueError):
             normalize(1.0, 10, 10, 1)
 
+    def test_array_matches_the_scalar_formula_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        w = np.concatenate(([0.0, 1.0, 3.5], np.abs(rng.standard_normal(500)) * 5.0))
+        for p, m in ((3, 2), (20, 2), (40, 3), (10**6, 4)):
+            lp = math.log(p)
+            expected = [x * x - 2.0 * m * lp + math.log(lp) for x in w.tolist()]
+            arr = normalize(w, 1, p, m)
+            assert arr.t_value.tolist() == expected and arr.w.tolist() == w.tolist()
+            assert [normalize(x, 1, p, m).t_value for x in w.tolist()] == expected
+            one = normalize(2.0, 1, p, m)
+            assert type(one.t_value) is float and type(one.w) is float
+
+    def test_array_validation(self):
+        for w in (np.array([1.0, -0.5]), np.array([np.nan]), np.array([1.0, np.inf])):
+            with pytest.raises(ValueError, match="w"):
+                normalize(w, 1, 10, 2)
+        with pytest.raises(ValueError, match="p"):
+            normalize(np.ones(3), 1, 2, 2)
+        with pytest.raises(ValueError, match="m"):
+            normalize(np.ones(3), 1, 10, 1)
+
 
 class TestNuP:
     def test_worked_value(self):
@@ -201,27 +222,6 @@ class TestRatioTarget:
         assert ratio_target(2) == 2.0
         assert ratio_target(3) == pytest.approx(2.4494897, abs=1e-7)
         assert ratio_target(8) == 4.0
-
-
-class TestCenter:
-    def test_array_matches_the_scalar_formula_bit_for_bit(self):
-        rng = np.random.default_rng(21)
-        w = np.concatenate(([0.0, 1.0, 3.5], np.abs(rng.standard_normal(500)) * 5.0))
-        for p, m in ((3, 2), (20, 2), (40, 3), (10**6, 4)):
-            lp = math.log(p)
-            expected = [x * x - 2.0 * m * lp + math.log(lp) for x in w.tolist()]
-            assert center(w, p, m).tolist() == expected
-            assert [normalize(x, 1, p, m).t_value for x in w.tolist()] == expected
-            assert type(center(2.0, p, m)) is float
-
-    def test_validation(self):
-        for w in (np.array([1.0, -0.5]), np.array([np.nan]), np.array([1.0, np.inf])):
-            with pytest.raises(ValueError, match="w"):
-                center(w, 10, 2)
-        with pytest.raises(ValueError, match="p"):
-            center(np.ones(3), 2, 2)
-        with pytest.raises(ValueError, match="m"):
-            center(np.ones(3), 10, 1)
 
 
 class TestCheckReal:

@@ -1,5 +1,6 @@
 """Experiment runner: KS statistic, persistence, determinism, budget."""
 
+import dataclasses
 import json
 import math
 from types import SimpleNamespace
@@ -15,13 +16,16 @@ from tensormax import (
     ExperimentConfig,
     GumbelLimit,
     PopulationSpec,
+    SeedSpec,
+    hypotest,
     ks_distance,
     lab,
     load_report,
+    normalize,
     persist,
     run_experiment,
 )
-from tensormax.populations import STANDARD_NORMAL
+from tensormax.populations import STANDARD_NORMAL, sample_matrix
 
 NORMAL = PopulationSpec(STANDARD_NORMAL)
 
@@ -146,6 +150,21 @@ class TestPersistence:
         with pytest.raises(ValueError, match="records.csv line 3 has"):
             load_report(tmp_path)
 
+    @pytest.mark.parametrize("column, text", [("replicate", "1.5"), ("w_abs", "x"), ("ratio", "")])
+    def test_record_field_that_does_not_parse_names_its_line_and_column(self, tmp_path, column, text):
+        run_experiment(small_config(tmpdir=tmp_path, reps=3))
+        path = tmp_path / "records.csv"
+        lines = path.read_text().split("\n")
+        row = lines[3].split(",")
+        row[lab.RECORD_COLUMNS.index(column)] = text
+        lines[3] = ",".join(row)
+        path.write_text("\n".join(lines))
+        with pytest.raises(ValueError, match=f"records.csv line 4 column {column} must be"):
+            load_report(tmp_path)
+
+    def test_record_columns_are_the_record_fields(self):
+        assert lab.RECORD_COLUMNS == tuple(f.name for f in dataclasses.fields(lab.ReplicateRecord))
+
     def test_csv_schema_and_line_endings(self, tmp_path):
         run_experiment(small_config(tmpdir=tmp_path, reps=3))
         raw = (tmp_path / "records.csv").read_bytes()
@@ -181,20 +200,48 @@ class TestPersistence:
 
 
 class TestOneSidedCell:
+    """A one-sided cell reads w_signed clipped at 0, as test_independence does."""
+
+    # at p = m = 3 there is one tuple, and about half of its signed sums are <= 0
+    CELL = CellConfig(n=50, p=3, m=3, spec=NORMAL, sided="one_sided")
+
     def test_flag_counting_and_summary(self):
-        cfg = ExperimentConfig(
-            grid=(CellConfig(n=20, p=8, m=2, spec=NORMAL, sided="one_sided"),),
-            reps=30,
-            master_seed=11,
-        )
-        report = run_experiment(cfg)
+        report = run_experiment(ExperimentConfig(grid=(self.CELL,), reps=200, master_seed=5))
         cell = report.cells[0]
-        assert cell.flagged_nonpositive >= 0
-        assert 0.0 <= cell.ks_distance <= 1.0
-        # records always carry the two-sided centering of w_abs
-        lp = math.log(8)
+        lp = math.log(3)
+        signed = [rec.w_signed for rec in report.records]
+        assert cell.flagged_nonpositive == sum(w <= 0.0 for w in signed) > 0
+        assert cell.reps == len(report.records) == 200
         for rec in report.records:
-            assert rec.t_value == rec.w_abs**2 - 4.0 * lp + math.log(lp)
+            w = max(rec.w_signed, 0.0)
+            assert rec.t_value == w * w - 6.0 * lp + math.log(lp)
+            assert rec.ratio == rec.w_abs / math.sqrt(lp)
+        t = sorted(rec.t_value for rec in report.records)
+        assert cell.ecdf == tuple((np.searchsorted(t, lab.DEFAULT_Z_GRID, side="right") / 200).tolist())
+        assert cell.ks_distance == ks_distance(t, GumbelLimit(3, "one_sided"))
+
+    def test_type1_is_the_mean_of_test_independence_decisions(self):
+        reps, seed = 2000, 5
+        report = run_experiment(ExperimentConfig(grid=(self.CELL,), reps=reps, master_seed=seed))
+        results = [
+            hypotest.test_independence(sample_matrix(NORMAL, 50, 3, SeedSpec(seed, r)), 3, sided="one_sided")
+            for r in range(reps)
+        ]
+        assert [rec.t_value for rec in report.records] == [res.t_value for res in results]
+        assert report.cells[0].flagged_nonpositive == sum(res.signed_nonpositive for res in results)
+        for level, rate in report.cells[0].type1.items():
+            assert rate == sum(res.decisions[level] for res in results) / reps
+
+    def test_a_cell_of_clipped_replicates_summarizes_them(self):
+        # replicate 0 of seed 1 has w_signed <= 0: the summary reads its
+        # clipped statistic, 0 centred
+        report = run_experiment(ExperimentConfig(grid=(self.CELL,), reps=1, master_seed=1))
+        (rec,), cell = report.records, report.cells[0]
+        assert rec.w_signed <= 0.0 and cell.flagged_nonpositive == 1
+        limit = GumbelLimit(3, "one_sided")
+        assert rec.t_value == normalize(0.0, 50, 3, 3).t_value
+        assert cell.ks_distance == max(limit.cdf(rec.t_value), 1.0 - limit.cdf(rec.t_value))
+        assert all(rate == 0.0 for rate in cell.type1.values())
 
 
 class TestStackedChunks:

@@ -14,7 +14,6 @@ import pytest
 
 import tensormax as tm
 from tensormax import diagnostics, lab, populations, statcore
-from tensormax.asymptotics import center
 
 NORMAL = tm.PopulationSpec("standard_normal")
 SEED = tm.SeedSpec(1)
@@ -142,7 +141,6 @@ REAL_TABLE = {
     # exp(-z/2) overflows below z = -1419.56
     "lambda_limit": (lambda z=0.0: tm.lambda_limit(z), {"z": (math.nextafter(-1419.0, -INF), -INF)}),
     "normalize": (lambda w=1.0: tm.normalize(w, 10, 10, 2), {"w": (BELOW_0, -INF, INF)}),
-    "center": (lambda w=1.0: center(w, 10, 2), {"w": (BELOW_0, -INF, INF)}),
     "normal_upper_tail": (lambda x=1.0: tm.normal_upper_tail(x), {"x": ()}),
     "moderate_deviation_ratio": (
         lambda x=1.0: tm.moderate_deviation_ratio(NORMAL, 2, 10, x, 10, SEED),
@@ -213,9 +211,9 @@ def test_the_limit_law_takes_both_infinities_and_numpy_reals(call):
     assert call(np.int64(2)) == call(2) == call(2.0)
 
 
-# array form: (call, argument name, values out of its range); test_asymptotics has center's
+# array form: (call, argument name, values out of its range); test_asymptotics has normalize's
 ARRAY_FORMS = {
-    "center": (lambda w: center(w, 10, 2), "w", ()),
+    "normalize": (lambda w: tm.normalize(w, 10, 10, 2), "w", ()),
     "GumbelLimit.cdf_array": (lambda z: tm.GumbelLimit(2).cdf_array(z), "z", (np.array([0.0, math.nan]),)),
 }
 BAD_ARRAYS = (
@@ -239,4 +237,5 @@ def test_array_forms_take_lists_and_integer_arrays_as_float64():
     zs = [-INF, -1, 0.5, INF]
     got = limit.cdf_array(zs).tolist()
     assert got == limit.cdf_array(np.array(zs)).tolist() and (got[0], got[-1]) == (0.0, 1.0)
-    assert center(np.arange(4), 10, 2).tolist() == center([0.0, 1.0, 2.0, 3.0], 10, 2).tolist()
+    t_value = [tm.normalize(w, 10, 10, 2).t_value.tolist() for w in (np.arange(4), [0.0, 1.0, 2.0, 3.0])]
+    assert t_value[0] == t_value[1]
