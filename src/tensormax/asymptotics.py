@@ -168,11 +168,7 @@ class GumbelLimit:
 
 @dataclass(frozen=True)
 class NormalizedStat:
-    """A statistic value together with its centered form T.
-
-    ``t_value`` and ``w`` are floats for one statistic and arrays for an
-    array of them.
-    """
+    """A statistic value, or an array of them, together with its centered form T."""
 
     t_value: float | np.ndarray
     w: float | np.ndarray
@@ -200,9 +196,8 @@ def normalize(w, n: int, p: int, m: int) -> NormalizedStat:
     Returns
     -------
     NormalizedStat
-        A float w gives float fields and an array w array fields.  The
-        operations and their order are the same either way, so an array
-        entry has the same bits as the scalar result for that value.
+        Float ``t_value`` and ``w`` for a float w, arrays for an array,
+        an entry of which has the bits of the scalar result for its value.
     """
     n, m, p = check_int("n", n, 1), check_int("m", m, 2, MAX_ORDER), check_int("p", p, 3)
     ws = check_real_array("w", w, 0.0)

@@ -60,12 +60,10 @@ def _limit_for(shape: tuple, m, sided: str, cost_ceiling: int) -> GumbelLimit:
 
 
 def sided_statistic(w_abs, w_signed, sided: str):
-    """The statistic a ``sided`` test reads, and how many signed maxima it clipped.
+    """(statistic, count clipped) of a ``sided`` test, for one pair of maxima or arrays of them.
 
-    Two-sided: ``w_abs``, nothing clipped.  One-sided: ``w_signed``
-    clipped at 0, counting every ``w_signed <= 0`` (asymptotically
-    negligible under the null; the p-value is then about 1).  Takes one
-    pair of maxima or arrays of them.
+    Two-sided: w_abs.  One-sided: w_signed clipped at 0, counting each
+    w_signed <= 0 (asymptotically negligible under the null).
     """
     if sided == TWO_SIDED:
         return w_abs, 0

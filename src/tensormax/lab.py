@@ -2,16 +2,14 @@
 
 Each grid cell is simulated under the null for a number of replicates;
 per replicate the maximum entry statistic is computed, centered, and
-recorded.  A cell reads the statistic of its sidedness by the rule of
-:func:`tensormax.hypotest.sided_statistic`: w_abs when two-sided, and
-w_signed clipped at 0 when one-sided, counting the clipped replicates
-in ``flagged_nonpositive``.  That centred statistic is the record's
-``t_value``, and the summary is computed from those same values: the
-empirical CDF on a z grid, the exact Kolmogorov-Smirnov distance to the
-limit law, and an empirical type-I error table at the fixed levels,
-which is the share of replicates that ``test_independence`` would
-reject.  The ratio summary is the mean/sd of w_abs / sqrt(log p)
-whatever the sidedness.
+recorded.  The statistic is the one ``test_independence`` reads
+(:func:`tensormax.hypotest.sided_statistic`): w_abs in a two-sided
+cell, w_signed clipped at 0 in a one-sided one, which counts the
+clipped replicates in ``flagged_nonpositive``.  Its centred value is
+the record's ``t_value``, and the report aggregates those values: their
+empirical CDF on a z grid, exact Kolmogorov-Smirnov distance to the
+limit law and type-I error table at the fixed levels, besides the
+mean/sd of w_abs / sqrt(log p).
 
 Replicates run in stacks: a cell's replicates are cut into chunks of at
 most ``_STACK_VALUES`` data values (at least one replicate each), and
@@ -98,8 +96,6 @@ class ExperimentConfig(JsonRecord):
 
 @dataclass(frozen=True)
 class ReplicateRecord:
-    """One row of records.csv; ``t_value`` is the centred statistic of the cell's sidedness."""
-
     cell_id: str
     replicate: int
     w_abs: float
@@ -111,9 +107,8 @@ class ReplicateRecord:
 # records.csv has one column per ReplicateRecord field, read back by its type.
 _RECORD_TYPES = typing.get_type_hints(ReplicateRecord)
 RECORD_COLUMNS = tuple(_RECORD_TYPES)
-_record_values = operator.attrgetter(*RECORD_COLUMNS)
 # float columns carry 17 significant digits, which round-trips float64
-_RECORD_FORMATS = tuple(".17g" if tp is float else "" for tp in _RECORD_TYPES.values())
+_RECORD_FORMATS = tuple(("{:.17g}" if tp is float else "{}").format for tp in _RECORD_TYPES.values())
 
 
 @dataclass(frozen=True)
@@ -176,20 +171,15 @@ def _run_chunk(args) -> np.ndarray:
 
 
 def _summarize_cell(
-    cell_index: int,
-    cell: CellConfig,
-    t: np.ndarray,
-    ratios: np.ndarray,
-    flagged: int,
-    z_grid: tuple[float, ...],
-    runtime: float,
+    cell_id: str, cell: CellConfig, t: np.ndarray, ratios: np.ndarray, flagged: int, z_grid, runtime: float
 ) -> CellReport:
+    """The report of a cell from its centred statistics ``t`` and ratios."""
     limit = GumbelLimit(cell.m, cell.sided)
     ecdf = tuple((np.searchsorted(np.sort(t), z_grid, side="right") / t.size).tolist())
     pvals = np.array([limit.sf(x) for x in t.tolist()])
     type1 = {lvl: float(np.count_nonzero(pvals < lvl) / t.size) for lvl in LEVELS}
     return CellReport(
-        cell_id=cell.cell_id(cell_index),
+        cell_id=cell_id,
         cell=cell,
         reps=t.size,
         ecdf=ecdf,
@@ -237,7 +227,7 @@ def run_experiment(
             ReplicateRecord(cid, *row)
             for row in zip(range(config.reps), w_abs.tolist(), w_signed.tolist(), t.tolist(), ratios.tolist())
         )
-        cell_reports.append(_summarize_cell(cell_index, cell, t, ratios, flagged, config.z_grid, runtime))
+        cell_reports.append(_summarize_cell(cid, cell, t, ratios, flagged, config.z_grid, runtime))
     report = ExperimentReport(config=config, cells=tuple(cell_reports), records=tuple(all_records))
     if config.output_path is not None:
         persist(report, config.output_path)
@@ -257,14 +247,10 @@ def persist(report: ExperimentReport, path) -> None:
         with open(out / "records.csv", "w", newline="", encoding="ascii") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(RECORD_COLUMNS)
-            writer.writerows(
-                [format(v, spec) for v, spec in zip(_record_values(rec), _RECORD_FORMATS)]
-                for rec in report.records
-            )
-        summary = {
-            "config": report.config.to_json(),
-            "cells": [c.to_json() for c in report.cells],
-        }
+            columns = [map(fmt, map(operator.attrgetter(name), report.records))
+                       for name, fmt in zip(RECORD_COLUMNS, _RECORD_FORMATS)]
+            writer.writerows(zip(*columns))
+        summary = {"config": report.config.to_json(), "cells": [c.to_json() for c in report.cells]}
         with open(out / "summary.json", "w", encoding="ascii") as fh:
             json.dump(summary, fh, indent=2, sort_keys=False)
             fh.write("\n")
