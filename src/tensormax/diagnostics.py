@@ -66,6 +66,7 @@ from .populations import (
     parallel_map,
 )
 from .serial import JsonRecord
+from .statcore import comb_capped
 
 # Nominal scalars per replicate block (see ``_count``).
 _BLOCK_SCALARS = 2**24
@@ -173,7 +174,8 @@ def _b1_factor(p: int, m: int) -> float:
     p = check_int("p", p, 2)
     m = check_int("m", m, 2, p)
     try:
-        factor = math.comb(p, m) * (m * m) * float(p) ** (m - 1)
+        # a C(p, m) above 2**1024 overflows float64 whatever the other factors
+        factor = comb_capped(p, m, 2**1024) * (m * m) * float(p) ** (m - 1)
     except OverflowError:
         factor = math.inf
     if factor == math.inf:

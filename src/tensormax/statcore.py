@@ -151,13 +151,34 @@ class StatResult(JsonRecord):
     tuple_count: int
 
 
+def comb_capped(p: int, k: int, cap: int) -> int:
+    """C(p, k) for 0 <= k <= p if it is at most ``cap``, else some integer above ``cap``.
+
+    The exact recurrence C(p, s) = C(p, s-1) * (p-s+1) / s runs over
+    s <= min(k, p-k), where C(p, s) >= 2**s increases, and stops once it
+    passes the cap: at most log2(cap) steps however large p is.
+    """
+    c = 1
+    for s in range(1, min(k, p - k) + 1):
+        c = c * (p - s + 1) // s
+        if c > cap:
+            break
+    return c
+
+
 def enumeration_cost(p: int, m: int, n: int) -> EnumerationCost:
     """Closed-form cost estimate for enumerating all increasing m-tuples."""
     p = check_int("p", p, 1)
     m = check_int("m", m, 1, p)
     n = check_int("n", n, 1)
-    tuples = math.comb(p, m)
-    nodes = sum(math.comb(p, s) for s in range(1, m + 1))
+    tuples = comb_capped(p, m, _SATURATION)
+    # the same recurrence over every s <= m, stopped once the count is clamped
+    nodes, c = 0, 1
+    for s in range(1, m + 1):
+        c = c * (p - s + 1) // s
+        nodes += c
+        if n * nodes > _SATURATION:
+            break
     ops = n * nodes
     saturated = tuples > _SATURATION or ops > _SATURATION
     return EnumerationCost(

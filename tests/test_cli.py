@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +83,14 @@ class TestTest:
         assert code == 3
         assert "budget" in err
 
+    def test_budget_refused_at_once_for_a_wide_input(self, tmp_path, capsys):
+        # the cost estimate used to take 41 s here before the refusal
+        path = write_csv(tmp_path / "wide.csv", np.ones((1, 20000)))
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "test", "--input", path, "--m", "10000")
+        assert code == 3 and "more than 9.2e18" in err
+        assert time.perf_counter() - start < 5.0
+
     def test_missing_file_io_error(self, capsys):
         code, _, err = run_cli(capsys, "test", "--input", "/nonexistent/x.csv", "--m", "2")
         assert code == 4
@@ -108,6 +117,13 @@ class TestDiagnose:
         )
         assert code == 0
         assert json.loads(out)["b1_bound"] == pytest.approx(1.8e-3, rel=1e-12)
+
+    def test_b1_overflow_refused_at_once(self, capsys):
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "diagnose", "--what", "b1", "--p", "1000000", "--m", "500000",
+                               "--single-tail", "0.01")
+        assert code == 2 and "overflows" in err
+        assert time.perf_counter() - start < 1.0
 
     def test_lambda_smoke(self, capsys):
         code, out, err = run_cli(

@@ -16,6 +16,7 @@ re-simulations of the joint pair tail).
 """
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -363,6 +364,27 @@ class TestB1Bound:
     def test_validation(self):
         with pytest.raises(ValueError, match="single_tail"):
             b1_bound(10, 2, 1.5)
+
+    def test_factor_is_exact_until_it_overflows(self):
+        for p in range(2, 300, 7):
+            for m in range(2, p + 1, 3):
+                try:
+                    expected = math.comb(p, m) * (m * m) * float(p) ** (m - 1)
+                except OverflowError:
+                    expected = math.inf
+                if expected == math.inf:
+                    with pytest.raises(ValueError, match="overflows"):
+                        b1_bound(p, m, 0.5)
+                else:
+                    assert b1_bound(p, m, 1.0) == expected, (p, m)
+
+    def test_huge_binomial_refused_at_once(self):
+        # math.comb(10**6, 5 * 10**5) alone takes seconds
+        start = time.perf_counter()
+        for p, m in ((10**6, 5 * 10**5), (10**7, 10**7 - 2), (20000, 10000)):
+            with pytest.raises(ValueError, match="overflows"):
+                b1_bound(p, m, 0.5)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestPairTail:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -226,6 +227,25 @@ class TestEnumerationCost:
         c = enumeration_cost(500, 60, 10**6)
         assert c.saturated
         assert c.tuples == 2**63 - 1
+
+    @pytest.mark.parametrize("n", [1, 7, 10**6])
+    def test_matches_math_comb_below_the_clamp(self, n):
+        clamp = 2**63 - 1
+        for p in range(1, 80):
+            for m in range(1, p + 1):
+                tuples, ops = math.comb(p, m), n * sum(math.comb(p, s) for s in range(1, m + 1))
+                assert enumeration_cost(p, m, n) == statcore.EnumerationCost(
+                    min(tuples, clamp), min(ops, clamp), tuples > clamp or ops > clamp), (p, m)
+
+    def test_wide_requests_saturate_at_once(self):
+        # summing math.comb(p, s) over s <= m took 47 s at (20000, 10000)
+        start = time.perf_counter()
+        for p, m in ((20000, 10000), (60000, 30000), (10**6, 5 * 10**5), (10**9, 10**9 - 3)):
+            assert enumeration_cost(p, m, 1).saturated
+            with pytest.raises(BudgetError, match="more than 9.2e18"):
+                statcore.check_budget(p, m, 1, statcore.DEFAULT_COST_CEILING)
+        assert time.perf_counter() - start < 1.0
+        assert enumeration_cost(10**9, 10**9, 1) == statcore.EnumerationCost(1, 2**63 - 1, True)
 
 
 def _as_tuple(r):
