@@ -294,9 +294,6 @@ def _single_tail(
     """The single-tail kernel's count over reps n-term sums of m-fold products."""
     m, n, reps = check_int("m", m, 2), check_int("n", n, 1), check_int("reps", reps, 1)
     threshold = check_real("threshold", threshold, finite=False)
-    if sided == TWO_SIDED and threshold <= 0.0:
-        # The limit from above: every replicate exceeds, so none is drawn.
-        return TailEstimate.from_counts(reps, reps)
     return _count(_tail_kernel, (spec, n, m, sided, threshold), reps, n * m, seed, workers)
 
 
@@ -313,8 +310,9 @@ def estimate_single_tail(
 
     psi_k is a product of m i.i.d. draws from the population, so the sum
     has mean 0 and variance n.  The threshold is in the units of the
-    sqrt(n)-scaled statistic.  ``threshold <= 0`` is treated as the limit
-    from above and returns probability 1.
+    sqrt(n)-scaled statistic.  Every threshold is counted: below 0 every
+    sum exceeds, and at 0 every sum but those equal to 0, which have
+    positive probability for Rademacher draws at an even n.
 
     Deterministic for fixed (seed, reps) at any worker count: draws come
     in fixed-size blocks with one sub-stream each and the counts add up

@@ -286,9 +286,17 @@ class TestNormalUpperTail:
 
 
 class TestSingleTail:
-    def test_zero_threshold_forced_to_one(self):
+    def test_zero_threshold_counts_every_nonzero_normal_sum(self):
         est = estimate_single_tail(NORMAL, 10, 2, 0.0, 500, SEED)
         assert est.probability == 1.0 and est.hits == est.reps == 500
+
+    def test_zero_threshold_leaves_out_the_rademacher_sums_at_zero(self):
+        # an even number of fair signs sums to 0 with probability C(n, n/2) / 2**n
+        n, reps = 10, 20000
+        exact = 1.0 - math.comb(n, n // 2) / 2**n  # 0.754
+        est = estimate_single_tail(PopulationSpec(RADEMACHER), n, 3, 0.0, reps, SEED)
+        assert abs(est.probability - exact) <= 4.0 * math.sqrt(exact * (1.0 - exact) / reps)
+        assert estimate_single_tail(PopulationSpec(RADEMACHER), n, 3, -1.0, reps, SEED).probability == 1.0
 
     def test_clt_oracle_m2(self):
         # products of two standard normals have mean 0 variance 1, so at
