@@ -342,3 +342,17 @@ def test_simulate_config_with_a_number_or_bool_string_is_usage_error(tmp_path, c
     assert out == ""
     assert err.count("tensormax: error:") == 1 and field in err
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("config, field", [
+    ({"grid": 5, "reps": 4, "master_seed": 7}, "ExperimentConfig.grid"),
+    ({"grid": [{**CELL, "spec": "standard_normal"}], "reps": 4, "master_seed": 7}, "CellConfig.spec"),
+])
+def test_simulate_config_with_a_scalar_for_a_list_or_object_names_the_field(tmp_path, capsys, config, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**config, "output_path": str(tmp_path / "out")}))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.count("tensormax: error:") == 1 and f"{field} must be a JSON" in err
+    assert not (tmp_path / "out").exists()

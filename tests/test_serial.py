@@ -132,3 +132,19 @@ def test_float_fields_take_json_integers():
 def test_str_and_bool_fields_take_only_json_strings_and_booleans(cls, obj, field):
     with pytest.raises(ValueError, match=field):
         cls.from_json(obj)
+
+
+@pytest.mark.parametrize("cls, obj, field", [
+    (ExperimentConfig, {"grid": 5, "reps": 4, "master_seed": 1}, "ExperimentConfig.grid must be a JSON list"),
+    (ExperimentConfig, {"grid": {"n": 5}, "reps": 4, "master_seed": 1}, "ExperimentConfig.grid must be a JSON list"),
+    (ExperimentConfig, {"grid": [CELLS[0].to_json()], "reps": 4, "master_seed": 1, "z_grid": "0,1"},
+     "ExperimentConfig.z_grid must be a JSON list"),
+    (CellConfig, {"n": 30, "p": 6, "m": 2, "spec": "standard_normal"}, "CellConfig.spec must be a JSON object"),
+    (ExperimentConfig, {"grid": [[30, 6, 2]], "reps": 4, "master_seed": 1}, "ExperimentConfig.grid must be a JSON object"),
+    (hypotest.TestResult, {"decisions": [True]}, "TestResult.decisions must be a JSON object"),
+    (hypotest.TestResult, {"decisions": {"x": True}}, "TestResult.decisions has a key 'x'"),
+    (hypotest.TestResult, {"regime": "high"}, "TestResult.regime must be a JSON object"),
+])
+def test_lists_objects_and_keys_take_only_their_json_shape(cls, obj, field):
+    with pytest.raises(ValueError, match=field):
+        cls.from_json(obj)
