@@ -174,7 +174,6 @@ def _b1_factor(p: int, m: int) -> float:
     p = check_int("p", p, 2)
     m = check_int("m", m, 2, p)
     try:
-        # a C(p, m) above 2**1024 overflows float64 whatever the other factors
         factor = comb_capped(p, m, 2**1024) * (m * m) * float(p) ** (m - 1)
     except OverflowError:
         factor = math.inf
@@ -310,9 +309,8 @@ def estimate_single_tail(
 
     psi_k is a product of m i.i.d. draws from the population, so the sum
     has mean 0 and variance n.  The threshold is in the units of the
-    sqrt(n)-scaled statistic.  Every threshold is counted: below 0 every
-    sum exceeds, and at 0 every sum but those equal to 0, which have
-    positive probability for Rademacher draws at an even n.
+    sqrt(n)-scaled statistic.  Every threshold is counted, 0 too: a
+    Rademacher sum at an even n is 0, not above it, with positive probability.
 
     Deterministic for fixed (seed, reps) at any worker count: draws come
     in fixed-size blocks with one sub-stream each and the counts add up

@@ -89,9 +89,7 @@ class ExperimentConfig(JsonRecord):
             check_real("z_grid", z)
 
     def total_cost(self) -> int:
-        return sum(
-            self.reps * statcore.enumeration_cost(c.p, c.m, c.n).multiply_adds for c in self.grid
-        )
+        return sum(self.reps * statcore.enumeration_cost(c.p, c.m, c.n).multiply_adds for c in self.grid)
 
 
 @dataclass(frozen=True)
@@ -193,9 +191,7 @@ def _summarize_cell(
 
 
 def run_experiment(
-    config: ExperimentConfig,
-    workers: int = 1,
-    budget: int = statcore.DEFAULT_COST_CEILING,
+    config: ExperimentConfig, workers: int = 1, budget: int = statcore.DEFAULT_COST_CEILING
 ) -> ExperimentReport:
     """Run every cell of the grid for the configured replicate count.
 

@@ -10,11 +10,11 @@ scalar field takes only its own JSON type: a ``str`` a JSON string, a
 ``int`` only an integral one.  So 30.0 reads as 30, while 30.9, a bool
 for a number, a string for a number or a bool, or a number for a string
 raises ValueError naming the class and the field, rather than being
-truncated, parsed or converted.  So does a tuple field given anything
-but a JSON list, a dict field or a nested record anything but a JSON
-object, and a dict key that does not read as the key type.  A missing
-key takes the field's default (TypeError naming the field if it has
-none) and unknown keys are ignored.  Field metadata :data:`WRITE_IF_SET` omits a None value.
+truncated, parsed or converted.  So does a tuple field given no JSON
+list, a dict field or nested record given no JSON object, or a dict key
+that does not read as its type.  A missing key takes the field's default
+(TypeError naming the field if it has none) and unknown keys are
+ignored.  Field metadata :data:`WRITE_IF_SET` omits a None value.
 """
 
 from __future__ import annotations
@@ -73,15 +73,12 @@ def _decode(tp, value, where: str):
     if origin is tuple:
         return tuple(_decode(args[0], v, where) for v in value)
     if origin is dict:
-        return {_decode_key(args[0], k, where): _decode(args[1], v, where) for k, v in value.items()}
+        try:
+            keys = [args[0](k) for k in value]
+        except ValueError:
+            raise ValueError(f"{where} keys must read as {_SCALARS[args[0]]}, got {list(value)}") from None
+        return {k: _decode(args[1], v, where) for k, v in zip(keys, value.values())}
     return tp.from_json(value)  # a nested JsonRecord
-
-
-def _decode_key(tp, key: str, where: str):
-    try:
-        return tp(key)
-    except ValueError:
-        raise ValueError(f"{where} has a key {key!r} that does not read as {_SCALARS[tp]}") from None
 
 
 class JsonRecord:

@@ -154,9 +154,8 @@ class StatResult(JsonRecord):
 def comb_capped(p: int, k: int, cap: int) -> int:
     """C(p, k) for 0 <= k <= p if it is at most ``cap``, else some integer above ``cap``.
 
-    The exact recurrence C(p, s) = C(p, s-1) * (p-s+1) / s runs over
-    s <= min(k, p-k), where C(p, s) >= 2**s increases, and stops once it
-    passes the cap: at most log2(cap) steps however large p is.
+    Exact recurrence over s <= min(k, p-k), where C(p, s) >= 2**s grows:
+    it stops past the cap, after at most log2(cap) steps for any p.
     """
     c = 1
     for s in range(1, min(k, p - k) + 1):
@@ -172,20 +171,14 @@ def enumeration_cost(p: int, m: int, n: int) -> EnumerationCost:
     m = check_int("m", m, 1, p)
     n = check_int("n", n, 1)
     tuples = comb_capped(p, m, _SATURATION)
-    # the same recurrence over every s <= m, stopped once the count is clamped
-    nodes, c = 0, 1
+    # n * sum_{s<=m} C(p, s) by the same recurrence, stopped once it is clamped
+    ops, c = 0, 1
     for s in range(1, m + 1):
         c = c * (p - s + 1) // s
-        nodes += c
-        if n * nodes > _SATURATION:
+        ops += n * c
+        if ops > _SATURATION:
             break
-    ops = n * nodes
-    saturated = tuples > _SATURATION or ops > _SATURATION
-    return EnumerationCost(
-        tuples=min(tuples, _SATURATION),
-        multiply_adds=min(ops, _SATURATION),
-        saturated=saturated,
-    )
+    return EnumerationCost(min(tuples, _SATURATION), min(ops, _SATURATION), max(tuples, ops) > _SATURATION)
 
 
 def load_matrix_csv(path) -> np.ndarray:

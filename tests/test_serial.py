@@ -142,7 +142,7 @@ def test_str_and_bool_fields_take_only_json_strings_and_booleans(cls, obj, field
     (CellConfig, {"n": 30, "p": 6, "m": 2, "spec": "standard_normal"}, "CellConfig.spec must be a JSON object"),
     (ExperimentConfig, {"grid": [[30, 6, 2]], "reps": 4, "master_seed": 1}, "ExperimentConfig.grid must be a JSON object"),
     (hypotest.TestResult, {"decisions": [True]}, "TestResult.decisions must be a JSON object"),
-    (hypotest.TestResult, {"decisions": {"x": True}}, "TestResult.decisions has a key 'x'"),
+    (hypotest.TestResult, {"decisions": {"x": True}}, "TestResult.decisions keys must read as a number"),
     (hypotest.TestResult, {"regime": "high"}, "TestResult.regime must be a JSON object"),
 ])
 def test_lists_objects_and_keys_take_only_their_json_shape(cls, obj, field):
