@@ -263,7 +263,8 @@ def _parse_record(row: list[str], line: int) -> ReplicateRecord:
         try:
             values.append(tp(text))
         except ValueError:
-            raise ValueError(f"records.csv line {line} column {name} must be {tp.__name__}, got {text!r}") from None
+            raise ValueError(f"records.csv line {line} column {name} must be {tp.__name__}, "
+                             f"got {text!r}") from None
     return ReplicateRecord(*values)
 
 

@@ -567,10 +567,9 @@ def max_entry_bruteforce(X, m: int) -> StatResult:
     A = _as_matrix(X)
     n, p = A.shape
     m = check_int("m", m, 2, p)
-    cost = math.comb(p, m) * n
-    if cost > ORACLE_COST_CEILING:
+    if comb_capped(p, m, ORACLE_COST_CEILING) * n > ORACLE_COST_CEILING:
         raise BudgetError(
-            f"bruteforce cost C(p,m)*n = {cost:,} exceeds the oracle ceiling "
+            f"bruteforce cost C(p,m)*n for p={p}, m={m}, n={n} exceeds the oracle ceiling "
             f"of {ORACLE_COST_CEILING:,}"
         )
     sqrt_n = math.sqrt(n)

@@ -205,6 +205,13 @@ class TestValidationAndBudget:
         with pytest.raises(BudgetError, match="oracle"):
             max_entry_bruteforce(X, 4)
 
+    def test_oracle_guard_refuses_a_huge_binomial_at_once(self):
+        # math.comb(300000, 150000) took 1.4 s and its 90,000 digits overflowed the message
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match="oracle ceiling"):
+            max_entry_bruteforce(np.ones((1, 300000)), 150000)
+        assert time.perf_counter() - start < 1.0
+
     def test_multi_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             max_entry_multi([np.ones((3, 4)), np.ones((3, 5))])
