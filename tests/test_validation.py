@@ -141,6 +141,8 @@ REAL_TABLE = {
     # exp(-z/2) overflows below z = -1419.56
     "lambda_limit": (lambda z=0.0: tm.lambda_limit(z), {"z": (math.nextafter(-1419.0, -INF), -INF)}),
     "normalize": (lambda w=1.0: tm.normalize(w, 10, 10, 2), {"w": (BELOW_0, -INF, INF)}),
+    # the centring of a cell's replicates: normalize on one numpy array, as run_experiment calls it
+    "center": (lambda w=1.0: tm.normalize(np.array([w]), 10, 10, 2), {"w": (BELOW_0, -INF, INF)}),
     "normal_upper_tail": (lambda x=1.0: tm.normal_upper_tail(x), {"x": ()}),
     "moderate_deviation_ratio": (
         lambda x=1.0: tm.moderate_deviation_ratio(NORMAL, 2, 10, x, 10, SEED),
