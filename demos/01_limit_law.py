@@ -34,7 +34,7 @@ print("returns z shifted by the constant 2 log(m! sqrt(m pi)):")
 for m, p in ((2, 100), (3, 1000)):
     z = 0.5
     w = math.sqrt(2 * m) * nu_p(z, p, m)
-    t = normalize(w, 1, p, m).t_value
+    t = normalize(w, p, m)
     offset = 2.0 * log_rate_constant(m)
     print(
         f"  m={m}, p={p}: T(sqrt(2m) nu_p({z})) = {t:+.6f} = z - {offset:.6f}"

@@ -11,7 +11,6 @@ from .asymptotics import (
     ONE_SIDED,
     TWO_SIDED,
     GumbelLimit,
-    NormalizedStat,
     lambda_limit,
     log_rate_constant,
     normalize,
@@ -76,7 +75,6 @@ __all__ = [
     "FAMILIES",
     "GumbelLimit",
     "LEVELS",
-    "NormalizedStat",
     "ONE_SIDED",
     "PairTailSpec",
     "PopulationSpec",

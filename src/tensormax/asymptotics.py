@@ -166,18 +166,7 @@ class GumbelLimit:
             return np.exp(-self.c * np.exp(-0.5 * z))
 
 
-@dataclass(frozen=True)
-class NormalizedStat:
-    """A statistic value, or an array of them, together with its centered form T."""
-
-    t_value: float | np.ndarray
-    w: float | np.ndarray
-    n: int
-    p: int
-    m: int
-
-
-def normalize(w, n: int, p: int, m: int) -> NormalizedStat:
+def normalize(w, p: int, m: int) -> float | np.ndarray:
     """Center the maximum entry statistic: T = w**2 - 2*m*log(p) + log(log(p)).
 
     Parameters
@@ -186,8 +175,6 @@ def normalize(w, n: int, p: int, m: int) -> NormalizedStat:
         The maximum entry statistic, or an array of them, each finite and
         >= 0.  A signed maximum must be clipped by the caller first; see
         :func:`tensormax.hypotest.sided_statistic`.
-    n : int
-        Sample size, >= 1; carried along for reporting, not used in the formula.
     p : int
         Number of coordinates, >= 3.
     m : int
@@ -195,17 +182,15 @@ def normalize(w, n: int, p: int, m: int) -> NormalizedStat:
 
     Returns
     -------
-    NormalizedStat
-        Float ``t_value`` and ``w`` for a float w, arrays for an array,
-        an entry of which has the bits of the scalar result for its value.
+    float or numpy.ndarray
+        T as a float for a float w, an array for an array, an entry of
+        which has the bits of the scalar result for its value.
     """
-    n, m, p = check_int("n", n, 1), check_int("m", m, 2, MAX_ORDER), check_int("p", p, 3)
+    m, p = check_int("m", m, 2, MAX_ORDER), check_int("p", p, 3)
     ws = check_real_array("w", w, 0.0)
     lp = math.log(p)
     t = ws * ws - 2.0 * m * lp + math.log(lp)
-    if not ws.ndim:
-        ws, t = float(ws), float(t)
-    return NormalizedStat(t_value=t, w=ws, n=n, p=p, m=m)
+    return t if ws.ndim else float(t)
 
 
 def nu_p(z: float, p: int, m: int) -> float:

@@ -449,7 +449,6 @@ def stein_chen_report(
     reps: int,
     seed: SeedSpec,
     a_n: float | None = None,
-    pair_reps: int | None = None,
     workers: int = 1,
 ) -> SteinChenReport:
     """Full diagnostic: lambda, b1 bound and pair tails for every overlap s.
@@ -457,7 +456,7 @@ def stein_chen_report(
     The third clustering term of the Poisson bound vanishes identically
     here because a tuple's entry is independent of all entries sharing no
     coordinate with it, so lambda, b1 and the pair tails are the whole
-    story.  Pair tails are estimated at threshold multiplier ``a_n``
+    story.  Pair tails use ``reps`` replicates at threshold multiplier ``a_n``
     (default: the asymptotically exact sqrt(2m) * nu_p(z) / sqrt(log p),
     usually unobservable; pass a reduced value to see hits).
     """
@@ -466,7 +465,6 @@ def stein_chen_report(
     if a_n is None:
         a_n = math.sqrt(2.0 * m / math.log(p)) * nu
     pspecs = [PairTailSpec(s=s, a_n=a_n, n=n, p=p, m=m, spec=spec) for s in range(1, m)]
-    pair_reps = reps if pair_reps is None else check_int("pair_reps", pair_reps, 1)
     report = estimate_lambda(z, n, p, m, spec, reps, seed, workers=workers)
-    psi = {ps.s: estimate_pair_tail(ps, pair_reps, seed, workers=workers) for ps in pspecs}
+    psi = {ps.s: estimate_pair_tail(ps, reps, seed, workers=workers) for ps in pspecs}
     return replace(report, psi_estimates=psi)

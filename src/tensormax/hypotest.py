@@ -72,7 +72,7 @@ def sided_statistic(w_abs, w_signed, sided: str):
 
 def _finish(stat: StatResult, limit: GumbelLimit) -> TestResult:
     w, flagged = sided_statistic(stat.w_abs, stat.w_signed, limit.sided)
-    t_value = normalize(w, stat.n, stat.p, stat.m).t_value
+    t_value = normalize(w, stat.p, stat.m)
     p_value = limit.sf(t_value)
     return TestResult(
         stat=stat,

@@ -216,7 +216,7 @@ def run_experiment(
         w_abs, w_signed = np.concatenate(parallel_map(_run_chunk, tasks, workers)).T
         runtime = time.perf_counter() - t0
         w, flagged = sided_statistic(w_abs, w_signed, cell.sided)
-        t = normalize(w, cell.n, cell.p, cell.m).t_value
+        t = normalize(w, cell.p, cell.m)
         ratios = w_abs / math.sqrt(math.log(cell.p))
         cid = cell.cell_id(cell_index)
         all_records.extend(
@@ -255,16 +255,21 @@ def persist(report: ExperimentReport, path) -> None:
 
 
 def _parse_record(row: list[str], line: int) -> ReplicateRecord:
-    """Read one records.csv row; a ValueError names the line, and the column that does not parse."""
+    """Read one records.csv row; a ValueError names the line, and the column that does not parse.
+
+    ``persist`` never writes nan or inf, so a float column refuses them.
+    """
     if len(row) != len(RECORD_COLUMNS):
         raise ValueError(f"records.csv line {line} has {len(row)} fields, expected {len(RECORD_COLUMNS)}")
     values = []
     for (name, tp), text in zip(_RECORD_TYPES.items(), row):
         try:
             values.append(tp(text))
+            if tp is float and not math.isfinite(values[-1]):
+                raise ValueError
         except ValueError:
-            raise ValueError(f"records.csv line {line} column {name} must be {tp.__name__}, "
-                             f"got {text!r}") from None
+            what = "finite float" if tp is float else tp.__name__
+            raise ValueError(f"records.csv line {line} column {name} must be {what}, got {text!r}") from None
     return ReplicateRecord(*values)
 
 

@@ -44,38 +44,46 @@ caller bounds R itself (``lab`` caps a stack at 2**17 values, 1 MB).
 **The bound.**  A GEMM entry sums in its own order and may fuse
 multiply-adds, so it can differ from the canonical entry in the last
 bits.  Both are inner products of the same rounded vectors y = q * x_a
-and x_b, so each lies within gamma_k * sum_i |y_i x_bi| of the exact sum,
+and x_b, so each lies within gamma_n * sum_i |y_i x_bi| of the exact sum,
 with gamma_k = k u / (1 - k u) and u = 2**-53 (Higham, *Accuracy and
-Stability of Numerical Algorithms*, 2nd ed., section 3.1).  Cauchy-Schwarz
-bounds the sum by ||y|| ||x_b||, which needs only column norms, so
+Stability of Numerical Algorithms*, 2nd ed., section 3.1).  As
+|y_i| <= (1 + u) |q_i x_ai| + 2**-1075, Holder and Cauchy-Schwarz bound
+the sum by (1 + u) (max|q| + 2**-538) ||x_a|| ||x_b||, the norm floor
+below keeping ||x_a|| >= sqrt(n) 2**-537.  With max|q| over a tile's
+prefixes (1 for m = 2) and A, B the largest norms over its rows a and
+columns b, one number per tile and replicate,
 
-    slack = 2 gamma_{n+m+2} ||y|| ||x_b|| / sqrt(n) + 2 (sqrt(n) + 1) 2**-1074
+    slack = 2 gamma_{n+13} (max|q| + 2**-538) A B / sqrt(n) + 2 (sqrt(n) + 1) 2**-1074,
 
-bounds the distance from each screened entry both to the exact sum and
-to the canonical entry.  The index n+m+2 rather than n covers the
-division by sqrt(n) and the rounding of the norms and of the slack
-itself.  The second term covers underflow: a product that lands among
-the subnormals may lose up to 2**-1075 outright, which no relative bound
-sees, and the squared norms get a floor of n * 2**-1074 for the same
-reason.
+bounds the distance from each screened entry of the tile both to the
+exact sum and to the canonical entry.  The 13 count one rounding each
+for the division by sqrt(n), the factor 1 + u, the nine operations that
+compute the slack and the two subtractions that form L and the
+candidate threshold below.  The second term covers underflow: a product
+that lands among the subnormals may lose up to 2**-1075 outright, which
+no relative bound sees, and the squared norms get a floor of
+n * 2**-1074 for the same reason.
 
-**The recheck.**  Let L be the largest |G| - slack over all tuples.
-Every canonical |entry| is at least its own |G| - slack, so the maximum
-is at least L, and any tuple that attains it has |G| + slack >= L.  Only
-those candidates, and the same set for the signed G, are recomputed the
-canonical way, and the winner is chosen among the canonical values with
-the smallest-tuple tie-break.  The screen thus decides only which tuples
-to recompute, never which one wins, and the result is bit-identical to
-the oracle for every finite input, replicate by replicate.  On
-continuous data the slack is about 1e-13 of the entries, far below the
-gaps near the maximum, so a call rechecks the winners and rarely more;
-exact ties and near ties all become candidates.
+**The recheck.**  Let L be the largest |G| - slack over all tuples, the
+top |G| of a tile less its slack.  Every canonical |entry| is at least
+its own |G| - slack, so the maximum is at least L, and any tuple that
+attains it has |G| >= L - slack.  Only those candidates, and the same
+set for the signed G, are recomputed the canonical way, and the winner
+is chosen among the canonical values with the smallest-tuple tie-break.
+The screen thus decides only which tuples to recompute, never which one
+wins, and the result is bit-identical to the oracle for every finite
+input, replicate by replicate.  On standardized continuous data the
+slack is about 2 u n**1.5 max|q| (2.5e-12 at n = 500, m = 2), far below
+the gaps near the maximum, so a call rechecks the winners and rarely
+more.  Exact ties, near ties, and tiles that hold a few huge columns
+nearly orthogonal to the rest make many candidates.
 
 **Overflow.**  The bound needs every partial sum to stay finite.  A
-tuple whose G entry or slack is not finite, or whose ||y|| ||x_b|| comes
-within a factor of four of the largest double, is recomputed the
-canonical way at once.  A non-finite canonical entry raises ValueError
-("tuple sums overflow float64"), exactly when the oracle raises.
+replicate whose envelope (max|q| + 2**-538) A B plus top |G| is not
+below a quarter of the largest double, NaN and inf included, has every
+tuple of the tile recomputed the canonical way at once, with slack 0.
+A non-finite canonical entry raises ValueError ("tuple sums overflow
+float64"), exactly when the oracle raises.
 
 :func:`enumeration_cost` counts n * sum_{s=1..m} C(p, s) multiply-adds,
 the work of sharing prefixes down to single triangle entries, and stays
@@ -106,7 +114,7 @@ _OVERFLOW_MESSAGE = "tuple sums overflow float64"
 
 _UNIT_ROUNDOFF = 2.0**-53
 _SMALLEST_SUBNORMAL = 2.0**-1074
-# Below this, ||y|| ||x_b|| * (1 + gamma_n) cannot reach the largest double.
+# Below this, a tile's envelope times (1 + gamma_n) cannot reach the largest double.
 _ENVELOPE_LIMIT = float(np.finfo(np.float64).max) / 4.0
 # Entries per screened tile, counted across the replicate axis (8 MB per
 # float64 array; the |G| and G screens side by side take two).
@@ -217,15 +225,18 @@ def _gamma(k: int) -> float:
     return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
 
 
-def _norm_bounds(squares: np.ndarray, n: int) -> np.ndarray:
-    """Upper bounds on Euclidean norms of length-n vectors, from their computed squared sums.
+def _suffix_norms(M: np.ndarray, n: int) -> np.ndarray:
+    """Upper bounds on max(||x_j||, ||x_j+1||, ...) for each column j of each matrix of an (R, n, p) stack.
 
-    The sums are raised by their relative rounding bound and by an
-    absolute floor for squares lost to underflow.
+    The computed squared sums are raised by their relative rounding
+    bound and by an absolute floor for squares lost to underflow, which
+    keeps every bound at least sqrt(n) 2**-537.
     """
+    squares = np.einsum("rij,rij->rj", M, M)
     squares *= 1.0 + 2.0 * _gamma(n)
     squares += n * _SMALLEST_SUBNORMAL
-    return np.sqrt(squares, out=squares)
+    norms = np.sqrt(squares, out=squares)
+    return np.maximum.accumulate(norms[:, ::-1], axis=1)[:, ::-1]
 
 
 def _prefix_groups(rows: list[np.ndarray], p: int, n: int):
@@ -285,8 +296,9 @@ class _Screen:
 
     The absolute and the signed screen run side by side: index 0 of the
     leading axis of a screened tile and of ``lo``, ``w`` and ``arg`` is
-    for |G|, index 1 for G.  Bounds, candidates and exact maxima are kept
-    per replicate.  Screened tiles have shape
+    for |G|, index 1 for G.  The slack is one number per tile and
+    replicate; bounds, candidates and exact maxima are kept per
+    replicate.  Screened tiles have shape
     (2, replicates, prefixes, rows a, columns b).
     """
 
@@ -295,17 +307,14 @@ class _Screen:
         R = self.last.shape[0]
         self.n = n
         self.sqrt_n = math.sqrt(n)
+        # slack = envelope * scale + tiny
+        self.scale = 2.0 * _gamma(n + 13) / self.sqrt_n
         self.tiny = 2.0 * (self.sqrt_n + 1.0) * _SMALLEST_SUBNORMAL
-        self.last_norms = _norm_bounds(np.einsum("rij,rij->rj", self.last, self.last), n)
-        if pen_rows is None:
-            self.pen_norms = self.last_norms if self.pen is self.last else _norm_bounds(
-                np.einsum("rij,rij->rj", self.pen, self.pen), n)
+        # largest column norm from column j on, of the columns b and of the rows a
+        self.last_max = _suffix_norms(self.last, n)
+        self.pen_max = self.last_max if self.pen is self.last else _suffix_norms(self.pen, n)
         # rows x_a, to build q * x_a for a whole group of prefixes at once
         self.pen_rows = pen_rows
-        # slack = ||y|| * last_scaled + tiny
-        self.last_scaled = self.last_norms * (2.0 * _gamma(n + len(mats) + 2) / self.sqrt_n)
-        # largest last-matrix norm from column r on, for the overflow guard
-        self.last_max = np.maximum.accumulate(self.last_norms[:, ::-1], axis=1)[:, ::-1]
         self.pad = np.empty((0, 0))
         self.lo = np.full((2, R), -math.inf)
         # Held maxima start below every finite value, with placeholder tuples.
@@ -320,6 +329,8 @@ class _Screen:
         R, _, p = self.last.shape
         k, n = len(prefixes), self.n
         w = p - s
+        # max|q| + 2**-538 over each replicate's group (see "The bound")
+        q_max = 1.0 if Q is None else np.maximum.reduce(np.abs(Q), axis=(1, 2)) + 2.0**-538
         tile_rows = max(1, _TILE_ENTRIES // (R * k * max(w, n)))
         for r0 in range(0, w - 1, tile_rows):
             # The last tile keeps row w-1, which holds no tuple, so that
@@ -328,19 +339,14 @@ class _Screen:
             o = s + r0
             # Y holds the vectors y = q * x_a as rows
             if Q is None:
-                Y, a_norms = self.pen[:, :, o:s + r1].transpose(0, 2, 1), self.pen_norms[:, o:s + r1]
+                Y = self.pen[:, :, o:s + r1].transpose(0, 2, 1)
             else:
                 Y = (Q[:, :, None, :] * self.pen_rows[:, None, o:s + r1]).reshape(R, -1, n)
-                a_norms = _norm_bounds(np.einsum("rij,rij->ri", Y, Y), n)
             GG = np.empty((2, R, k, r1 - r0, w - r0))
-            G = GG[1]
-            np.matmul(Y, self.last[:, :, o:], out=G.reshape(R, -1, w - r0))
-            G /= self.sqrt_n
-            np.abs(G, out=GG[0])
-            a_norms = a_norms.reshape(R, k, r1 - r0, 1)
-            S = a_norms * self.last_scaled[:, None, None, o:]
-            S += self.tiny
-            self._tile(prefixes, Q, o, GG, S, a_norms)
+            np.matmul(Y, self.last[:, :, o:], out=GG[1].reshape(R, -1, w - r0))
+            GG[1] /= self.sqrt_n
+            np.abs(GG[1], out=GG[0])
+            self._tile(prefixes, Q, o, GG, q_max * self.pen_max[:, o] * self.last_max[:, o])
 
     def _pad(self, rows: int, cols: int) -> np.ndarray:
         """0 where column b = o + j lies past row a = o + i (j > i), -inf elsewhere.
@@ -356,49 +362,42 @@ class _Screen:
             self.pad = np.where(j[None, :] > i[:, None], 0.0, -np.inf)
         return self.pad[:rows, :cols]
 
-    def _tile(self, prefixes, Q, o, GG, S, a_norms) -> None:
+    def _tile(self, prefixes, Q, o, GG, envelope) -> None:
         tile, peak = (2, 3, 4), np.maximum.reduce
-        pad = self._pad(*S.shape[2:])
-        hi = GG + np.add(S, pad)
-        top = peak(hi, axis=tile)
+        pad = self._pad(*GG.shape[3:])
+        GG += pad
+        top = peak(GG, axis=tile)
         # A non-finite entry anywhere in the tile, off the triangle too
         # (inf - inf is NaN), makes the top NaN or inf, and the envelope
-        # ||y|| ||x_b|| must stay below the limit.  Adding the two can only
-        # send more tiles to _settle.  Past this test every entry is finite.
-        guard = peak(a_norms, axis=(1, 2, 3)) * self.last_max[:, o]
-        guard += top[0]
-        if np.count_nonzero(~(guard < _ENVELOPE_LIMIT)):
-            self._settle(Q, o, GG, S, pad, a_norms)
-            np.add(GG, np.add(S, pad), out=hi)
-            top = peak(hi, axis=tile)
+        # must stay below the limit.  Adding the two can only send more
+        # replicates to _settle.  Past this test every entry is finite.
+        over = ~(envelope + top[0] < _ENVELOPE_LIMIT)
+        S = envelope * self.scale + self.tiny
+        if np.count_nonzero(over):
+            self._settle(Q, o, GG, pad, over)
+            S[over] = 0.0
+            top = peak(GG, axis=tile)
         # Lower bounds lie below upper ones, so a replicate whose upper
         # bounds all fall short of its L can neither raise L nor hold a
         # candidate here.
-        if not np.count_nonzero(top >= self.lo):
+        if not np.count_nonzero(top + S >= self.lo):
             return
-        lo = np.subtract(GG, np.subtract(S, pad, out=S), out=GG)
-        np.maximum(self.lo, peak(lo, axis=tile), out=self.lo)
+        np.maximum(self.lo, top - S, out=self.lo)
         # Every L is finite now, so the -inf entries off the triangle fail.
-        keep = hi >= self.lo[:, :, None, None, None]
+        keep = GG >= (self.lo - S)[:, :, None, None, None]
         idx = np.nonzero(keep[0] | keep[1])
         ri, pi, rows, cols = idx
-        self.pending.append((prefixes, Q, ri, pi, o + rows, o + cols, hi[(slice(None), *idx)]))
+        self.pending.append((prefixes, Q, ri, pi, o + rows, o + cols, GG[(slice(None), *idx)] + S[ri]))
         self.pending_count += ri.size
         if self.pending_count > _PENDING_LIMIT:
             self.recheck()
 
-    def _settle(self, Q, o, GG, S, pad, a_norms) -> None:
-        """Replace the entries the bound does not cover by their canonical values."""
-        G, mask = GG[1], pad == 0.0
-        covered = np.isfinite(G) & np.isfinite(S)
-        covered &= a_norms * self.last_norms[:, None, None, o:] < _ENVELOPE_LIMIT
-        idx = np.nonzero(mask & ~covered)
-        ri, pi, rows, cols = idx
-        G[idx] = self._canonical(Q, ri, pi, o + rows, o + cols)
-        S[idx] = 0.0
-        G[..., ~mask] = 0.0
-        S[..., ~mask] = 0.0
-        np.abs(G, out=GG[0])
+    def _settle(self, Q, o, GG, pad, over) -> None:
+        """Replace every tuple of the tile in the replicates ``over`` by its canonical value."""
+        GG[:, over] = pad
+        idx = np.nonzero(np.broadcast_to(over[:, None, None, None] & (pad == 0.0), GG.shape[1:]))
+        GG[1][idx] = self._canonical(Q, idx[0], idx[1], o + idx[2], o + idx[3])
+        GG[0][idx] = np.abs(GG[1][idx])
 
     def _canonical(self, Q, ri: np.ndarray, pi: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Canonical entries of the tuples prefixes[pi[i]] + (a[i], b[i]) in replicates ri[i]."""

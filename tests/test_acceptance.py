@@ -221,7 +221,7 @@ def test_threshold_duality_offset_free():
         z = float(rng.uniform(-4.0, 4.0))
         p = int(rng.integers(10, 10**6))
         m = int(rng.integers(2, 7))
-        t = normalize(math.sqrt(2.0 * m) * nu_p(z, p, m), 1, p, m).t_value
+        t = normalize(math.sqrt(2.0 * m) * nu_p(z, p, m), p, m)
         prob = GumbelLimit(m).cdf(t)
         worst_probability = max(worst_probability, abs(prob - math.exp(-lambda_limit(z))))
         worst_with_offset = max(worst_with_offset, abs(t - (z - 2.0 * log_rate_constant(m))))
@@ -265,7 +265,7 @@ def chi2_max_ks(p: int) -> float:
         if radicand <= 0.0:
             continue
         w = math.sqrt(radicand)
-        t = normalize(w, 1, p, 2).t_value
+        t = normalize(w, p, 2)
         exact = math.exp(pairs * math.log1p(-math.erfc(w / math.sqrt(2.0))))
         worst = max(worst, abs(exact - limit.cdf(t)))
     return worst

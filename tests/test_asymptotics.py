@@ -124,22 +124,22 @@ class TestQuantile:
 
 class TestNormalize:
     def test_worked_values(self):
-        assert normalize(3.0, 500, 100, 2).t_value == pytest.approx(-7.893502, abs=1e-6)
-        assert normalize(0.0, 10, 16, 2).t_value == pytest.approx(-10.070574, abs=1e-6)
+        assert normalize(3.0, 100, 2) == pytest.approx(-7.893502, abs=1e-6)
+        assert normalize(0.0, 16, 2) == pytest.approx(-10.070574, abs=1e-6)
 
     def test_algebraic_zero(self):
         for m, p in ((2, 50), (3, 1000), (5, 17)):
             lp = math.log(p)
             w = math.sqrt(2 * m * lp - math.log(lp))
-            assert abs(normalize(w, 99, p, m).t_value) <= 1e-12
+            assert abs(normalize(w, p, m)) <= 1e-12
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            normalize(1.0, 10, 2, 2)
+            normalize(1.0, 2, 2)
         with pytest.raises(ValueError):
-            normalize(-0.5, 10, 10, 2)
+            normalize(-0.5, 10, 2)
         with pytest.raises(ValueError):
-            normalize(1.0, 10, 10, 1)
+            normalize(1.0, 10, 1)
 
     def test_array_matches_the_scalar_formula_bit_for_bit(self):
         rng = np.random.default_rng(21)
@@ -147,20 +147,18 @@ class TestNormalize:
         for p, m in ((3, 2), (20, 2), (40, 3), (10**6, 4)):
             lp = math.log(p)
             expected = [x * x - 2.0 * m * lp + math.log(lp) for x in w.tolist()]
-            arr = normalize(w, 1, p, m)
-            assert arr.t_value.tolist() == expected and arr.w.tolist() == w.tolist()
-            assert [normalize(x, 1, p, m).t_value for x in w.tolist()] == expected
-            one = normalize(2.0, 1, p, m)
-            assert type(one.t_value) is float and type(one.w) is float
+            assert normalize(w, p, m).tolist() == expected
+            assert [normalize(x, p, m) for x in w.tolist()] == expected
+            assert type(normalize(2.0, p, m)) is float
 
     def test_array_validation(self):
         for w in (np.array([1.0, -0.5]), np.array([np.nan]), np.array([1.0, np.inf])):
             with pytest.raises(ValueError, match="w"):
-                normalize(w, 1, 10, 2)
+                normalize(w, 10, 2)
         with pytest.raises(ValueError, match="p"):
-            normalize(np.ones(3), 1, 2, 2)
+            normalize(np.ones(3), 2, 2)
         with pytest.raises(ValueError, match="m"):
-            normalize(np.ones(3), 1, 10, 1)
+            normalize(np.ones(3), 10, 1)
 
 
 class TestNuP:
@@ -183,7 +181,7 @@ class TestNuP:
             p = int(rng.integers(10, 10**6))
             m = int(rng.integers(2, 7))
             w = math.sqrt(2.0 * m) * nu_p(z, p, m)
-            t = normalize(w, 1, p, m).t_value
+            t = normalize(w, p, m)
             assert abs(t - (z - 2.0 * log_rate_constant(m))) <= 1e-12
 
     def test_threshold_exceedance_probability_is_poisson_limit(self):

@@ -487,7 +487,7 @@ class TestModerateDeviationRatio:
 
 class TestSteinChenReport:
     def test_full_report_contains_all_overlaps(self):
-        rep = stein_chen_report(0.0, 30, 8, 3, NORMAL, 2000, SEED, a_n=0.5, pair_reps=2000)
+        rep = stein_chen_report(0.0, 30, 8, 3, NORMAL, 2000, SEED, a_n=0.5)
         assert set(rep.psi_estimates) == {1, 2}
         assert rep.lambda_hat >= 0.0
         assert rep.b1_bound >= 0.0

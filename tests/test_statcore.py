@@ -359,6 +359,33 @@ class TestEngineOracle:
                 (best,) = statcore._max_entries_core([X[None]] * m, n)
                 assert best.rechecked <= 6
 
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_near_ties_behind_a_large_prefix(self, m):
+        # Every tuple through column 1 (all 1e6) has a twin, in the
+        # permuted copy, that rounds differently: the slack must grow with
+        # the prefix products q, not only with the column norms.
+        rng = np.random.default_rng(620 + m)
+        n, p = self.SHAPES[m]
+        for trial in range(8):
+            Y = rng.standard_normal((n, (p - 1) // 2))
+            self._check(np.hstack([np.full((n, 1), 1e6), Y, Y[rng.permutation(n)]]), m)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_huge_orthogonal_columns_recheck_every_tuple(self, m):
+        # The last two columns have norm 1e9, and their products with
+        # every other column are 1e-3 at most: the one slack of each tile
+        # covers them, so every tuple is a candidate, an early recheck runs
+        # at m = 3, and the winner still comes from the canonical values.
+        rng = np.random.default_rng(610 + m)
+        n, p = (200, 60) if m == 2 else (200, 32)
+        X = rng.standard_normal((n, p))
+        X[:2] *= 1e-12
+        X[:, -2:] = 0.0
+        X[0, -2] = X[1, -1] = 1e9
+        (best,) = statcore._max_entries_core([X[None]] * m, n)
+        assert best.rechecked == math.comb(p, m)
+        self._check(X, m)
+
 
 class TestOverflow:
     X = [[1e200, 1e200, 1.0], [1e200, -1e200, 1.0]]
@@ -506,6 +533,18 @@ class TestMaxEntries:
             statcore.max_entries(X, 2)
         with pytest.raises(ValueError, match="tuple sums overflow float64"):
             statcore.max_entries(np.stack([np.ones((4, 5)), np.full((4, 5), 1e120)]), 3)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_one_replicate_settles_whole_tiles(self, m):
+        # In replicate 1, ||x_1|| ||x_2|| is past the float64 range while
+        # every sum stays finite, (1, 2, ...) being 1e308 - 1e308 plus
+        # normal terms: its tiles that meet columns 1 and 2 are recomputed
+        # the canonical way, and the other replicates are screened as usual.
+        rng = np.random.default_rng(710 + m)
+        X = rng.standard_normal((3, 40, 12))
+        X[1, :2] = 1.0
+        X[1, :2, :2] = [[1e154, 1e154], [1e154, -1e154]]
+        assert statcore.max_entries(X, m) == [max_entry_bruteforce(M, m) for M in X]
 
     def test_validation_and_budget(self):
         with pytest.raises(ValueError, match="stack"):

@@ -45,8 +45,8 @@ def _experiment(n=10, p=21, m=2, reps=2, workers=1, z_grid=lab.DEFAULT_Z_GRID,
     return tm.run_experiment(config, workers=workers, budget=budget)
 
 
-def _report(n=10, p=10, m=3, reps=10, a_n=0.5, pair_reps=None):
-    return tm.stein_chen_report(0.0, n, p, m, NORMAL, reps, SEED, a_n=a_n, pair_reps=pair_reps)
+def _report(n=10, p=10, m=3, reps=10, a_n=0.5):
+    return tm.stein_chen_report(0.0, n, p, m, NORMAL, reps, SEED, a_n=a_n)
 
 
 def _pair_tail(s=1, n=10, p=5, m=2, reps=10, a_n=1.0):
@@ -95,9 +95,6 @@ CASES = [
     # the order of the multi-population tensor is the number of matrices
     pytest.param(lambda: tm.max_entry_multi([X]), id="max_entry_multi-m=1"),
     pytest.param(lambda: tm.max_entry_multi([X] * 6), id="max_entry_multi-m=6"),
-    # pair_reps=None is the default, as many pair replicates as reps
-    *(pytest.param(functools.partial(_report, pair_reps=bad), id=f"stein_chen_report-pair_reps={bad!r}")
-      for bad in (2.5, True, "3", 0)),
     pytest.param(functools.partial(_report, a_n=-1.0), id="stein_chen_report-a_n=-1.0"),
 ]
 
@@ -140,9 +137,9 @@ REAL_TABLE = {
     "nu_p": (lambda z=0.0: tm.nu_p(z, 100, 2), {"z": (-INF, INF)}),
     # exp(-z/2) overflows below z = -1419.56
     "lambda_limit": (lambda z=0.0: tm.lambda_limit(z), {"z": (math.nextafter(-1419.0, -INF), -INF)}),
-    "normalize": (lambda w=1.0: tm.normalize(w, 10, 10, 2), {"w": (BELOW_0, -INF, INF)}),
+    "normalize": (lambda w=1.0: tm.normalize(w, 10, 2), {"w": (BELOW_0, -INF, INF)}),
     # the centring of a cell's replicates: normalize on one numpy array, as run_experiment calls it
-    "center": (lambda w=1.0: tm.normalize(np.array([w]), 10, 10, 2), {"w": (BELOW_0, -INF, INF)}),
+    "center": (lambda w=1.0: tm.normalize(np.array([w]), 10, 2), {"w": (BELOW_0, -INF, INF)}),
     "normal_upper_tail": (lambda x=1.0: tm.normal_upper_tail(x), {"x": ()}),
     "moderate_deviation_ratio": (
         lambda x=1.0: tm.moderate_deviation_ratio(NORMAL, 2, 10, x, 10, SEED),
@@ -182,9 +179,9 @@ REAL_CASES = [
     # a_n=None is the default, the asymptotically exact multiplier
     *(pytest.param(functools.partial(_report, a_n=bad), id=f"stein_chen_report-a_n={bad!r}")
       for bad in (math.nan, "1", True, 0.0, -INF, INF)),
-    # n is carried along for reporting only, but it is still a sample size
-    *(pytest.param(functools.partial(tm.normalize, 1.0, bad, 10, 2), id=f"normalize-n={bad!r}")
-      for bad in (*BAD_TYPES, 0)),
+    # the number of coordinates is an integer, at least 3
+    *(pytest.param(functools.partial(tm.normalize, 1.0, bad, 2), id=f"normalize-p={bad!r}")
+      for bad in (*BAD_TYPES, 2)),
 ]
 
 
@@ -215,7 +212,7 @@ def test_the_limit_law_takes_both_infinities_and_numpy_reals(call):
 
 # array form: (call, argument name, values out of its range); test_asymptotics has normalize's
 ARRAY_FORMS = {
-    "normalize": (lambda w: tm.normalize(w, 10, 10, 2), "w", ()),
+    "normalize": (lambda w: tm.normalize(w, 10, 2), "w", ()),
     "GumbelLimit.cdf_array": (lambda z: tm.GumbelLimit(2).cdf_array(z), "z", (np.array([0.0, math.nan]),)),
 }
 BAD_ARRAYS = (
@@ -239,5 +236,5 @@ def test_array_forms_take_lists_and_integer_arrays_as_float64():
     zs = [-INF, -1, 0.5, INF]
     got = limit.cdf_array(zs).tolist()
     assert got == limit.cdf_array(np.array(zs)).tolist() and (got[0], got[-1]) == (0.0, 1.0)
-    t_value = [tm.normalize(w, 10, 10, 2).t_value.tolist() for w in (np.arange(4), [0.0, 1.0, 2.0, 3.0])]
+    t_value = [tm.normalize(w, 10, 2).tolist() for w in (np.arange(4), [0.0, 1.0, 2.0, 3.0])]
     assert t_value[0] == t_value[1]
