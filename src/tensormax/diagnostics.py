@@ -22,16 +22,25 @@ drawing only what the law of S depends on:
   chi2_n draw.  The two sums of a pair tail each integrate out their own
   last factor, which leaves them conditionally independent given V1, V2
   (for s = 1, m = 2 they share V ~ chi2_n: three scalars per replicate);
+* standardized Student t: a factor is the normal scale mixture
+  Z * sqrt(k/G), with G ~ Gamma(df/2) and k = (df-2)/2 (Andrews and
+  Mallows, *J. R. Statist. Soc. B* 36, 1974).  Given every draw but the
+  last factor's normals, a sum is again exactly N(0, V), with V the row
+  sum of Z**2 * k/G over the other factors times k/G of the last one.
+  So a sum of m-fold products draws (m-1) * n normals, m * n gammas and
+  one normal Z.  The sums of a pair tail start from the shared factors'
+  product of Z**2 * k/G and multiply in draws of their own, never in
+  place, which leaves them conditionally independent given V1, V2;
 * Rademacher: a product of independent fair signs is a fair sign, so
   S = n - 2 * Bin(n, 1/2), and the copies of a pair tail are independent
   given xi (xi * eta and xi * zeta are independent fair signs).  So each
   sum is one binomial draw, an exact integer in float64.  The counts are
   binomial counts with the plain estimator's law, not bit-identical to
   it;
-* every other family: all the factors are drawn and multiplied in
-  float64.
+* centered exponential and scaled uniform: all the factors are drawn
+  and multiplied in float64.
 
-Either way each replicate's indicator is a Bernoulli variable with the
+In every case each replicate's indicator is a Bernoulli variable with the
 plain estimator's success probability, so ``hits`` is a binomial count
 with the same law and the same standard error.
 
@@ -59,6 +68,7 @@ from .asymptotics import ONE_SIDED, TWO_SIDED, check_int, check_real, lambda_lim
 from .populations import (
     RADEMACHER,
     STANDARD_NORMAL,
+    STUDENT_T_STANDARDIZED,
     PopulationSpec,
     SeedSpec,
     draw,
@@ -70,6 +80,8 @@ from .statcore import comb_capped
 
 # Nominal scalars per replicate block (see ``_count``).
 _BLOCK_SCALARS = 2**24
+
+_NORMAL = PopulationSpec(STANDARD_NORMAL)
 
 MIN_EXPECTED_HITS_LAMBDA = 50
 MIN_EXPECTED_HITS_RATIO = 10
@@ -195,9 +207,12 @@ def b1_bound(p: int, m: int, single_tail: float) -> float:
 
 
 def _normal_squares(rng: np.random.Generator, shape, k: int, out: np.ndarray | None = None) -> np.ndarray | None:
-    """out * (x_1 * ... * x_k)**2 over k fresh standard normal factors; ``out`` is not modified."""
+    """out * (x_1 * ... * x_k)**2 over k fresh standard normal factors; ``out`` is not modified.
+
+    Each factor array is filled by ``draw``, as the float path's factors are.
+    """
     for _ in range(k):
-        x = rng.standard_normal(shape)
+        x = draw(_NORMAL, rng, shape)
         np.square(x, out=x)
         out = x if out is None else np.multiply(out, x, out=x)
     return out
@@ -209,6 +224,23 @@ def _normal_square_sums(rng: np.random.Generator, shape, k: int, weight: np.ndar
     if weight is None and k == 1:
         return rng.chisquare(n, count)
     return _normal_squares(rng, shape, k, weight).sum(axis=1)
+
+
+def _t_squares(
+    spec: PopulationSpec, rng: np.random.Generator, shape, full: int, mixed: int, out: np.ndarray | None = None
+) -> np.ndarray | None:
+    """out * (Z_1 * ... * Z_full)**2 * k/G_1 * ... * k/G_mixed over fresh draws; ``out`` is not modified.
+
+    A standardized t factor is Z * sqrt(k/G), with Z standard normal,
+    G ~ Gamma(df/2) and k = (df-2)/2, so a squared factor is Z**2 * k/G.
+    G/k is drawn as Gamma(df/2, scale 1/k): k enters factor by factor and
+    k**mixed, which overflows at a huge df, is never formed.
+    """
+    out = _normal_squares(rng, shape, full, out)
+    for _ in range(mixed):
+        g = rng.gamma(spec.df / 2.0, 2.0 / (spec.df - 2.0), shape)
+        out = np.reciprocal(g, out=g) if out is None else np.divide(out, g, out=g)
+    return out
 
 
 def _product(spec: PopulationSpec, rng: np.random.Generator, shape, k: int) -> np.ndarray | None:
@@ -230,8 +262,10 @@ def _product_sums(
     xi is the product of ``shared`` factors common to every copy and eta_c
     the product of ``fresh`` factors of its own; each factor is a
     (count, n) array of i.i.d. draws from ``spec``.  The sums are jointly
-    distributed as the plain ones; see the module docstring for what each
-    family draws.
+    distributed as the plain ones: normal and Student t sums are
+    sqrt(V) * Z given their conditional variance V, a Rademacher sum is
+    one binomial draw, and the exponential and uniform factors are drawn
+    and multiplied in float64.  The module docstring gives the details.
     """
     count, n = shape
     if spec.family == RADEMACHER:
@@ -242,16 +276,20 @@ def _product_sums(
         else:
             weight = _normal_squares(rng, shape, shared)
             variances = [_normal_square_sums(rng, shape, fresh - 1, weight) for _ in range(copies)]
-        return [np.sqrt(v) * rng.standard_normal(count) for v in variances]
-    xi = _product(spec, rng, shape, shared)
-    sums = []
-    for _ in range(copies):
-        eta = _product(spec, rng, shape, fresh)
-        if xi is not None:
-            eta *= xi
-        sums.append(eta.sum(axis=1))
-        del eta
-    return sums
+    elif spec.family == STUDENT_T_STANDARDIZED:
+        weight = _t_squares(spec, rng, shape, shared, shared)
+        variances = [_t_squares(spec, rng, shape, fresh - 1, fresh, weight).sum(axis=1) for _ in range(copies)]
+    else:
+        xi = _product(spec, rng, shape, shared)
+        sums = []
+        for _ in range(copies):
+            eta = _product(spec, rng, shape, fresh)
+            if xi is not None:
+                eta *= xi
+            sums.append(eta.sum(axis=1))
+            del eta
+        return sums
+    return [np.sqrt(v) * rng.standard_normal(count) for v in variances]
 
 
 def _tail_kernel(rng, count: int, spec: PopulationSpec, n: int, m: int, sided: str, threshold: float) -> int:

@@ -82,8 +82,9 @@ nearly orthogonal to the rest make many candidates.
 replicate whose envelope (max|q| + 2**-538) A B plus top |G| is not
 below a quarter of the largest double, NaN and inf included, has every
 tuple of the tile recomputed the canonical way at once, with slack 0.
-A non-finite canonical entry raises ValueError ("tuple sums overflow
-float64"), exactly when the oracle raises.
+Its candidates keep those values, so the recheck folds them without
+computing them again.  A non-finite canonical entry raises ValueError
+("tuple sums overflow float64"), exactly when the oracle raises.
 
 :func:`enumeration_cost` counts n * sum_{s=1..m} C(p, s) multiply-adds,
 the work of sharing prefixes down to single triangle entries, and stays
@@ -387,7 +388,10 @@ class _Screen:
         keep = GG >= (self.lo - S)[:, :, None, None, None]
         idx = np.nonzero(keep[0] | keep[1])
         ri, pi, rows, cols = idx
-        self.pending.append((prefixes, Q, ri, pi, o + rows, o + cols, GG[(slice(None), *idx)] + S[ri]))
+        cand = GG[(slice(None), *idx)]
+        # a settled candidate carries its canonical value, NaN one still to compute
+        vals = np.where(over[ri], cand[1], np.nan)
+        self.pending.append((prefixes, Q, ri, pi, o + rows, o + cols, cand + S[ri], vals))
         self.pending_count += ri.size
         if self.pending_count > _PENDING_LIMIT:
             self.recheck()
@@ -417,13 +421,15 @@ class _Screen:
         return vals
 
     def recheck(self) -> None:
-        """Recompute the candidates that can still win; fold them into the maxima."""
+        """Fold the candidates that can still win into the maxima, computing the unsettled ones."""
         found = []
-        for prefixes, Q, ri, pi, a, b, hi in self.pending:
+        for prefixes, Q, ri, pi, a, b, hi, vals in self.pending:
             sel = np.logical_or.reduce(hi >= self.lo[:, ri])
             if np.count_nonzero(sel):
-                ri, pi, a, b = ri[sel], pi[sel], a[sel], b[sel]
-                vals = self._canonical(Q, ri, pi, a, b)
+                ri, pi, a, b, vals = ri[sel], pi[sel], a[sel], b[sel], vals[sel]
+                todo = np.isnan(vals)
+                if np.count_nonzero(todo):
+                    vals[todo] = self._canonical(Q, ri[todo], pi[todo], a[todo], b[todo])
                 found.append((ri, np.column_stack((prefixes[pi], a, b)), vals))
         if found:
             ri, tuples, vals = (np.concatenate(part) for part in zip(*found))

@@ -7,12 +7,13 @@ arithmetic for the exact pieces.  Tolerances are 3 binomial standard
 errors unless the quantity is deterministic.
 
 The block kernels draw only what each family's product sums depend on.
-The float sums must equal the plain draw-and-multiply path bit for bit
-on the same sub-stream.  The Rademacher sums, one binomial draw each,
-are held to their exact law: integers of n's parity, and counts within
-4 standard errors of the binomial tail summed exactly.  The Gaussian
-sums must match the plain path's law (two-sample KS, and plain
-re-simulations of the joint pair tail).
+The float sums (exponential and uniform families) must equal the plain
+draw-and-multiply path bit for bit on the same sub-stream.  The
+Rademacher sums, one binomial draw each, are held to their exact law:
+integers of n's parity, and counts within 4 standard errors of the
+binomial tail summed exactly.  The Gaussian and Student t sums, drawn
+as normal scale mixtures, must match the plain path's law (two-sample
+KS, and plain re-simulations of the joint pair tail).
 """
 
 import math
@@ -40,9 +41,11 @@ from tensormax import (
 from tensormax import diagnostics
 from tensormax.asymptotics import ONE_SIDED, TWO_SIDED
 from tensormax.populations import (
+    CENTERED_EXPONENTIAL,
     RADEMACHER,
     STANDARD_NORMAL,
     STUDENT_T_STANDARDIZED,
+    UNIFORM_SCALED,
     draw,
     make_generator,
 )
@@ -50,6 +53,7 @@ from tensormax.populations import (
 NORMAL = PopulationSpec(STANDARD_NORMAL)
 SEED = SeedSpec(2025, 0)
 KERNEL_SEEDS = (SeedSpec(2025, 0), SeedSpec(7, 3), SeedSpec(2**64 - 1, 11))
+FLOAT_PATH_SPECS = (PopulationSpec(CENTERED_EXPONENTIAL), PopulationSpec(UNIFORM_SCALED))
 
 
 def plain_product(spec, rng, shape, k):
@@ -64,6 +68,21 @@ def plain_sums(spec, n, m, seed, index, count):
     """Oracle: one block's product sums drawn and multiplied in full."""
     rng = make_generator(seed, extra=(index,))
     return plain_product(spec, rng, (count, n), m).sum(axis=1)
+
+
+def plain_pair_tail(pspec, reps, rng):
+    """Oracle: (probability, SE) of the joint pair tail, every factor drawn and multiplied in full."""
+    n, s, m = pspec.n, pspec.s, pspec.m
+    thr = pspec.a_n * math.sqrt(n * math.log(pspec.p))
+    hits = 0
+    for _ in range(10):
+        shape = (reps // 10, n)
+        xi = plain_product(pspec.spec, rng, shape, s)
+        s1 = np.abs((xi * plain_product(pspec.spec, rng, shape, m - s)).sum(axis=1))
+        s2 = np.abs((xi * plain_product(pspec.spec, rng, shape, m - s)).sum(axis=1))
+        hits += int(np.count_nonzero((s1 >= thr) & (s2 >= thr)))
+    prob = hits / reps
+    return prob, math.sqrt(prob * (1 - prob) / reps)
 
 
 def plain_pair_sums(spec, n, s, m, seed, index, count):
@@ -138,12 +157,13 @@ class TestBlockKernelsBitIdentical:
 
     @pytest.mark.parametrize("m,s", [(2, 1), (3, 1), (3, 2)])
     def test_float_path_unchanged(self, m, s):
-        spec, n, count = PopulationSpec(STUDENT_T_STANDARDIZED, df=5), 23, 500
-        (sums,) = diagnostics._product_sums(spec, make_generator(SEED, extra=(1,)), (count, n), 0, m, 1)
-        assert np.array_equal(sums, plain_sums(spec, n, m, SEED, 1, count))
-        pair = diagnostics._product_sums(spec, make_generator(SEED, extra=(1,)), (count, n), s, m - s, 2)
-        for got, want in zip(pair, plain_pair_sums(spec, n, s, m, SEED, 1, count)):
-            assert np.array_equal(got, want)
+        n, count = 23, 500
+        for spec in FLOAT_PATH_SPECS:
+            (sums,) = diagnostics._product_sums(spec, make_generator(SEED, extra=(1,)), (count, n), 0, m, 1)
+            assert np.array_equal(sums, plain_sums(spec, n, m, SEED, 1, count))
+            pair = diagnostics._product_sums(spec, make_generator(SEED, extra=(1,)), (count, n), s, m - s, 2)
+            for got, want in zip(pair, plain_pair_sums(spec, n, s, m, SEED, 1, count)):
+                assert np.array_equal(got, want)
 
 
 def traced_peak(fn, *args):
@@ -158,14 +178,17 @@ def traced_peak(fn, *args):
 
 
 def test_float_blocks_release_each_factor():
-    # A block holds the running product and the factor being drawn, plus
-    # xi in a pair block; a factor already multiplied in is released.
-    spec, n, count = PopulationSpec(STUDENT_T_STANDARDIZED, df=8), 100, 2000
+    # A block holds the running product and the factor being drawn (for
+    # the t family, the running product of squares and the normal or
+    # gamma draw), plus xi or its squares in a pair block; a factor
+    # already multiplied in is released.
+    n, count = 100, 2000
     array = count * n * 8
-    tail = traced_peak(diagnostics._tail_kernel, count, spec, n, 4, TWO_SIDED, 1.0)
-    assert tail < 2.5 * array
-    pair = traced_peak(diagnostics._pair_kernel, count, spec, n, 1, 4, 1.0)
-    assert pair < 3.5 * array
+    for spec in (PopulationSpec(STUDENT_T_STANDARDIZED, df=8), PopulationSpec(CENTERED_EXPONENTIAL)):
+        tail = traced_peak(diagnostics._tail_kernel, count, spec, n, 4, TWO_SIDED, 1.0)
+        assert tail < 2.5 * array, spec.label
+        pair = traced_peak(diagnostics._pair_kernel, count, spec, n, 1, 4, 1.0)
+        assert pair < 3.5 * array, spec.label
 
 
 class TestManyBlocks:
@@ -248,20 +271,53 @@ class TestGaussianReduction:
         pspec = PairTailSpec(s=s, a_n=0.8, n=20, p=20, m=3, spec=NORMAL)
         reps = 10**5
         est = estimate_pair_tail(pspec, reps, SEED)
-        rng = np.random.default_rng(20260 + s)
-        thr = 0.8 * math.sqrt(20 * math.log(20))
-        hits = 0
-        for _ in range(10):
-            shape = (reps // 10, 20)
-            xi = np.prod([rng.standard_normal(shape) for _ in range(s)], axis=0)
-            eta = np.prod([rng.standard_normal(shape) for _ in range(3 - s)], axis=0)
-            zeta = np.prod([rng.standard_normal(shape) for _ in range(3 - s)], axis=0)
-            s1 = np.abs((xi * eta).sum(axis=1))
-            s2 = np.abs((xi * zeta).sum(axis=1))
-            hits += int(np.count_nonzero((s1 >= thr) & (s2 >= thr)))
-        oracle = hits / reps
-        se_o = math.sqrt(oracle * (1 - oracle) / reps)
+        oracle, se_o = plain_pair_tail(pspec, reps, np.random.default_rng(20260 + s))
         assert abs(est.probability - oracle) <= 3.0 * (est.std_error + se_o)
+
+
+class TestStudentTMixture:
+    """Student t sums are drawn as sqrt(V) * Z, each factor Z * sqrt(k/G); their law must be the plain one."""
+
+    @pytest.mark.parametrize("df", [3, 5])
+    @pytest.mark.parametrize(
+        "shared,fresh,copies",
+        [(0, 2, 1), (0, 3, 1), (1, 1, 2), (1, 2, 2), (2, 1, 2)],
+        ids=["m2", "m3", "pair-m2-s1", "pair-m3-s1", "pair-m3-s2"],
+    )
+    def test_ks_against_plain_sums(self, shared, fresh, copies, df):
+        # At n = 5 a sum with a normal factor too many, a mixing weight too
+        # few, or a shared weight divided by another copy's gamma fails.
+        spec, n, count = PopulationSpec(STUDENT_T_STANDARDIZED, df=df), 5, 20_000
+        mixed = diagnostics._product_sums(spec, make_generator(SEED), (count, n), shared, fresh, copies)
+        rng = np.random.default_rng(434343)
+        xi = plain_product(spec, rng, (count, n), shared) if shared else 1.0
+        for sums in mixed:
+            plain = (xi * plain_product(spec, rng, (count, n), fresh)).sum(axis=1)
+            assert scipy.stats.ks_2samp(sums, plain).pvalue > 0.01
+
+    @pytest.mark.parametrize("m,s,a_n", [(2, 1, 1.0), (3, 1, 0.8), (3, 2, 0.8)])
+    def test_pair_tail_agrees_with_plain_resimulation(self, m, s, a_n):
+        # At m = 2, s = 1 both copies share the weight sum xi**2 and divide
+        # it by gammas of their own: a weight divided in place by the first
+        # copy's gamma moves P(joint) from about 0.0075 to 0.0105, some 5 SE.
+        spec = PopulationSpec(STUDENT_T_STANDARDIZED, df=3)
+        pspec = PairTailSpec(s=s, a_n=a_n, n=20, p=20, m=m, spec=spec)
+        reps = 10**5
+        est = estimate_pair_tail(pspec, reps, SEED)
+        oracle, se_o = plain_pair_tail(pspec, reps, np.random.default_rng(30300 + 10 * m + s))
+        assert abs(est.probability - oracle) <= 3.0 * (est.std_error + se_o)
+
+    def test_huge_df_is_finite_and_near_normal(self):
+        # k = (df - 2)/2 = 5e14 enters each factor through the gamma's
+        # scale, so every sum is finite and, at this df, normal products.
+        spec, n, count = PopulationSpec(STUDENT_T_STANDARDIZED, df=10**15), 5, 20_000
+        rng = np.random.default_rng(454545)
+        for shared, fresh, copies in ((0, 3, 1), (1, 1, 2), (2, 1, 2)):
+            mixed = diagnostics._product_sums(spec, make_generator(SEED), (count, n), shared, fresh, copies)
+            for sums in mixed:
+                assert np.isfinite(sums).all()
+                plain = plain_product(NORMAL, rng, (count, n), shared + fresh).sum(axis=1)
+                assert scipy.stats.ks_2samp(sums, plain).pvalue > 0.01
 
 
 class TestTailEstimateArithmetic:

@@ -350,6 +350,22 @@ class TestEngineOracle:
         X = np.array([[1e154, 1e154, 1.0], [1e154, -1e154, 1.0]])
         self._check(X, 2)
         assert max_entry(X, 2).argmax_abs == (1, 3)
+        # the settled tile's three tuples are recomputed once, the winner not again
+        (best,) = statcore._max_entries_core([X[None]] * 2, 2)
+        assert best.rechecked == 3
+
+    def test_finite_envelope_past_the_limit_settles_the_tile(self):
+        # ||x_1|| ||x_2|| is 6e307: finite, and at least _ENVELOPE_LIMIT,
+        # while the top entry (1, 2), 4.2e307, is below it.  The guard must
+        # settle the tile on the envelope and recompute all three tuples; a
+        # guard on the top alone gives the tile a finite slack of about
+        # 1e293, and only the winner is rechecked.
+        a = math.sqrt(3e307)
+        X = np.array([[a, a, 1.0], [a, a, -1.0]])
+        assert statcore._ENVELOPE_LIMIT <= 2.0 * a * a < math.inf
+        (best,) = statcore._max_entries_core([X[None]] * 2, 2)
+        assert best.rechecked == 3
+        self._check(X, 2)
 
     def test_gaussian_rechecks_a_handful(self):
         rng = np.random.default_rng(600)
