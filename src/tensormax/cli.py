@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import diagnostics, hypotest, lab, statcore
-from .asymptotics import ONE_SIDED, TWO_SIDED, GumbelLimit, check_int
+from .asymptotics import ONE_SIDED, TWO_SIDED, GumbelLimit, check_int, check_real
 from .populations import FAMILIES, PopulationSpec, SeedSpec
 from .statcore import BudgetError
 
@@ -142,9 +142,6 @@ def _studentized(A: np.ndarray) -> np.ndarray:
 
 
 def _cmd_test(args) -> int:
-    matrices = [statcore.load_matrix_csv(path) for path in args.input]
-    if args.studentize:
-        matrices = [_studentized(A) for A in matrices]
     resolved = {
         "input": list(args.input),
         "m": args.m,
@@ -154,19 +151,23 @@ def _cmd_test(args) -> int:
         "workers": args.workers,
     }
     _log_config("test", resolved)
+    # every flag is checked before any input is read
     check_int("workers", args.workers, 1)
-    if len(matrices) == 1:
-        if args.m is None:
-            raise ValueError("--m is required when testing a single input matrix")
+    check_real("cost_ceiling", args.cost_ceiling, 0.0)
+    k = len(args.input)
+    if k == 1 and args.m is None:
+        raise ValueError("--m is required when testing a single input matrix")
+    if k > 1 and args.m is not None and args.m != k:
+        raise ValueError(f"--m {args.m} conflicts with {k} input matrices "
+                         "(the multi-population order is the number of matrices)")
+    matrices = [statcore.load_matrix_csv(path) for path in args.input]
+    if args.studentize:
+        matrices = [_studentized(A) for A in matrices]
+    if k == 1:
         result = hypotest.test_independence(
             matrices[0], args.m, sided=_SIDED[args.sided], cost_ceiling=args.cost_ceiling
         )
     else:
-        if args.m is not None and args.m != len(matrices):
-            raise ValueError(
-                f"--m {args.m} conflicts with {len(matrices)} input matrices "
-                f"(the multi-population order is the number of matrices)"
-            )
         result = hypotest.test_independence_multi(
             matrices, sided=_SIDED[args.sided], cost_ceiling=args.cost_ceiling
         )

@@ -15,22 +15,20 @@ Each replicate simulates S = sum over n of an m-fold product of i.i.d.
 draws (for a pair tail, two such sums sharing the s leading factors),
 drawing only what the law of S depends on:
 
-* standard normal: given the other factors, a sum whose last factor is
-  normal is exactly N(0, V), with V the sum of the squared products of
-  the other factors.  So only those are drawn, and S = sqrt(V) * Z with
-  one normal Z per sum; when a single normal factor is left, V is one
-  chi2_n draw.  The two sums of a pair tail each integrate out their own
-  last factor, which leaves them conditionally independent given V1, V2
-  (for s = 1, m = 2 they share V ~ chi2_n: three scalars per replicate);
-* standardized Student t: a factor is the normal scale mixture
-  Z * sqrt(k/G), with G ~ Gamma(df/2) and k = (df-2)/2 (Andrews and
-  Mallows, *J. R. Statist. Soc. B* 36, 1974).  Given every draw but the
-  last factor's normals, a sum is again exactly N(0, V), with V the row
-  sum of Z**2 * k/G over the other factors times k/G of the last one.
-  So a sum of m-fold products draws (m-1) * n normals, m * n gammas and
-  one normal Z.  The sums of a pair tail start from the shared factors'
-  product of Z**2 * k/G and multiply in draws of their own, never in
-  place, which leaves them conditionally independent given V1, V2;
+* standard normal and standardized Student t, both normal scale
+  mixtures: a factor is Z * sqrt(W) with Z standard normal, W = 1 for
+  the normal family and W = k/G for t, G ~ Gamma(df/2) and
+  k = (df-2)/2 (Andrews and Mallows, *J. R. Statist. Soc. B* 36, 1974).
+  Given every draw but the last factor's Z, a sum is exactly N(0, V),
+  with V the row sum of Z**2 * W over the other factors times W of the
+  last one.  So only those are drawn, and S = sqrt(V) * Z with one
+  normal Z per sum: (m-1) * n normals, m * n gammas for t and none for
+  the normal family, and where V is one squared normal factor, one
+  chi2_n draw.  The sums of a pair tail start from the shared factors'
+  product of Z**2 * W and multiply in draws of their own, never in
+  place, which leaves them conditionally independent given V1, V2 (for
+  normal sums at s = 1, m = 2 they share V ~ chi2_n: three scalars per
+  replicate);
 * Rademacher: a product of independent fair signs is a fair sign, so
   S = n - 2 * Bin(n, 1/2), and the copies of a pair tail are independent
   given xi (xi * eta and xi * zeta are independent fair signs).  So each
@@ -206,40 +204,25 @@ def b1_bound(p: int, m: int, single_tail: float) -> float:
     return _b1_factor(p, m) * single_tail * single_tail
 
 
-def _normal_squares(rng: np.random.Generator, shape, k: int, out: np.ndarray | None = None) -> np.ndarray | None:
-    """out * (x_1 * ... * x_k)**2 over k fresh standard normal factors; ``out`` is not modified.
+def _squares(
+    spec: PopulationSpec, rng: np.random.Generator, shape, normals: int, gammas: int, out: np.ndarray | None = None
+) -> np.ndarray | None:
+    """out * (Z_1 * ... * Z_normals)**2 * k/G_1 * ... * k/G_gammas over fresh draws; ``out`` is not modified.
 
-    Each factor array is filled by ``draw``, as the float path's factors are.
+    Each Z array is filled by ``draw``, as the float path's factors are.
+    G/k is drawn as Gamma(df/2, scale 1/k), with k = (df-2)/2: k enters
+    factor by factor, and k**gammas, which overflows at a huge df, is
+    never formed.
     """
-    for _ in range(k):
+    for _ in range(normals):
         x = draw(_NORMAL, rng, shape)
         np.square(x, out=x)
         out = x if out is None else np.multiply(out, x, out=x)
-    return out
-
-
-def _normal_square_sums(rng: np.random.Generator, shape, k: int, weight: np.ndarray | None = None) -> np.ndarray:
-    """Row sums of weight * (x_1 * ... * x_k)**2; a lone factor's sum is one chi2_n draw."""
-    count, n = shape
-    if weight is None and k == 1:
-        return rng.chisquare(n, count)
-    return _normal_squares(rng, shape, k, weight).sum(axis=1)
-
-
-def _t_squares(
-    spec: PopulationSpec, rng: np.random.Generator, shape, full: int, mixed: int, out: np.ndarray | None = None
-) -> np.ndarray | None:
-    """out * (Z_1 * ... * Z_full)**2 * k/G_1 * ... * k/G_mixed over fresh draws; ``out`` is not modified.
-
-    A standardized t factor is Z * sqrt(k/G), with Z standard normal,
-    G ~ Gamma(df/2) and k = (df-2)/2, so a squared factor is Z**2 * k/G.
-    G/k is drawn as Gamma(df/2, scale 1/k): k enters factor by factor and
-    k**mixed, which overflows at a huge df, is never formed.
-    """
-    out = _normal_squares(rng, shape, full, out)
-    for _ in range(mixed):
+        del x
+    for _ in range(gammas):
         g = rng.gamma(spec.df / 2.0, 2.0 / (spec.df - 2.0), shape)
         out = np.reciprocal(g, out=g) if out is None else np.divide(out, g, out=g)
+        del g
     return out
 
 
@@ -262,34 +245,36 @@ def _product_sums(
     xi is the product of ``shared`` factors common to every copy and eta_c
     the product of ``fresh`` factors of its own; each factor is a
     (count, n) array of i.i.d. draws from ``spec``.  The sums are jointly
-    distributed as the plain ones: normal and Student t sums are
-    sqrt(V) * Z given their conditional variance V, a Rademacher sum is
+    distributed as the plain ones: a normal or Student t sum is
+    sqrt(V) * Z given its conditional variance V, a Rademacher sum is
     one binomial draw, and the exponential and uniform factors are drawn
     and multiplied in float64.  The module docstring gives the details.
     """
     count, n = shape
     if spec.family == RADEMACHER:
         return [(n - 2 * rng.binomial(n, 0.5, count)).astype(np.float64) for _ in range(copies)]
-    if spec.family == STANDARD_NORMAL:
-        if fresh == 1:
-            variances = [_normal_square_sums(rng, shape, shared)] * copies
+    if spec.family in (STANDARD_NORMAL, STUDENT_T_STANDARDIZED):
+        # gamma draws per factor: a normal factor is the mixture with none
+        gammas = int(spec.family == STUDENT_T_STANDARDIZED)
+        if shared + fresh == 2 and not gammas:
+            # V is one squared normal factor: one chi2_n draw, common to the copies if shared
+            chi2 = [rng.chisquare(n, count) for _ in range(1 if shared else copies)]
+            variances = chi2 * (copies if shared else 1)
         else:
-            weight = _normal_squares(rng, shape, shared)
-            variances = [_normal_square_sums(rng, shape, fresh - 1, weight) for _ in range(copies)]
-    elif spec.family == STUDENT_T_STANDARDIZED:
-        weight = _t_squares(spec, rng, shape, shared, shared)
-        variances = [_t_squares(spec, rng, shape, fresh - 1, fresh, weight).sum(axis=1) for _ in range(copies)]
-    else:
-        xi = _product(spec, rng, shape, shared)
-        sums = []
-        for _ in range(copies):
-            eta = _product(spec, rng, shape, fresh)
-            if xi is not None:
-                eta *= xi
-            sums.append(eta.sum(axis=1))
-            del eta
-        return sums
-    return [np.sqrt(v) * rng.standard_normal(count) for v in variances]
+            weight = _squares(spec, rng, shape, shared, gammas * shared)
+            variances = [
+                _squares(spec, rng, shape, fresh - 1, gammas * fresh, weight).sum(axis=1) for _ in range(copies)
+            ]
+        return [np.sqrt(v) * rng.standard_normal(count) for v in variances]
+    xi = _product(spec, rng, shape, shared)
+    sums = []
+    for _ in range(copies):
+        eta = _product(spec, rng, shape, fresh)
+        if xi is not None:
+            eta *= xi
+        sums.append(eta.sum(axis=1))
+        del eta
+    return sums
 
 
 def _tail_kernel(rng, count: int, spec: PopulationSpec, n: int, m: int, sided: str, threshold: float) -> int:

@@ -83,11 +83,6 @@ class PopulationSpec(JsonRecord):
         elif self.df is not None:
             raise ValueError(f"df only applies to {STUDENT_T_STANDARDIZED}, got family {self.family!r}")
 
-    @property
-    def label(self) -> str:
-        """Display name: the family, with its df when set."""
-        return self.family if self.df is None else f"{self.family}(df={self.df})"
-
 
 @dataclass(frozen=True)
 class RegimeReport(JsonRecord):

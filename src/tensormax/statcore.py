@@ -34,7 +34,7 @@ that no tile holds more than about a million entries.
 (R, n, p) stack of independent matrices at once.  Partial products have
 shape (R, n), each prefix group is one batched ``np.matmul`` over the
 stack, and the slack, the lower bound L, the candidates, the overflow
-settling and the recheck below are all kept per replicate, so every
+guard and the recheck below are all kept per replicate, so every
 replicate gets exactly the answer it gets alone.  :func:`max_entry` and
 :func:`max_entry_multi` are the R = 1 case of the same engine, entered
 through the same budget check.  The tile limit counts entries across the
@@ -80,10 +80,10 @@ nearly orthogonal to the rest make many candidates.
 
 **Overflow.**  The bound needs every partial sum to stay finite.  A
 replicate whose envelope (max|q| + 2**-538) A B plus top |G| is not
-below a quarter of the largest double, NaN and inf included, has every
-tuple of the tile recomputed the canonical way at once, with slack 0.
-Its candidates keep those values, so the recheck folds them without
-computing them again.  A non-finite canonical entry raises ValueError
+below a quarter of the largest double, NaN and inf included, gets no
+bound from that tile: every tuple of the tile becomes a candidate with
+upper bound +inf, so the recheck recomputes each of them once, and the
+tile leaves L as it is.  A non-finite canonical entry raises ValueError
 ("tuple sums overflow float64"), exactly when the oracle raises.
 
 :func:`enumeration_cost` counts n * sum_{s=1..m} C(p, s) multiply-adds,
@@ -364,44 +364,44 @@ class _Screen:
         return self.pad[:rows, :cols]
 
     def _tile(self, prefixes, Q, o, GG, envelope) -> None:
-        tile, peak = (2, 3, 4), np.maximum.reduce
         pad = self._pad(*GG.shape[3:])
         GG += pad
-        top = peak(GG, axis=tile)
+        top = np.maximum.reduce(GG, axis=(2, 3, 4))
         # A non-finite entry anywhere in the tile, off the triangle too
         # (inf - inf is NaN), makes the top NaN or inf, and the envelope
         # must stay below the limit.  Adding the two can only send more
-        # replicates to _settle.  Past this test every entry is finite.
+        # replicates over.  Past this test the others' entries are finite.
         over = ~(envelope + top[0] < _ENVELOPE_LIMIT)
         S = envelope * self.scale + self.tiny
         if np.count_nonzero(over):
-            self._settle(Q, o, GG, pad, over)
+            # Every tuple of such a replicate's tile is a candidate with
+            # upper bound +inf, left to the recheck, and the tile gives it
+            # no L.  NaN fails every candidate test below, even at L = -inf.
+            tuples = np.broadcast_to(over[:, None, None, None] & (pad == 0.0), GG.shape[1:])
+            ri, pi, rows, cols = np.nonzero(tuples)
+            GG[:, over] = np.nan
+            top[:, over] = -np.inf
             S[over] = 0.0
-            top = peak(GG, axis=tile)
+            self._queue(prefixes, Q, ri, pi, o + rows, o + cols, np.inf)
         # Lower bounds lie below upper ones, so a replicate whose upper
         # bounds all fall short of its L can neither raise L nor hold a
         # candidate here.
         if not np.count_nonzero(top + S >= self.lo):
             return
         np.maximum(self.lo, top - S, out=self.lo)
-        # Every L is finite now, so the -inf entries off the triangle fail.
+        # Every L but an over replicate's is finite now, so the -inf entries
+        # off the triangle fail.
         keep = GG >= (self.lo - S)[:, :, None, None, None]
         idx = np.nonzero(keep[0] | keep[1])
         ri, pi, rows, cols = idx
-        cand = GG[(slice(None), *idx)]
-        # a settled candidate carries its canonical value, NaN one still to compute
-        vals = np.where(over[ri], cand[1], np.nan)
-        self.pending.append((prefixes, Q, ri, pi, o + rows, o + cols, cand + S[ri], vals))
+        self._queue(prefixes, Q, ri, pi, o + rows, o + cols, GG[(slice(None), *idx)] + S[ri])
+
+    def _queue(self, prefixes, Q, ri, pi, a, b, hi) -> None:
+        """Hold tuples prefixes[pi[i]] + (a[i], b[i]) of replicates ri[i]; hi bounds |entry| and entry."""
+        self.pending.append((prefixes, Q, ri, pi, a, b, hi))
         self.pending_count += ri.size
         if self.pending_count > _PENDING_LIMIT:
             self.recheck()
-
-    def _settle(self, Q, o, GG, pad, over) -> None:
-        """Replace every tuple of the tile in the replicates ``over`` by its canonical value."""
-        GG[:, over] = pad
-        idx = np.nonzero(np.broadcast_to(over[:, None, None, None] & (pad == 0.0), GG.shape[1:]))
-        GG[1][idx] = self._canonical(Q, idx[0], idx[1], o + idx[2], o + idx[3])
-        GG[0][idx] = np.abs(GG[1][idx])
 
     def _canonical(self, Q, ri: np.ndarray, pi: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Canonical entries of the tuples prefixes[pi[i]] + (a[i], b[i]) in replicates ri[i]."""
@@ -421,15 +421,13 @@ class _Screen:
         return vals
 
     def recheck(self) -> None:
-        """Fold the candidates that can still win into the maxima, computing the unsettled ones."""
+        """Recompute the candidates that can still win; fold them into the maxima."""
         found = []
-        for prefixes, Q, ri, pi, a, b, hi, vals in self.pending:
+        for prefixes, Q, ri, pi, a, b, hi in self.pending:
             sel = np.logical_or.reduce(hi >= self.lo[:, ri])
             if np.count_nonzero(sel):
-                ri, pi, a, b, vals = ri[sel], pi[sel], a[sel], b[sel], vals[sel]
-                todo = np.isnan(vals)
-                if np.count_nonzero(todo):
-                    vals[todo] = self._canonical(Q, ri[todo], pi[todo], a[todo], b[todo])
+                ri, pi, a, b = ri[sel], pi[sel], a[sel], b[sel]
+                vals = self._canonical(Q, ri, pi, a, b)
                 found.append((ri, np.column_stack((prefixes[pi], a, b)), vals))
         if found:
             ri, tuples, vals = (np.concatenate(part) for part in zip(*found))

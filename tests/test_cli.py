@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tensormax import statcore
 from tensormax.cli import main
 
 X_M2 = str(Path(__file__).parent / "golden" / "x_m2.csv")
@@ -94,6 +95,25 @@ class TestTest:
     def test_missing_file_io_error(self, capsys):
         code, _, err = run_cli(capsys, "test", "--input", "/nonexistent/x.csv", "--m", "2")
         assert code == 4
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (("--m", "2", "--workers", "0"), "workers"),
+            ((), "--m"),
+            (("/nonexistent/y.csv", "--m", "3"), "conflicts"),
+            (("--m", "2", "--cost-ceiling", "-1"), "cost_ceiling"),
+        ],
+        ids=["zero-workers", "missing-m", "conflicting-m", "negative-cost-ceiling"],
+    )
+    def test_flags_are_checked_before_any_input_is_read(self, flags, message, capsys, monkeypatch):
+        # A bad flag exits 2 at once, even beside an unreadable input.
+        def refuse(path):
+            raise AssertionError(f"{path} was read before the flags were checked")
+
+        monkeypatch.setattr(statcore, "load_matrix_csv", refuse)
+        code, _, err = run_cli(capsys, "test", "--input", "/nonexistent/x.csv", *flags)
+        assert code == 2 and message in err
 
     def test_studentize_flag(self, tmp_path, capsys):
         rng = np.random.default_rng(1)

@@ -16,6 +16,7 @@ as normal scale mixtures, must match the plain path's law (two-sample
 KS, and plain re-simulations of the joint pair tail).
 """
 
+import hashlib
 import math
 import time
 import tracemalloc
@@ -179,16 +180,16 @@ def traced_peak(fn, *args):
 
 def test_float_blocks_release_each_factor():
     # A block holds the running product and the factor being drawn (for
-    # the t family, the running product of squares and the normal or
-    # gamma draw), plus xi or its squares in a pair block; a factor
-    # already multiplied in is released.
+    # the normal and t families, the running product of squares and the
+    # normal or gamma draw), plus xi or its squares in a pair block; a
+    # factor already multiplied in is released.
     n, count = 100, 2000
     array = count * n * 8
-    for spec in (PopulationSpec(STUDENT_T_STANDARDIZED, df=8), PopulationSpec(CENTERED_EXPONENTIAL)):
+    for spec in (NORMAL, PopulationSpec(STUDENT_T_STANDARDIZED, df=8), PopulationSpec(CENTERED_EXPONENTIAL)):
         tail = traced_peak(diagnostics._tail_kernel, count, spec, n, 4, TWO_SIDED, 1.0)
-        assert tail < 2.5 * array, spec.label
+        assert tail < 2.5 * array, spec.family
         pair = traced_peak(diagnostics._pair_kernel, count, spec, n, 1, 4, 1.0)
-        assert pair < 3.5 * array, spec.label
+        assert pair < 3.5 * array, spec.family
 
 
 class TestManyBlocks:
@@ -273,6 +274,33 @@ class TestGaussianReduction:
         est = estimate_pair_tail(pspec, reps, SEED)
         oracle, se_o = plain_pair_tail(pspec, reps, np.random.default_rng(20260 + s))
         assert abs(est.probability - oracle) <= 3.0 * (est.std_error + se_o)
+
+
+# sha256 prefixes of the concatenated sum bytes at shape (40, 7) on SEED,
+# for the normal family and t(5): a reordered, missing or extra draw
+# changes them.
+MIXTURE_DIGESTS = {
+    (STANDARD_NORMAL, (0, 2, 1)): "9666f3525ac8fe8d",
+    (STANDARD_NORMAL, (0, 3, 1)): "031cd779ff9cd5e4",
+    (STANDARD_NORMAL, (1, 1, 2)): "2bb10026a05b8f87",
+    (STANDARD_NORMAL, (1, 2, 2)): "758a65d19cbe80b9",
+    (STANDARD_NORMAL, (2, 1, 2)): "00928f70da1b2cb0",
+    (STUDENT_T_STANDARDIZED, (0, 2, 1)): "838075af76d6b7cd",
+    (STUDENT_T_STANDARDIZED, (0, 3, 1)): "7f4bbaab8eed9539",
+    (STUDENT_T_STANDARDIZED, (1, 1, 2)): "6c0a59386392fc38",
+    (STUDENT_T_STANDARDIZED, (1, 2, 2)): "8a872bfc38b94ab0",
+    (STUDENT_T_STANDARDIZED, (2, 1, 2)): "1459c1770d9b562f",
+}
+
+
+@pytest.mark.parametrize("family,case", list(MIXTURE_DIGESTS), ids=["-".join(map(str, (f, *c))) for f, c in MIXTURE_DIGESTS])
+def test_scale_mixture_streams_are_pinned(family, case):
+    # n = 7 keeps each row sum a plain loop, so the bytes do not depend
+    # on numpy's pairwise blocking.
+    spec = PopulationSpec(family, df=5 if family == STUDENT_T_STANDARDIZED else None)
+    sums = diagnostics._product_sums(spec, make_generator(SEED), (40, 7), *case)
+    digest = hashlib.sha256(b"".join(s.tobytes() for s in sums)).hexdigest()
+    assert digest[:16] == MIXTURE_DIGESTS[family, case]
 
 
 class TestStudentTMixture:

@@ -41,6 +41,13 @@ MOMENT_CASES = [
 ]
 
 
+def spec_id(value):
+    """A spec's family, with its df when set; pytest's own id for anything else."""
+    if isinstance(value, PopulationSpec):
+        return value.family if value.df is None else f"{value.family}(df={value.df})"
+    return None
+
+
 class TestSpecValidation:
     def test_family_names(self):
         with pytest.raises(ValueError, match="family"):
@@ -86,7 +93,7 @@ class TestSampling:
             assert abs(X[:, j].mean()) <= 4.0 / math.sqrt(n)
             assert abs(X[:, j].var() - 1.0) <= 0.02
 
-    @pytest.mark.parametrize("spec,m4", MOMENT_CASES, ids=lambda c: getattr(c, "label", c))
+    @pytest.mark.parametrize("spec,m4", MOMENT_CASES, ids=spec_id)
     def test_moments_converge_within_5_se(self, spec, m4):
         n = 2 * 10**6
         x = sample_values(spec, n, SeedSpec(99, 7))

@@ -550,12 +550,18 @@ class TestMaxEntries:
         with pytest.raises(ValueError, match="tuple sums overflow float64"):
             statcore.max_entries(np.stack([np.ones((4, 5)), np.full((4, 5), 1e120)]), 3)
 
+    @pytest.mark.parametrize("small_tiles", [False, True])
     @pytest.mark.parametrize("m", [2, 3])
-    def test_one_replicate_settles_whole_tiles(self, m):
+    def test_one_replicate_settles_whole_tiles(self, m, small_tiles, monkeypatch):
         # In replicate 1, ||x_1|| ||x_2|| is past the float64 range while
         # every sum stays finite, (1, 2, ...) being 1e308 - 1e308 plus
-        # normal terms: its tiles that meet columns 1 and 2 are recomputed
-        # the canonical way, and the other replicates are screened as usual.
+        # normal terms: every tuple of its tiles that meet columns 1 and 2
+        # is a candidate for the recheck, and the other replicates are
+        # screened as usual.  Small tiles spread those tuples over many
+        # tiles and early rechecks.
+        if small_tiles:
+            monkeypatch.setattr(statcore, "_TILE_ENTRIES", 64)
+            monkeypatch.setattr(statcore, "_PENDING_LIMIT", 3)
         rng = np.random.default_rng(710 + m)
         X = rng.standard_normal((3, 40, 12))
         X[1, :2] = 1.0
