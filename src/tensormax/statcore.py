@@ -68,9 +68,11 @@ n * 2**-1074 for the same reason.
 top |G| of a tile less its slack.  Every canonical |entry| is at least
 its own |G| - slack, so the maximum is at least L, and any tuple that
 attains it has |G| >= L - slack.  Only those candidates, and the same
-set for the signed G, are recomputed the canonical way, and the winner
-is chosen among the canonical values with the smallest-tuple tie-break.
-The screen thus decides only which tuples to recompute, never which one
+set for the signed G, are held, each as its replicate, index tuple and
+upper bounds, and recomputed from the input stacks alone, as the oracle
+builds them: no screen product enters a canonical value.  The winner is
+chosen among the canonical values with the smallest-tuple tie-break, so
+the screen decides only which tuples to recompute, never which one
 wins, and the result is bit-identical to the oracle for every finite
 input, replicate by replicate.  On standardized continuous data the
 slack is about 2 u n**1.5 max|q| (2.5e-12 at n = 500, m = 2), far below
@@ -81,10 +83,10 @@ nearly orthogonal to the rest make many candidates.
 **Overflow.**  The bound needs every partial sum to stay finite.  A
 replicate whose envelope (max|q| + 2**-538) A B plus top |G| is not
 below a quarter of the largest double, NaN and inf included, gets no
-bound from that tile: every tuple of the tile becomes a candidate with
-upper bound +inf, so the recheck recomputes each of them once, and the
-tile leaves L as it is.  A non-finite canonical entry raises ValueError
-("tuple sums overflow float64"), exactly when the oracle raises.
+bound from that tile: the tile's tuples are recomputed and folded at
+once, before the rest of the tile is screened, and their exact values
+raise L.  A non-finite canonical entry raises ValueError ("tuple sums
+overflow float64"), exactly when the oracle raises.
 
 :func:`enumeration_cost` counts n * sum_{s=1..m} C(p, s) multiply-adds,
 the work of sharing prefixes down to single triangle entries, and stays
@@ -304,6 +306,7 @@ class _Screen:
     """
 
     def __init__(self, mats: list[np.ndarray], n: int, pen_rows: np.ndarray | None):
+        self.mats = mats
         self.pen, self.last = mats[-2], mats[-1]
         R = self.last.shape[0]
         self.n = n
@@ -347,7 +350,7 @@ class _Screen:
             np.matmul(Y, self.last[:, :, o:], out=GG[1].reshape(R, -1, w - r0))
             GG[1] /= self.sqrt_n
             np.abs(GG[1], out=GG[0])
-            self._tile(prefixes, Q, o, GG, q_max * self.pen_max[:, o] * self.last_max[:, o])
+            self._tile(prefixes, o, GG, q_max * self.pen_max[:, o] * self.last_max[:, o])
 
     def _pad(self, rows: int, cols: int) -> np.ndarray:
         """0 where column b = o + j lies past row a = o + i (j > i), -inf elsewhere.
@@ -363,7 +366,10 @@ class _Screen:
             self.pad = np.where(j[None, :] > i[:, None], 0.0, -np.inf)
         return self.pad[:rows, :cols]
 
-    def _tile(self, prefixes, Q, o, GG, envelope) -> None:
+    def _tile(self, prefixes, o, GG, envelope) -> None:
+        def tuples(ri, pi, rows, cols):
+            return ri, np.column_stack((prefixes[pi], o + rows, o + cols))
+
         pad = self._pad(*GG.shape[3:])
         GG += pad
         top = np.maximum.reduce(GG, axis=(2, 3, 4))
@@ -374,68 +380,58 @@ class _Screen:
         over = ~(envelope + top[0] < _ENVELOPE_LIMIT)
         S = envelope * self.scale + self.tiny
         if np.count_nonzero(over):
-            # Every tuple of such a replicate's tile is a candidate with
-            # upper bound +inf, left to the recheck, and the tile gives it
-            # no L.  NaN fails every candidate test below, even at L = -inf.
-            tuples = np.broadcast_to(over[:, None, None, None] & (pad == 0.0), GG.shape[1:])
-            ri, pi, rows, cols = np.nonzero(tuples)
+            # Such a replicate's tile gives no bound: every tuple of it is
+            # folded exactly now, which leaves its L finite, and the tile
+            # is then screened as NaN, which fails every test below.
+            mask = np.broadcast_to(over[:, None, None, None] & (pad == 0.0), GG.shape[1:])
+            self._exact(*tuples(*np.nonzero(mask)))
             GG[:, over] = np.nan
             top[:, over] = -np.inf
             S[over] = 0.0
-            self._queue(prefixes, Q, ri, pi, o + rows, o + cols, np.inf)
         # Lower bounds lie below upper ones, so a replicate whose upper
         # bounds all fall short of its L can neither raise L nor hold a
         # candidate here.
         if not np.count_nonzero(top + S >= self.lo):
             return
         np.maximum(self.lo, top - S, out=self.lo)
-        # Every L but an over replicate's is finite now, so the -inf entries
-        # off the triangle fail.
+        # Every L is finite now, so the -inf entries off the triangle fail.
         keep = GG >= (self.lo - S)[:, :, None, None, None]
         idx = np.nonzero(keep[0] | keep[1])
-        ri, pi, rows, cols = idx
-        self._queue(prefixes, Q, ri, pi, o + rows, o + cols, GG[(slice(None), *idx)] + S[ri])
-
-    def _queue(self, prefixes, Q, ri, pi, a, b, hi) -> None:
-        """Hold tuples prefixes[pi[i]] + (a[i], b[i]) of replicates ri[i]; hi bounds |entry| and entry."""
-        self.pending.append((prefixes, Q, ri, pi, a, b, hi))
-        self.pending_count += ri.size
+        self.pending.append((*tuples(*idx), GG[(slice(None), *idx)] + S[idx[0]]))
+        self.pending_count += idx[0].size
         if self.pending_count > _PENDING_LIMIT:
             self.recheck()
 
-    def _canonical(self, Q, ri: np.ndarray, pi: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Canonical entries of the tuples prefixes[pi[i]] + (a[i], b[i]) in replicates ri[i]."""
-        self.rechecked += np.bincount(ri, minlength=self.rechecked.size)
-        vals = np.empty(a.size)
+    def _exact(self, ri: np.ndarray, tuples: np.ndarray) -> None:
+        """Fold the canonical entries of ``tuples[i]`` in replicates ``ri[i]`` into the maxima; raise L to them.
+
+        Each entry is rebuilt from the input stacks alone, as in :func:`max_entry_bruteforce`.
+        """
+        R = self.rechecked.size
+        self.rechecked += np.bincount(ri, minlength=R)
+        vals = np.empty(ri.size)
         step = max(1, _TILE_ENTRIES // self.n)
-        for lo in range(0, a.size, step):
+        for lo in range(0, ri.size, step):
             c = slice(lo, lo + step)
             # one contiguous row per tuple, so np.sum takes the pairwise path
-            prods = np.ascontiguousarray(self.pen[ri[c], :, a[c]])
-            if Q is not None:
-                prods *= Q[ri[c], pi[c]]
-            prods *= self.last[ri[c], :, b[c]]
+            prods = np.ascontiguousarray(self.mats[0][ri[c], :, tuples[c, 0]])
+            for d in range(1, len(self.mats)):
+                prods *= self.mats[d][ri[c], :, tuples[c, d]]
             vals[c] = np.sum(prods, axis=1) / self.sqrt_n
         if not np.isfinite(vals).all():
             raise ValueError(_OVERFLOW_MESSAGE)
-        return vals
+        # group r is replicate r's |entry|, group R + r its signed entry
+        _fold(self.w.reshape(-1), self.arg.reshape(2 * R, -1), np.concatenate((ri, ri + R)),
+              np.concatenate((tuples, tuples)), np.concatenate((np.abs(vals), vals)))
+        np.maximum(self.lo, self.w, out=self.lo)
 
     def recheck(self) -> None:
-        """Recompute the candidates that can still win; fold them into the maxima."""
-        found = []
-        for prefixes, Q, ri, pi, a, b, hi in self.pending:
+        """Recompute, in one pass, the held candidates whose upper bounds still reach L."""
+        if self.pending:
+            ri, tuples, hi = zip(*self.pending)
+            ri, tuples, hi = np.concatenate(ri), np.concatenate(tuples), np.concatenate(hi, axis=1)
             sel = np.logical_or.reduce(hi >= self.lo[:, ri])
-            if np.count_nonzero(sel):
-                ri, pi, a, b = ri[sel], pi[sel], a[sel], b[sel]
-                vals = self._canonical(Q, ri, pi, a, b)
-                found.append((ri, np.column_stack((prefixes[pi], a, b)), vals))
-        if found:
-            ri, tuples, vals = (np.concatenate(part) for part in zip(*found))
-            # group r is replicate r's |entry|, group R + r its signed entry
-            R = self.rechecked.size
-            _fold(self.w.reshape(-1), self.arg.reshape(2 * R, -1), np.concatenate((ri, ri + R)),
-                  np.concatenate((tuples, tuples)), np.concatenate((np.abs(vals), vals)))
-        np.maximum(self.lo, self.w, out=self.lo)
+            self._exact(ri[sel], tuples[sel])
         self.pending.clear()
         self.pending_count = 0
 

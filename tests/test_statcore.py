@@ -367,6 +367,33 @@ class TestEngineOracle:
         assert best.rechecked == 3
         self._check(X, 2)
 
+    def test_overflowing_tile_is_folded_before_the_rest_is_screened(self):
+        # Columns 1 and 2 at +-2.7e153 give the tile of prefix (1,) an
+        # envelope past the limit.  Its 45 tuples are folded exactly at
+        # once, and their maximum, the winner, prunes every later
+        # candidate: no other tuple is recomputed.
+        X = np.random.default_rng(0).standard_normal((2, 11))
+        X[:, 0], X[:, 1] = math.sqrt(3e307) / 2, -math.sqrt(3e307) / 2
+        (best,) = statcore._max_entries_core([X[None]] * 3, 2)
+        assert best.rechecked == 45
+        self._check(X, 3)
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_recheck_reads_only_the_data(self, m, monkeypatch):
+        # Prefix products one ulp above the true ones move the screen by
+        # far less than its slack, and no canonical value at all: the
+        # recheck rebuilds each entry from the input columns alone.
+        prefix_groups = statcore._prefix_groups
+
+        def nudged(rows, p, n):
+            for prefixes, s, Q in prefix_groups(rows, p, n):
+                yield prefixes, s, np.nextafter(Q, np.inf)
+
+        monkeypatch.setattr(statcore, "_prefix_groups", nudged)
+        rng = np.random.default_rng(640 + m)
+        for trial in range(20):
+            self._check(rng.standard_normal((30, 9)), m)
+
     def test_gaussian_rechecks_a_handful(self):
         rng = np.random.default_rng(600)
         for (n, p, m) in ((500, 60, 2), (200, 30, 3), (100, 16, 4)):
