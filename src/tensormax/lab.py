@@ -14,9 +14,9 @@ mean/sd of w_abs / sqrt(log p).
 Replicates run in stacks: a cell's replicates are cut into chunks of at
 most ``_STACK_VALUES`` data values (at least one replicate each), and
 into at least as many chunks as there are usable workers, each chunk is
-drawn into one (R, n, p) array and enumerated by one
-:func:`statcore.max_entries` call, and chunks are the tasks spread over
-workers.
+drawn into one (R, n, p) array and enumerated by one engine call that
+holds each matrix to the run's budget, and chunks are the tasks spread
+over workers.
 
 Reproducibility contract: replicate r of every cell draws from stream
 (master_seed, r) into its own row of a stack, and its result does not
@@ -160,12 +160,13 @@ def _chunks(cell: CellConfig, reps: int, workers: int) -> list[tuple[int, int]]:
 
 
 def _run_chunk(args) -> np.ndarray:
-    """The (w_abs, w_signed) rows of replicates [lo, hi) of a cell."""
-    cell, master_seed, lo, hi = args
+    """The (w_abs, w_signed) rows of replicates [lo, hi) of a cell, each matrix held to ``budget``."""
+    cell, master_seed, lo, hi, budget = args
     X = np.empty((hi - lo, cell.n, cell.p))
     for r in range(lo, hi):
         X[r - lo] = sample_matrix(cell.spec, cell.n, cell.p, SeedSpec(master_seed, r))
-    return np.array([(res.w_abs, res.w_signed) for res in statcore.max_entries(X, cell.m)])
+    # X is finite float64 by construction, so it enters the engine as it is
+    return np.array([(res.w_abs, res.w_signed) for res in statcore._enumerate([X] * cell.m, budget)])
 
 
 def _summarize_cell(
@@ -212,7 +213,7 @@ def run_experiment(
     cell_reports: list[CellReport] = []
     for cell_index, cell in enumerate(config.grid):
         t0 = time.perf_counter()
-        tasks = [(cell, config.master_seed, lo, hi) for lo, hi in _chunks(cell, config.reps, procs)]
+        tasks = [(cell, config.master_seed, lo, hi, budget) for lo, hi in _chunks(cell, config.reps, procs)]
         w_abs, w_signed = np.concatenate(parallel_map(_run_chunk, tasks, workers)).T
         runtime = time.perf_counter() - t0
         w, flagged = sided_statistic(w_abs, w_signed, cell.sided)

@@ -24,6 +24,7 @@ from tensormax import (
     normalize,
     persist,
     run_experiment,
+    statcore,
 )
 from tensormax.populations import STANDARD_NORMAL, sample_matrix
 
@@ -121,6 +122,14 @@ class TestRunExperiment:
         )
         with pytest.raises(BudgetError, match="budget"):
             run_experiment(cfg)
+
+    def test_budget_holds_each_matrix(self, monkeypatch):
+        # The run's budget, not the library's default ceiling, bounds a
+        # single matrix: 150 multiply-adds each, against a ceiling of 100.
+        cfg = ExperimentConfig(grid=(CellConfig(n=10, p=5, m=2, spec=NORMAL),), reps=3, master_seed=1)
+        expected = run_experiment(cfg, budget=10**6).records
+        monkeypatch.setattr(statcore, "DEFAULT_COST_CEILING", 100)
+        assert run_experiment(cfg, budget=10**6).records == expected
 
     def test_worker_invariance_in_memory(self):
         base = run_experiment(small_config(reps=16))
