@@ -160,6 +160,8 @@ def _cmd_test(args) -> int:
     if k > 1 and args.m is not None and args.m != k:
         raise ValueError(f"--m {args.m} conflicts with {k} input matrices "
                          "(the multi-population order is the number of matrices)")
+    # m <= 20 and m <= p stay with the test, which has the data
+    check_int("m", k if args.m is None else args.m, 2)
     matrices = [statcore.load_matrix_csv(path) for path in args.input]
     if args.studentize:
         matrices = [_studentized(A) for A in matrices]

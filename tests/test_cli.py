@@ -103,8 +103,10 @@ class TestTest:
             ((), "--m"),
             (("/nonexistent/y.csv", "--m", "3"), "conflicts"),
             (("--m", "2", "--cost-ceiling", "-1"), "cost_ceiling"),
+            (("--m", "1"), "m must be >= 2"),
+            (("--m", "0"), "m must be >= 2"),
         ],
-        ids=["zero-workers", "missing-m", "conflicting-m", "negative-cost-ceiling"],
+        ids=["zero-workers", "missing-m", "conflicting-m", "negative-cost-ceiling", "m-1", "m-0"],
     )
     def test_flags_are_checked_before_any_input_is_read(self, flags, message, capsys, monkeypatch):
         # A bad flag exits 2 at once, even beside an unreadable input.
