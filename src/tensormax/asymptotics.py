@@ -172,8 +172,9 @@ def normalize(w, p: int, m: int) -> float | np.ndarray:
     Parameters
     ----------
     w : float or array_like
-        The maximum entry statistic, or an array of them, each finite and
-        >= 0.  A signed maximum must be clipped by the caller first; see
+        The maximum entry statistic, or an array of them, each finite,
+        >= 0 and with a finite square (below about 1.34e154).  A signed
+        maximum must be clipped by the caller first; see
         :func:`tensormax.hypotest.sided_statistic`.
     p : int
         Number of coordinates, >= 3.
@@ -188,8 +189,13 @@ def normalize(w, p: int, m: int) -> float | np.ndarray:
     """
     m, p = check_int("m", m, 2, MAX_ORDER), check_int("p", p, 3)
     ws = check_real_array("w", w, 0.0)
+    with np.errstate(over="ignore"):
+        squares = ws * ws
+    overflow = np.isinf(squares)
+    if overflow.any():
+        raise ValueError(f"w must be below about 1.34e154, where w**2 overflows, got {float(ws[overflow][0])!r}")
     lp = math.log(p)
-    t = ws * ws - 2.0 * m * lp + math.log(lp)
+    t = squares - 2.0 * m * lp + math.log(lp)
     return t if ws.ndim else float(t)
 
 

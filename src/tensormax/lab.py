@@ -14,9 +14,10 @@ mean/sd of w_abs / sqrt(log p).
 Replicates run in stacks: a cell's replicates are cut into chunks of at
 most ``_STACK_VALUES`` data values (at least one replicate each), and
 into at least as many chunks as there are usable workers, each chunk is
-drawn into one (R, n, p) array and enumerated by one engine call that
-holds each matrix to the run's budget, and chunks are the tasks spread
-over workers.
+drawn into one (R, n, p) array and enumerated by one engine call, and
+chunks are the tasks spread over workers.  The run is held to its
+budget once, before any draw; a cell whose count of multiply-adds
+saturates is refused whatever the budget.
 
 Reproducibility contract: replicate r of every cell draws from stream
 (master_seed, r) into its own row of a stack, and its result does not
@@ -160,13 +161,13 @@ def _chunks(cell: CellConfig, reps: int, workers: int) -> list[tuple[int, int]]:
 
 
 def _run_chunk(args) -> np.ndarray:
-    """The (w_abs, w_signed) rows of replicates [lo, hi) of a cell, each matrix held to ``budget``."""
-    cell, master_seed, lo, hi, budget = args
+    """The (2, R) array of w_abs and w_signed of replicates [lo, hi) of a cell."""
+    cell, master_seed, lo, hi = args
     X = np.empty((hi - lo, cell.n, cell.p))
     for r in range(lo, hi):
         X[r - lo] = sample_matrix(cell.spec, cell.n, cell.p, SeedSpec(master_seed, r))
-    # X is finite float64 by construction, so it enters the engine as it is
-    return np.array([(res.w_abs, res.w_signed) for res in statcore._enumerate([X] * cell.m, budget)])
+    # X is finite float64 by construction and run_experiment checked the budget, so X enters the screen as it is
+    return statcore._screen([X] * cell.m).w
 
 
 def _summarize_cell(
@@ -203,18 +204,19 @@ def run_experiment(
     persisted there.
     """
     check_real("budget", budget, 0.0)
+    # a saturated cell's count is clamped at 2**63 - 1, so no total bounds it
+    saturated = any(statcore.enumeration_cost(c.p, c.m, c.n).saturated for c in config.grid)
     total = config.total_cost()
-    if total > budget:
-        raise statcore.BudgetError(
-            f"experiment needs an estimated {total:,} multiply-adds, above the budget of {budget:,}"
-        )
+    if saturated or total > budget:
+        ops = "more than 9.2e18" if saturated else f"{total:,}"
+        raise statcore.BudgetError(f"experiment needs an estimated {ops} multiply-adds, above the budget of {budget:,}")
     procs = usable_workers(workers)
     all_records: list[ReplicateRecord] = []
     cell_reports: list[CellReport] = []
     for cell_index, cell in enumerate(config.grid):
         t0 = time.perf_counter()
-        tasks = [(cell, config.master_seed, lo, hi, budget) for lo, hi in _chunks(cell, config.reps, procs)]
-        w_abs, w_signed = np.concatenate(parallel_map(_run_chunk, tasks, workers)).T
+        tasks = [(cell, config.master_seed, lo, hi) for lo, hi in _chunks(cell, config.reps, procs)]
+        w_abs, w_signed = np.concatenate(parallel_map(_run_chunk, tasks, workers), axis=1)
         runtime = time.perf_counter() - t0
         w, flagged = sided_statistic(w_abs, w_signed, cell.sided)
         t = normalize(w, cell.p, cell.m)

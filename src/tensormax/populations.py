@@ -44,6 +44,9 @@ FAMILIES = (
 
 _UINT64_MAX = 2**64 - 1
 _SQRT3 = math.sqrt(3.0)
+# The largest integer that float() rounds to a finite value: halfway to
+# 2**1024 and above, it rounds up and raises OverflowError.
+_FLOAT_INT_MAX = 2**1024 - 2**970 - 1
 
 ULTRA_HIGH = "ultra_high"
 POLYNOMIAL = "polynomial"
@@ -196,7 +199,7 @@ def check_regime(n: int, p: int, m: int, alpha: float = 1.0) -> RegimeReport:
     can only ever be checked against the shape of the conditions, not
     their limits.
     """
-    n, p = check_int("n", n, 1), check_int("p", p, 3)
+    n, p = check_int("n", n, 1, _FLOAT_INT_MAX), check_int("p", p, 3, _FLOAT_INT_MAX)
     m = check_int("m", m, 2, p)
     alpha = check_real("alpha", alpha, 0.0, 1.0, ends="(]")
     beta = alpha / (2.0 * m - alpha)

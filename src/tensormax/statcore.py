@@ -102,7 +102,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -267,14 +266,6 @@ def _prefix_groups(rows: list[np.ndarray], p: int, n: int):
             yield g, j + 1, Q
 
 
-class _Maxima(NamedTuple):
-    w_abs: float
-    argmax_abs: tuple[int, ...]
-    w_signed: float
-    argmax_signed: tuple[int, ...]
-    rechecked: int  # tuples recomputed the canonical way
-
-
 def _fold(best_w: np.ndarray, best_arg: np.ndarray, g: np.ndarray, tuples: np.ndarray, vals: np.ndarray) -> None:
     """Fold candidates into the maximum of each group, in place.
 
@@ -305,10 +296,10 @@ class _Screen:
     (2, replicates, prefixes, rows a, columns b).
     """
 
-    def __init__(self, mats: list[np.ndarray], n: int, pen_rows: np.ndarray | None):
+    def __init__(self, mats: list[np.ndarray], pen_rows: np.ndarray | None):
         self.mats = mats
         self.pen, self.last = mats[-2], mats[-1]
-        R = self.last.shape[0]
+        R, n, _ = self.last.shape
         self.n = n
         self.sqrt_n = math.sqrt(n)
         # slack = envelope * scale + tiny
@@ -436,46 +427,29 @@ class _Screen:
         self.pending_count = 0
 
 
-def _max_entries_core(mats: list[np.ndarray], n: int) -> list[_Maxima]:
+def _screen(stacks: list[np.ndarray]) -> _Screen:
     """Screen all tuples by GEMM, prefix group by prefix group, and recheck the candidates.
 
-    ``mats[d]`` is the (R, n, p) stack supplying the factor at depth d;
-    the result holds one maximum per replicate.  Tuples are 0-based.
+    ``stacks[d]`` is the valid (R, n, p) stack supplying the factor at depth d; no budget is checked.
+    The finished screen holds each replicate's maxima, 0-based tuples and ``rechecked`` count.
     """
     # Depths below m-1 need a row-major (R, p, n) copy, in which column i
     # of every replicate is ``rows[:, i]``.  A stack repeated at several
     # depths is one object, so it is transposed once; for m = 2 it stays
     # one array and its product is X^T X.
     copies = {}
-    if len(mats) > 2:
-        for M in mats[:-1]:
+    if len(stacks) > 2:
+        for M in stacks[:-1]:
             if id(M) not in copies:
                 copies[id(M)] = np.ascontiguousarray(M.transpose(0, 2, 1))
-    rows = [copies.get(id(M)) for M in mats]
-    screen = _Screen(mats, n, rows[-2])
+    rows = [copies.get(id(M)) for M in stacks]
+    screen = _Screen(stacks, rows[-2])
     # Overflow is detected from the values and reported by ValueError.
     with np.errstate(over="ignore", invalid="ignore"):
-        for prefixes, s, Q in _prefix_groups(rows[:-2], mats[0].shape[2], n):
+        for prefixes, s, Q in _prefix_groups(rows[:-2], stacks[0].shape[2], screen.n):
             screen.block(prefixes, s, Q)
         screen.recheck()
-    (w_abs, w_sig), (arg_abs, arg_sig) = screen.w.tolist(), screen.arg.tolist()
-    return [
-        _Maxima(wa, tuple(aa), ws, tuple(sa), k)
-        for wa, aa, ws, sa, k in zip(w_abs, arg_abs, w_sig, arg_sig, screen.rechecked.tolist())
-    ]
-
-
-def _result(best: _Maxima, n: int, p: int, m: int) -> StatResult:
-    return StatResult(
-        w_abs=best.w_abs,
-        w_signed=best.w_signed,
-        argmax_abs=tuple(i + 1 for i in best.argmax_abs),
-        argmax_signed=tuple(i + 1 for i in best.argmax_signed),
-        n=n,
-        p=p,
-        m=m,
-        tuple_count=math.comb(p, m),
-    )
+    return screen
 
 
 def _enumerate(stacks: list[np.ndarray], cost_ceiling: int) -> list[StatResult]:
@@ -486,7 +460,12 @@ def _enumerate(stacks: list[np.ndarray], cost_ceiling: int) -> list[StatResult]:
     _, n, p = stacks[0].shape
     m = len(stacks)
     check_budget(p, m, n, cost_ceiling)
-    return [_result(best, n, p, m) for best in _max_entries_core(stacks, n)]
+    screen = _screen(stacks)
+    (w_abs, w_sig), (arg_abs, arg_sig) = screen.w.tolist(), (screen.arg + 1).tolist()
+    return [
+        StatResult(wa, ws, tuple(aa), tuple(sa), n, p, m, math.comb(p, m))
+        for wa, ws, aa, sa in zip(w_abs, w_sig, arg_abs, arg_sig)
+    ]
 
 
 def max_entry(X, m: int, *, cost_ceiling: int = DEFAULT_COST_CEILING) -> StatResult:
@@ -586,4 +565,5 @@ def max_entry_bruteforce(X, m: int) -> StatResult:
                 w_abs, arg_abs = abs(val), combo
             if val > w_sig:
                 w_sig, arg_sig = val, combo
-    return _result(_Maxima(w_abs, arg_abs, w_sig, arg_sig, 0), n, p, m)
+    return StatResult(w_abs, w_sig, tuple(i + 1 for i in arg_abs), tuple(i + 1 for i in arg_sig),
+                      n, p, m, math.comb(p, m))

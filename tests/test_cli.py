@@ -92,6 +92,15 @@ class TestTest:
         assert code == 3 and "more than 9.2e18" in err
         assert time.perf_counter() - start < 5.0
 
+    def test_statistic_past_the_square_range_is_usage_error(self, tmp_path, capsys):
+        # w_abs is about 1.1e200, so w**2 overflows: no JSON (it would
+        # read "Infinity") and no RuntimeWarning, a usage error instead.
+        X = np.random.default_rng(0).standard_normal((50, 5)) * 1e100
+        path = write_csv(tmp_path / "huge.csv", X)
+        code, out, err = run_cli(capsys, "test", "--input", path, "--m", "2")
+        assert (code, out) == (2, "")
+        assert "w must be below" in err
+
     def test_missing_file_io_error(self, capsys):
         code, _, err = run_cli(capsys, "test", "--input", "/nonexistent/x.csv", "--m", "2")
         assert code == 4

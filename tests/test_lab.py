@@ -123,6 +123,16 @@ class TestRunExperiment:
         with pytest.raises(BudgetError, match="budget"):
             run_experiment(cfg)
 
+    def test_saturated_cell_refused_before_any_draw(self, monkeypatch):
+        # n * sum_{s<=20} C(200, s) passes 2**63 - 1, where a cell's count
+        # is clamped, so two replicates of it sum to far less than 1e30.
+        drawn = []
+        monkeypatch.setattr(lab, "sample_matrix", lambda *args: drawn.append(args) or sample_matrix(*args))
+        cfg = ExperimentConfig(grid=(CellConfig(1, 200, 20, NORMAL),), reps=2, master_seed=1)
+        with pytest.raises(BudgetError, match="more than 9.2e18"):
+            run_experiment(cfg, budget=1e30)
+        assert drawn == []
+
     def test_budget_holds_each_matrix(self, monkeypatch):
         # The run's budget, not the library's default ceiling, bounds a
         # single matrix: 150 multiply-adds each, against a ceiling of 100.

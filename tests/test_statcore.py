@@ -351,8 +351,7 @@ class TestEngineOracle:
         self._check(X, 2)
         assert max_entry(X, 2).argmax_abs == (1, 3)
         # the settled tile's three tuples are recomputed once, the winner not again
-        (best,) = statcore._max_entries_core([X[None]] * 2, 2)
-        assert best.rechecked == 3
+        assert statcore._screen([X[None]] * 2).rechecked.tolist() == [3]
 
     def test_finite_envelope_past_the_limit_settles_the_tile(self):
         # ||x_1|| ||x_2|| is 6e307: finite, and at least _ENVELOPE_LIMIT,
@@ -363,8 +362,7 @@ class TestEngineOracle:
         a = math.sqrt(3e307)
         X = np.array([[a, a, 1.0], [a, a, -1.0]])
         assert statcore._ENVELOPE_LIMIT <= 2.0 * a * a < math.inf
-        (best,) = statcore._max_entries_core([X[None]] * 2, 2)
-        assert best.rechecked == 3
+        assert statcore._screen([X[None]] * 2).rechecked.tolist() == [3]
         self._check(X, 2)
 
     def test_overflowing_tile_is_folded_before_the_rest_is_screened(self):
@@ -374,8 +372,7 @@ class TestEngineOracle:
         # candidate: no other tuple is recomputed.
         X = np.random.default_rng(0).standard_normal((2, 11))
         X[:, 0], X[:, 1] = math.sqrt(3e307) / 2, -math.sqrt(3e307) / 2
-        (best,) = statcore._max_entries_core([X[None]] * 3, 2)
-        assert best.rechecked == 45
+        assert statcore._screen([X[None]] * 3).rechecked.tolist() == [45]
         self._check(X, 3)
 
     @pytest.mark.parametrize("m", [3, 4])
@@ -399,8 +396,8 @@ class TestEngineOracle:
         for (n, p, m) in ((500, 60, 2), (200, 30, 3), (100, 16, 4)):
             for trial in range(3):
                 X = rng.standard_normal((n, p))
-                (best,) = statcore._max_entries_core([X[None]] * m, n)
-                assert best.rechecked <= 6
+                (rechecked,) = statcore._screen([X[None]] * m).rechecked
+                assert rechecked <= 6
 
     @pytest.mark.parametrize("m", [3, 4])
     def test_near_ties_behind_a_large_prefix(self, m):
@@ -425,8 +422,7 @@ class TestEngineOracle:
         X[:2] *= 1e-12
         X[:, -2:] = 0.0
         X[0, -2] = X[1, -1] = 1e9
-        (best,) = statcore._max_entries_core([X[None]] * m, n)
-        assert best.rechecked == math.comb(p, m)
+        assert statcore._screen([X[None]] * m).rechecked.tolist() == [math.comb(p, m)]
         self._check(X, m)
 
 
@@ -616,5 +612,4 @@ class TestMaxEntries:
         rng = np.random.default_rng(601)
         for (n, p, m) in ((500, 60, 2), (200, 30, 3), (100, 16, 4)):
             X = rng.standard_normal((4, n, p))
-            for best in statcore._max_entries_core([X] * m, n):
-                assert best.rechecked <= 6
+            assert statcore._screen([X] * m).rechecked.max() <= 6

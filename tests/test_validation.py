@@ -33,7 +33,7 @@ def no_work(monkeypatch):
     def refuse(*args, **kwargs):
         raise Worked("work started before validation")
 
-    monkeypatch.setattr(statcore, "_max_entries_core", refuse)
+    monkeypatch.setattr(statcore, "_screen", refuse)
     monkeypatch.setattr(diagnostics, "_count", refuse)
     monkeypatch.setattr(populations, "make_generator", refuse)
 
@@ -73,6 +73,9 @@ TABLE = {
         {"n": (0,), "p": (2, 10**160), "m": (1, 21), "reps": (0,)},
     ),
     "b1_bound": (lambda p=10, m=2: tm.b1_bound(p, m, 0.5), {"p": (1, 10**150), "m": (1, 11)}),
+    # float(10**400) overflows
+    "check_regime": (lambda n=100, p=50, m=2: tm.check_regime(n, p, m),
+                     {"n": (0, 10**400), "p": (2, 10**400), "m": (1, 51)}),
     "run_experiment": (
         _experiment,
         {"n": (0,), "p": (2,), "m": (1, 21), "reps": (0,), "workers": (0,)},
@@ -111,9 +114,15 @@ def test_the_defaults_reach_the_work(entry):
     call, _ = TABLE[entry]
     if entry == "b1_bound":
         assert math.isfinite(call())
-        return
-    with pytest.raises(Worked):
-        call()
+    elif entry == "check_regime":
+        assert call().ultra_high
+    else:
+        with pytest.raises(Worked):
+            call()
+
+
+def test_check_regime_takes_any_p_a_float_holds():
+    assert tm.check_regime(10, 10**100, 2).log_p == math.log(10**100)
 
 
 def test_max_entry_multi_defaults_reach_the_work():
@@ -126,6 +135,8 @@ INF = math.inf
 # the nearest floats outside a closed end
 BELOW_0 = math.nextafter(0.0, -INF)
 ABOVE_1 = math.nextafter(1.0, INF)
+# w**2 overflows past about 1.34e154
+SQUARE_OVERFLOWS = 1e155
 CEILING = statcore.DEFAULT_COST_CEILING
 
 # entry point: (call whose defaults are valid, {real argument: values out of its range})
@@ -137,9 +148,9 @@ REAL_TABLE = {
     "nu_p": (lambda z=0.0: tm.nu_p(z, 100, 2), {"z": (-INF, INF)}),
     # exp(-z/2) overflows below z = -1419.56
     "lambda_limit": (lambda z=0.0: tm.lambda_limit(z), {"z": (math.nextafter(-1419.0, -INF), -INF)}),
-    "normalize": (lambda w=1.0: tm.normalize(w, 10, 2), {"w": (BELOW_0, -INF, INF)}),
+    "normalize": (lambda w=1.0: tm.normalize(w, 10, 2), {"w": (BELOW_0, -INF, INF, SQUARE_OVERFLOWS)}),
     # the centring of a cell's replicates: normalize on one numpy array, as run_experiment calls it
-    "center": (lambda w=1.0: tm.normalize(np.array([w]), 10, 2), {"w": (BELOW_0, -INF, INF)}),
+    "center": (lambda w=1.0: tm.normalize(np.array([w]), 10, 2), {"w": (BELOW_0, -INF, INF, SQUARE_OVERFLOWS)}),
     "normal_upper_tail": (lambda x=1.0: tm.normal_upper_tail(x), {"x": ()}),
     "moderate_deviation_ratio": (
         lambda x=1.0: tm.moderate_deviation_ratio(NORMAL, 2, 10, x, 10, SEED),
@@ -212,7 +223,7 @@ def test_the_limit_law_takes_both_infinities_and_numpy_reals(call):
 
 # array form: (call, argument name, values out of its range); test_asymptotics has normalize's
 ARRAY_FORMS = {
-    "normalize": (lambda w: tm.normalize(w, 10, 2), "w", ()),
+    "normalize": (lambda w: tm.normalize(w, 10, 2), "w", (np.array([1.0, SQUARE_OVERFLOWS]),)),
     "GumbelLimit.cdf_array": (lambda z: tm.GumbelLimit(2).cdf_array(z), "z", (np.array([0.0, math.nan]),)),
 }
 BAD_ARRAYS = (
