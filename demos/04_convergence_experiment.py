@@ -36,8 +36,7 @@ with tempfile.TemporaryDirectory(prefix="tensormax_demo_") as tmp:
     out_dir = Path(tmp)
     config = dataclasses.replace(config, output_path=str(out_dir))
 
-    print(f"Running {len(config.grid)} cells x {config.reps} replicates "
-          f"(~{config.total_cost():,} multiply-adds) ...")
+    print(f"Running {len(config.grid)} cells x {config.reps} replicates ...")
     report = run_experiment(config, workers=2)
 
     print()

@@ -46,10 +46,17 @@ def check_int(name: str, value, lo: int, hi: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < lo:
-        raise ValueError(f"{name} must be >= {lo}, got {value}")
+        raise ValueError(f"{name} must be >= {_short(lo)}, got {_short(value)}")
     if hi is not None and value > hi:
-        raise ValueError(f"{name} must be <= {hi}, got {value}")
+        raise ValueError(f"{name} must be <= {_short(hi)}, got {_short(value)}")
     return int(value)
+
+
+def _short(value: int) -> str:
+    """An integer for a message: in full up to 20 digits, past that as the power of ten it is near."""
+    if abs(value) < 10**20:
+        return f"{value}"
+    return f"about {'-' if value < 0 else ''}10**{math.log10(abs(value)):.1f}"
 
 
 def check_real(name: str, value, lo=-math.inf, hi=math.inf, finite=True, ends="[]") -> float:

@@ -1,6 +1,7 @@
 """Command line interface: simulate / test / diagnose / quantile.
 
-Results go to stdout as JSON (or a bare number for quantile); the
+Results go to stdout as JSON (or a bare number for quantile), never
+with NaN or Infinity in it (a report that holds one exits 2); the
 resolved configuration, including the seed, is logged to stderr.  Seeds
 default to the fixed constant DEFAULT_MASTER_SEED so that repeated
 invocations are reproducible; pass --seed for fresh randomness.
@@ -135,6 +136,8 @@ def _cmd_quantile(args) -> int:
 
 
 def _studentized(A: np.ndarray) -> np.ndarray:
+    if A.shape[0] < 2:
+        raise ValueError(f"cannot studentize: a sample variance needs at least 2 rows, got {A.shape[0]}")
     sd = np.std(A, axis=0, ddof=1)
     if np.any(sd == 0.0):
         raise ValueError("cannot studentize: some column has zero sample variance")
@@ -173,7 +176,7 @@ def _cmd_test(args) -> int:
         result = hypotest.test_independence_multi(
             matrices, sided=_SIDED[args.sided], cost_ceiling=args.cost_ceiling
         )
-    print(json.dumps(result.to_json(), indent=2))
+    print(json.dumps(result.to_json(), indent=2, allow_nan=False))
     return EXIT_OK
 
 
@@ -214,7 +217,7 @@ def _cmd_diagnose(args) -> int:
         out = diagnostics.moderate_deviation_ratio(
             spec, args.m, args.n, args.x, args.reps, seed, workers=args.workers
         ).to_json()
-    print(json.dumps(out, indent=2))
+    print(json.dumps(out, indent=2, allow_nan=False))
     return EXIT_OK
 
 
@@ -236,7 +239,7 @@ def _cmd_simulate(args) -> int:
     report = lab.run_experiment(config, workers=args.workers)
     print(json.dumps({"cells": [c.to_json() for c in report.cells],
                       "records": len(report.records),
-                      "output_path": config.output_path}, indent=2))
+                      "output_path": config.output_path}, indent=2, allow_nan=False))
     return EXIT_OK
 
 

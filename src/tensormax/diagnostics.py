@@ -58,6 +58,7 @@ given (seed, reps) at any worker count.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -145,7 +146,8 @@ class PairTailSpec:
     def __post_init__(self):
         m = check_int("m", self.m, 2)
         check_int("s", self.s, 1, m - 1)
-        check_real("a_n", self.a_n, 0.0, ends="()")
+        # the analytic decay reads a_n**2, which overflows past about 1.34e154
+        check_real("a_n", self.a_n, 0.0, math.sqrt(sys.float_info.max), ends="(]")
         check_int("n", self.n, 1)
         check_int("p", self.p, 3)
 
@@ -439,9 +441,9 @@ def moderate_deviation_ratio(
     than failing.
     """
     gauss = normal_upper_tail(check_real("x", x, 0.0))
-    # The tail underflows to 0 past x ~ 38.5, where the ratio has no denominator.
-    if gauss == 0.0:
-        raise ValueError(f"x must be finite with a nonzero Gaussian tail, got {x}")
+    # The tail is subnormal past x ~ 37.5, where one hit overflows the ratio, and 0 past x ~ 38.5.
+    if gauss < sys.float_info.min:
+        raise ValueError(f"x must be finite with a Gaussian tail above 2.2e-308 (x below about 37.5), got {x}")
     est = _single_tail(spec, n, m, ONE_SIDED, x, reps, seed, workers)
     advisory = []
     if reps * gauss < MIN_EXPECTED_HITS_RATIO:

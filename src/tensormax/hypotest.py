@@ -44,18 +44,17 @@ class TestResult(JsonRecord):
 def _limit_for(shape: tuple, m, sided: str, cost_ceiling: int) -> GumbelLimit:
     """The limit law of a request, checked before any enumeration work.
 
-    Sidedness and width (p >= 3) come first.  The budget is checked
-    before the order's factorial guard, as statcore checks it before it
-    enumerates, so an oversized request still reports its cost.  A
-    malformed matrix or an order above p is left to statcore, which
-    names it.
+    Sidedness, width (p >= 3) and the order (2 <= m <= p) come first.
+    The budget is checked before the order's factorial guard (m <= 20),
+    as statcore checks it before it enumerates, so an oversized request
+    still reports its cost.  A malformed matrix is left to statcore,
+    which names it.
     """
     check_sided(sided)
     if len(shape) == 2:
         n, p = shape
         check_int("p", p, 3)
-        if isinstance(m, (int, np.integer)) and 2 <= m <= p:
-            statcore.check_budget(p, m, n, cost_ceiling)
+        statcore.check_budget([(p, check_int("m", m, 2, p), n, 1)], cost_ceiling)
     return GumbelLimit(m, sided)
 
 

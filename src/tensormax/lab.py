@@ -16,8 +16,9 @@ most ``_STACK_VALUES`` data values (at least one replicate each), and
 into at least as many chunks as there are usable workers, each chunk is
 drawn into one (R, n, p) array and enumerated by one engine call, and
 chunks are the tasks spread over workers.  The run is held to its
-budget once, before any draw; a cell whose count of multiply-adds
-saturates is refused whatever the budget.
+budget once, before any draw, by :func:`tensormax.statcore.check_budget`
+over every cell's reps enumerations; a total that reaches 2**63 - 1 is
+refused whatever the budget.
 
 Reproducibility contract: replicate r of every cell draws from stream
 (master_seed, r) into its own row of a stack, and its result does not
@@ -88,9 +89,6 @@ class ExperimentConfig(JsonRecord):
             raise ValueError(f"z_grid must hold at least two points, got {self.z_grid}")
         for z in self.z_grid:
             check_real("z_grid", z)
-
-    def total_cost(self) -> int:
-        return sum(self.reps * statcore.enumeration_cost(c.p, c.m, c.n).multiply_adds for c in self.grid)
 
 
 @dataclass(frozen=True)
@@ -203,13 +201,7 @@ def run_experiment(
     worker count.  If ``config.output_path`` is set the report is
     persisted there.
     """
-    check_real("budget", budget, 0.0)
-    # a saturated cell's count is clamped at 2**63 - 1, so no total bounds it
-    saturated = any(statcore.enumeration_cost(c.p, c.m, c.n).saturated for c in config.grid)
-    total = config.total_cost()
-    if saturated or total > budget:
-        ops = "more than 9.2e18" if saturated else f"{total:,}"
-        raise statcore.BudgetError(f"experiment needs an estimated {ops} multiply-adds, above the budget of {budget:,}")
+    statcore.check_budget([(c.p, c.m, c.n, config.reps) for c in config.grid], budget, "budget")
     procs = usable_workers(workers)
     all_records: list[ReplicateRecord] = []
     cell_reports: list[CellReport] = []

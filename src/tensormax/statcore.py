@@ -101,6 +101,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,8 +193,13 @@ def enumeration_cost(p: int, m: int, n: int) -> EnumerationCost:
 
 
 def load_matrix_csv(path) -> np.ndarray:
-    """Read a headerless CSV of decimal floats as an n-by-p matrix."""
-    values = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+    """Read a headerless CSV of decimal floats as an n-by-p matrix; ValueError if it holds no values."""
+    with warnings.catch_warnings():
+        # numpy warns on input with no data, which is refused here instead
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        values = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+    if values.size == 0:
+        raise ValueError(f"{path} holds no values")
     return np.ascontiguousarray(values)
 
 
@@ -210,17 +216,17 @@ def _as_matrix(X, ndim: int = 2) -> np.ndarray:
     return A
 
 
-def check_budget(p: int, m: int, n: int, ceiling: int) -> None:
-    """Raise BudgetError when enumerating (p, m, n) needs more than ``ceiling`` (finite, >= 0) multiply-adds."""
-    check_real("cost_ceiling", ceiling, 0.0)
-    cost = enumeration_cost(p, m, n)
-    if cost.saturated or cost.multiply_adds > ceiling:
-        ops = "more than 9.2e18" if cost.saturated else f"{cost.multiply_adds:,}"
-        raise BudgetError(
-            f"enumeration needs an estimated {ops} multiply-adds for "
-            f"p={p}, m={m}, n={n}, above the ceiling of {ceiling:,}; "
-            f"raise cost_ceiling to override"
-        )
+def check_budget(work, ceiling, name: str = "cost_ceiling") -> None:
+    """Raise BudgetError when ``work`` needs more than ``ceiling`` multiply-adds, or at least 2**63 - 1.
+
+    ``work`` holds (p, m, n, count) items: ``count`` enumerations of (p, m, n) each.
+    """
+    check_real(name, ceiling, 0.0)
+    total = sum(count * enumeration_cost(p, m, n).multiply_adds for p, m, n, count in work)
+    if total > ceiling or total >= _SATURATION:
+        ops = "more than 9.2e18" if total >= _SATURATION else f"{total:,}"
+        raise BudgetError(f"enumeration needs an estimated {ops} multiply-adds, "
+                          f"above the {name} of {ceiling:,}; raise {name} to override")
 
 
 def _gamma(k: int) -> float:
@@ -459,7 +465,7 @@ def _enumerate(stacks: list[np.ndarray], cost_ceiling: int) -> list[StatResult]:
     """
     _, n, p = stacks[0].shape
     m = len(stacks)
-    check_budget(p, m, n, cost_ceiling)
+    check_budget([(p, m, n, 1)], cost_ceiling)
     screen = _screen(stacks)
     (w_abs, w_sig), (arg_abs, arg_sig) = screen.w.tolist(), (screen.arg + 1).tolist()
     return [

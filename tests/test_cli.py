@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tensormax import statcore
+from tensormax import diagnostics, statcore
 from tensormax.cli import main
 
 X_M2 = str(Path(__file__).parent / "golden" / "x_m2.csv")
@@ -133,6 +133,21 @@ class TestTest:
         code, out, _ = run_cli(capsys, "test", "--input", path, "--m", "2", "--studentize")
         assert code == 0
         assert 0.0 < json.loads(out)["p_value"] <= 1.0
+
+    def test_studentize_one_row_is_usage_error(self, tmp_path, capsys):
+        # a one-row sample variance would leak two RuntimeWarnings
+        path = write_csv(tmp_path / "row.csv", np.arange(1.0, 6.0)[None])
+        code, out, err = run_cli(capsys, "test", "--input", path, "--m", "2", "--studentize")
+        assert (code, out) == (2, "")
+        assert "at least 2 rows" in err
+
+    def test_empty_csv_is_usage_error_naming_the_file(self, tmp_path, capsys):
+        # not numpy's "input contained no data" UserWarning, nor "p must be >= 3"
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        code, out, err = run_cli(capsys, "test", "--input", str(path), "--m", "2")
+        assert (code, out) == (2, "")
+        assert f"{path} holds no values" in err
 
     def test_unknown_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -296,12 +311,23 @@ DIAGNOSE_PAIRTAIL = ("diagnose", "--what", "pairtail", "--s", "1", "--n", "10", 
     ("diagnose", "--what", "b1", "--p", str(10**200), "--m", "2", "--single-tail", "1"),
     # past the float range: read as inf, where it used to switch the guard off
     ("test", "--input", X_M2, "--m", "2", "--cost-ceiling", str(10**400)),
+    # 1 - Phi(38.4) is subnormal, so one t(3) hit would make the ratio Infinity
+    ("diagnose", "--what", "mdr", "--x", "38.4", "--n", "1", "--m", "2", "--reps", "100000",
+     "--population", "student_t_standardized", "--df", "3"),
+    # a_n**2 overflows in the analytic decay, which is reported after the draws
+    (*DIAGNOSE_PAIRTAIL, "--a", "1e300"),
 ])
 def test_non_finite_value_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.count("tensormax: error:") == 1 and "Traceback" not in err
+
+
+def test_report_holding_infinity_prints_no_json(capsys, monkeypatch):
+    monkeypatch.setattr(diagnostics, "b1_bound", lambda *args: math.inf)
+    code, out, _ = run_cli(capsys, "diagnose", "--what", "b1", "--p", "10", "--m", "2", "--single-tail", "1")
+    assert (code, out) == (2, "")
 
 
 def test_mdr_x_past_the_gaussian_tail_is_usage_error(capsys):

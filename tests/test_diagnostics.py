@@ -18,6 +18,7 @@ KS, and plain re-simulations of the joint pair tail).
 
 import hashlib
 import math
+import sys
 import time
 import tracemalloc
 
@@ -565,8 +566,9 @@ class TestModerateDeviationRatio:
                 moderate_deviation_ratio(NORMAL, 2, 10, x, 10, SEED)
 
     def test_largest_x_with_a_gaussian_tail(self):
-        rep = moderate_deviation_ratio(NORMAL, 2, 10, 38.4, 10, SEED)
-        assert rep.gaussian_tail > 0.0 and rep.hits == 0 and rep.ratio == 0.0
+        # past x ~ 37.52 the tail is subnormal and x is refused
+        rep = moderate_deviation_ratio(NORMAL, 2, 10, 37.5, 10, SEED)
+        assert rep.gaussian_tail >= sys.float_info.min and rep.hits == 0 and rep.ratio == 0.0
 
 
 class TestSteinChenReport:

@@ -133,6 +133,18 @@ class TestRunExperiment:
             run_experiment(cfg, budget=1e30)
         assert drawn == []
 
+    def test_run_total_past_the_clamp_refused_whatever_the_budget(self, monkeypatch):
+        # Each (10**6, 100, 2) matrix costs 5.05e9 multiply-adds, so 2e9
+        # replicates total 1.01e19, past 2**63 - 1, where counts clamp.
+        def refuse(*args):
+            raise AssertionError("the run was cut into chunks or drawn before its budget was checked")
+
+        monkeypatch.setattr(lab, "_chunks", refuse)
+        monkeypatch.setattr(lab, "sample_matrix", refuse)
+        cfg = ExperimentConfig(grid=(CellConfig(10**6, 100, 2, NORMAL),), reps=2 * 10**9, master_seed=1)
+        with pytest.raises(BudgetError, match="more than 9.2e18"):
+            run_experiment(cfg, budget=1e30)
+
     def test_budget_holds_each_matrix(self, monkeypatch):
         # The run's budget, not the library's default ceiling, bounds a
         # single matrix: 150 multiply-adds each, against a ceiling of 100.

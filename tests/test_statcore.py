@@ -250,7 +250,7 @@ class TestEnumerationCost:
         for p, m in ((20000, 10000), (60000, 30000), (10**6, 5 * 10**5), (10**9, 10**9 - 3)):
             assert enumeration_cost(p, m, 1).saturated
             with pytest.raises(BudgetError, match="more than 9.2e18"):
-                statcore.check_budget(p, m, 1, statcore.DEFAULT_COST_CEILING)
+                statcore.check_budget([(p, m, 1, 1)], statcore.DEFAULT_COST_CEILING)
         assert time.perf_counter() - start < 1.0
         assert enumeration_cost(10**9, 10**9, 1) == statcore.EnumerationCost(1, 2**63 - 1, True)
 

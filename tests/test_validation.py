@@ -125,6 +125,13 @@ def test_check_regime_takes_any_p_a_float_holds():
     assert tm.check_regime(10, 10**100, 2).log_p == math.log(10**100)
 
 
+def test_a_huge_integer_is_not_spelled_out():
+    # spelt out, 10**400 and the 309-digit bound made a 729-character message
+    with pytest.raises(ValueError, match=r"^n must be <=") as exc:
+        tm.check_regime(10**400, 50, 2)
+    assert len(str(exc.value)) < 120
+
+
 def test_max_entry_multi_defaults_reach_the_work():
     with pytest.raises(Worked):
         tm.max_entry_multi([X, X])
@@ -135,7 +142,7 @@ INF = math.inf
 # the nearest floats outside a closed end
 BELOW_0 = math.nextafter(0.0, -INF)
 ABOVE_1 = math.nextafter(1.0, INF)
-# w**2 overflows past about 1.34e154
+# w**2 and a_n**2 overflow past about 1.34e154
 SQUARE_OVERFLOWS = 1e155
 CEILING = statcore.DEFAULT_COST_CEILING
 
@@ -154,14 +161,15 @@ REAL_TABLE = {
     "normal_upper_tail": (lambda x=1.0: tm.normal_upper_tail(x), {"x": ()}),
     "moderate_deviation_ratio": (
         lambda x=1.0: tm.moderate_deviation_ratio(NORMAL, 2, 10, x, 10, SEED),
-        {"x": (BELOW_0, -INF, INF)},
+        # 1 - Phi(x) is subnormal past x ~ 37.5, where one hit overflows the ratio
+        {"x": (BELOW_0, -INF, INF, 38.0)},
     ),
     "estimate_single_tail": (
         lambda threshold=1.0: tm.estimate_single_tail(NORMAL, 10, 2, threshold, 10, SEED),
         {"threshold": ()},
     ),
     "estimate_lambda": (lambda z=0.0: tm.estimate_lambda(z, 10, 10, 2, NORMAL, 10, SEED), {"z": (-INF, INF)}),
-    "PairTailSpec": (_pair_tail, {"a_n": (0.0, -INF, INF)}),
+    "PairTailSpec": (_pair_tail, {"a_n": (0.0, -INF, INF, SQUARE_OVERFLOWS)}),
     "stein_chen_report": (
         lambda z=0.0: tm.stein_chen_report(z, 10, 10, 3, NORMAL, 10, SEED, a_n=0.5),
         {"z": (-INF, INF)},
