@@ -57,7 +57,6 @@ from .statcore import (
     StatResult,
     enumeration_cost,
     load_matrix_csv,
-    max_entries,
     max_entry,
     max_entry_bruteforce,
     max_entry_multi,
@@ -98,7 +97,6 @@ __all__ = [
     "load_matrix_csv",
     "load_report",
     "log_rate_constant",
-    "max_entries",
     "max_entry",
     "max_entry_bruteforce",
     "max_entry_multi",

@@ -2,9 +2,10 @@
 
 Results go to stdout as JSON (or a bare number for quantile), never
 with NaN or Infinity in it (a report that holds one exits 2); the
-resolved configuration, including the seed, is logged to stderr.  Seeds
-default to the fixed constant DEFAULT_MASTER_SEED so that repeated
-invocations are reproducible; pass --seed for fresh randomness.
+resolved configuration, including the seed, is logged to stderr as
+strict JSON too.  Seeds default to the fixed constant
+DEFAULT_MASTER_SEED so that repeated invocations are reproducible; pass
+--seed for fresh randomness.
 
 Exit codes: 0 success, 2 usage or validation error, 3 budget error,
 4 I/O error.
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -44,7 +46,9 @@ _DIAGNOSE_FLAGS = {
 
 
 def _log_config(name: str, resolved: dict) -> None:
-    print(f"tensormax {name} config: {json.dumps(resolved, sort_keys=True)}", file=sys.stderr)
+    # a valid request may hold a non-finite flag (--z inf), logged as the string "inf"
+    resolved = {k: repr(v) if isinstance(v, float) and not math.isfinite(v) else v for k, v in resolved.items()}
+    print(f"tensormax {name} config: {json.dumps(resolved, sort_keys=True, allow_nan=False)}", file=sys.stderr)
 
 
 def _population(args) -> PopulationSpec:
@@ -196,6 +200,8 @@ def _cmd_diagnose(args) -> int:
         **flags,
     }
     _log_config("diagnose", resolved)
+    check_int("reps", args.reps, 1)
+    check_int("workers", args.workers, 1)
     if args.what == "lambda":
         out = diagnostics.estimate_lambda(
             args.z, args.n, args.p, args.m, spec, args.reps, seed, workers=args.workers

@@ -81,8 +81,8 @@ class PopulationSpec(JsonRecord):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; choose one of {FAMILIES}")
         if self.family == STUDENT_T_STANDARDIZED:
-            # the variance df/(df-2) needs df > 2
-            check_int("df", self.df, 3)
+            # the variance df/(df-2) needs df > 2, and a df that float() can hold
+            check_int("df", self.df, 3, _FLOAT_INT_MAX)
         elif self.df is not None:
             raise ValueError(f"df only applies to {STUDENT_T_STANDARDIZED}, got family {self.family!r}")
 

@@ -30,16 +30,17 @@ prefix and G = X^T X / sqrt(n).  Prefixes that end at the same index
 share X[:, s:], so they are stacked into one GEMM, and rows are tiled so
 that no tile holds more than about a million entries.
 
-**Stacks of replicates.**  :func:`max_entries` runs the screen on an
-(R, n, p) stack of independent matrices at once.  Partial products have
-shape (R, n), each prefix group is one batched ``np.matmul`` over the
-stack, and the slack, the lower bound L, the candidates, the overflow
-guard and the recheck below are all kept per replicate, so every
-replicate gets exactly the answer it gets alone.  :func:`max_entry` and
-:func:`max_entry_multi` are the R = 1 case of the same engine, entered
-through the same budget check.  The tile limit counts entries across the
-replicate axis, so a stack's tiles are no larger than one matrix's; the
-caller bounds R itself (``lab`` caps a stack at 2**17 values, 1 MB).
+**Stacks of replicates.**  :func:`_screen` screens an (R, n, p) stack of
+independent matrices at once, as ``lab`` does for each chunk of
+replicates.  Partial products have shape (R, n), each prefix group is
+one batched ``np.matmul`` over the stack, and the slack, the lower
+bound L, the candidates, the overflow guard and the recheck below are
+all kept per replicate, so every replicate gets exactly the answer it
+gets alone.  :func:`max_entry` and :func:`max_entry_multi` are the
+R = 1 case, entered through one validated route and budget check.  The
+tile limit counts entries across the replicate axis, so a stack's tiles
+are no larger than one matrix's; the caller bounds R itself (``lab``
+caps a stack at 2**17 values, 1 MB).
 
 **The bound.**  A GEMM entry sums in its own order and may fuse
 multiply-adds, so it can differ from the canonical entry in the last
@@ -203,16 +204,15 @@ def load_matrix_csv(path) -> np.ndarray:
     return np.ascontiguousarray(values)
 
 
-def _as_matrix(X, ndim: int = 2) -> np.ndarray:
-    """An n-by-p matrix, or an (R, n, p) stack for ``ndim=3``: C-contiguous float64, non-empty, finite."""
-    what = "data matrix" if ndim == 2 else "data stack"
+def _as_matrix(X) -> np.ndarray:
+    """An n-by-p matrix: C-contiguous float64, non-empty, finite."""
     A = np.ascontiguousarray(np.asarray(X, dtype=np.float64))
-    if A.ndim != ndim:
-        raise ValueError(f"{what} must be {ndim}-dimensional, got shape {A.shape}")
+    if A.ndim != 2:
+        raise ValueError(f"data matrix must be 2-dimensional, got shape {A.shape}")
     if 0 in A.shape:
-        raise ValueError(f"{what} must be non-empty, got shape {A.shape}")
+        raise ValueError(f"data matrix must be non-empty, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
-        raise ValueError(f"{what} contains non-finite values")
+        raise ValueError("data matrix contains non-finite values")
     return A
 
 
@@ -458,20 +458,20 @@ def _screen(stacks: list[np.ndarray]) -> _Screen:
     return screen
 
 
-def _enumerate(stacks: list[np.ndarray], cost_ceiling: int) -> list[StatResult]:
-    """Every replicate's maximum, ``stacks[d]`` the valid (R, n, p) stack supplying depth d.
+def _enumerate(mats: list[np.ndarray], cost_ceiling: int) -> StatResult:
+    """The maximum of one tensor, ``mats[d]`` the valid n-by-p matrix supplying depth d.
 
-    The budget is checked per matrix before any work.
+    The budget is checked before any work.
     """
-    _, n, p = stacks[0].shape
-    m = len(stacks)
+    n, p = mats[0].shape
+    m = len(mats)
     check_budget([(p, m, n, 1)], cost_ceiling)
-    screen = _screen(stacks)
-    (w_abs, w_sig), (arg_abs, arg_sig) = screen.w.tolist(), (screen.arg + 1).tolist()
-    return [
-        StatResult(wa, ws, tuple(aa), tuple(sa), n, p, m, math.comb(p, m))
-        for wa, ws, aa, sa in zip(w_abs, w_sig, arg_abs, arg_sig)
-    ]
+    # One (1, n, p) stack per distinct matrix, so that a matrix repeated
+    # at several depths is one array to the screen.
+    stacks = {id(M): M[None] for M in mats}
+    screen = _screen([stacks[id(M)] for M in mats])
+    (w_abs, w_sig), (arg_abs, arg_sig) = screen.w[:, 0].tolist(), (screen.arg[:, 0] + 1).tolist()
+    return StatResult(w_abs, w_sig, tuple(arg_abs), tuple(arg_sig), n, p, m, math.comb(p, m))
 
 
 def max_entry(X, m: int, *, cost_ceiling: int = DEFAULT_COST_CEILING) -> StatResult:
@@ -498,22 +498,7 @@ def max_entry(X, m: int, *, cost_ceiling: int = DEFAULT_COST_CEILING) -> StatRes
         On invalid input, or when some tuple sum overflows float64.
     """
     A = _as_matrix(X)
-    return _enumerate([A[None]] * check_int("m", m, 2, A.shape[1]), cost_ceiling)[0]
-
-
-def max_entries(X, m: int) -> list[StatResult]:
-    """:func:`max_entry` of every matrix in an (R, n, p) stack, in one pass.
-
-    Every prefix group is one batched matrix product over the stack, and
-    the screen bounds, candidates and canonical recheck are kept per
-    replicate, so ``max_entries(X, m)[r] == max_entry(X[r], m)`` bit for
-    bit.  Each matrix is held to :data:`DEFAULT_COST_CEILING`
-    multiply-adds, checked before any work (BudgetError); the caller
-    bounds R.  Raises ValueError on invalid input, or when a tuple sum of
-    any replicate overflows float64.
-    """
-    A = _as_matrix(X, ndim=3)
-    return _enumerate([A] * check_int("m", m, 2, A.shape[2]), DEFAULT_COST_CEILING)
+    return _enumerate([A] * check_int("m", m, 2, A.shape[1]), cost_ceiling)
 
 
 def max_entry_multi(matrices, *, cost_ceiling: int = DEFAULT_COST_CEILING) -> StatResult:
@@ -533,10 +518,7 @@ def max_entry_multi(matrices, *, cost_ceiling: int = DEFAULT_COST_CEILING) -> St
             )
     # the order is the number of matrices
     check_int("m", len(mats), 2, p)
-    # One stack per distinct matrix, so that a matrix repeated at several
-    # depths shares its copies as in max_entry.
-    stacks = {id(M): M[None] for M in mats}
-    return _enumerate([stacks[id(M)] for M in mats], cost_ceiling)[0]
+    return _enumerate(mats, cost_ceiling)
 
 
 def max_entry_bruteforce(X, m: int) -> StatResult:

@@ -282,12 +282,43 @@ def test_simulate_config_missing_reps_names_the_field(tmp_path, capsys):
     ("diagnose", "--what", "mdr", "--x", "1", "--n", "10", "--m", "2", "--reps", "100"),
     ("diagnose", "--what", "lambda", "--n", "10", "--p", "5", "--m", "2", "--reps", "100"),
     ("test", "--input", X_M2, "--m", "2"),
+    # b1 is closed form, and still refuses what every other mode refuses
+    ("diagnose", "--what", "b1", "--p", "10", "--m", "2", "--single-tail", "0.1"),
 ])
 def test_diagnose_zero_workers_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--workers", "0")
     assert code == 2
     assert out == ""
     assert "workers" in err
+
+
+def test_diagnose_b1_zero_reps_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "diagnose", "--what", "b1", "--p", "10", "--m", "2",
+                             "--single-tail", "0.1", "--reps", "0")
+    assert code == 2
+    assert out == ""
+    assert err.count("tensormax: error:") == 1 and "reps" in err
+
+
+def test_huge_student_t_df_is_usage_error(capsys):
+    # past the float range, df / (df - 2.0) raises OverflowError in every draw
+    code, out, err = run_cli(capsys, "diagnose", "--what", "mdr", "--n", "10", "--m", "2", "--x", "1",
+                             "--reps", "100", "--population", "student_t_standardized", "--df", str(10**400))
+    assert code == 2
+    assert out == ""
+    assert err.count("tensormax: error:") == 1 and "df" in err and "Traceback" not in err
+
+
+def test_simulate_config_with_a_huge_student_t_df_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": [{"n": 10, "p": 6, "m": 2,
+                                         "spec": {"family": "student_t_standardized", "df": 10**400}}],
+                               "reps": 2, "master_seed": 7, "output_path": str(tmp_path / "out")}))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.count("tensormax: error:") == 1 and "df" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 DIAGNOSE_MDR = ("diagnose", "--what", "mdr", "--n", "10", "--m", "2", "--reps", "100")
@@ -322,6 +353,24 @@ def test_non_finite_value_is_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.count("tensormax: error:") == 1 and "Traceback" not in err
+    strict_config(err)
+
+
+def strict_config(err):
+    """The logged config, read by a JSON parser that refuses NaN and Infinity."""
+    def refuse(name):
+        raise ValueError(f"config line holds {name}")
+
+    line = err.splitlines()[0]
+    assert " config: " in line
+    return json.loads(line.split(" config: ", 1)[1], parse_constant=refuse)
+
+
+def test_infinite_z_is_logged_as_a_string(capsys):
+    code, out, err = run_cli(capsys, "quantile", "--m", "2", "--z", "inf")
+    assert code == 0
+    assert out.strip() == "1"
+    assert strict_config(err)["z"] == "inf"
 
 
 def test_report_holding_infinity_prints_no_json(capsys, monkeypatch):

@@ -512,7 +512,7 @@ class TestSharedCopies:
 
 
 class TestMaxEntries:
-    """A stack of replicates through one screen gives each replicate the oracle's answer."""
+    """A stack of replicates through one screen, as ``lab`` sends it, gives each replicate the oracle's answer."""
 
     SHAPES = {2: (300, 14), 3: (160, 11), 4: (130, 9), 5: (130, 10), 6: (130, 10)}
 
@@ -530,6 +530,18 @@ class TestMaxEntries:
             duplicated,
         ])
 
+    @staticmethod
+    def maxima(X, m):
+        """Each replicate's (w_abs, w_signed) and 1-based (argmax_abs, argmax_signed) from one screen of X."""
+        screen = statcore._screen([X] * m)
+        return [(tuple(screen.w[:, r].tolist()), tuple(map(tuple, (screen.arg[:, r] + 1).tolist())))
+                for r in range(len(X))]
+
+    @staticmethod
+    def oracle(X, m):
+        return [((ref.w_abs, ref.w_signed), (ref.argmax_abs, ref.argmax_signed))
+                for ref in (max_entry_bruteforce(M, m) for M in X)]
+
     @pytest.mark.parametrize("small_tiles", [False, True])
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
     def test_each_replicate_matches_the_oracle(self, m, small_tiles, monkeypatch):
@@ -539,13 +551,13 @@ class TestMaxEntries:
         rng = np.random.default_rng(700 + m)
         n, p = self.SHAPES[m]
         X = self.mixed_stack(rng, n, p)
-        got = statcore.max_entries(X, m)
+        got = self.maxima(X, m)
         assert len(got) == len(X)
-        for r, res in enumerate(got):
-            assert res == max_entry_bruteforce(X[r], m), f"replicate {r}"
+        for r, (res, ref) in enumerate(zip(got, self.oracle(X, m))):
+            assert res == ref, f"replicate {r}"
         # R = 1, and every replicate alone in its own stack
         for r in (0, 1, 5):
-            assert statcore.max_entries(X[r:r + 1], m) == [got[r]]
+            assert self.maxima(X[r:r + 1], m) == [got[r]]
 
     @pytest.mark.parametrize("small_tiles", [False, True])
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
@@ -561,17 +573,18 @@ class TestMaxEntries:
         X[0] = X[2] = np.hstack([col] * 8)
         X[1, :2] = [[1.0, 2.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0],
                     [1.0, 1.0, 2.0, 2.0, 2.0, 1.0, 1.0, 2.0]]
-        got = statcore.max_entries(X, m)
-        assert got == [max_entry_bruteforce(M, m) for M in X]
-        assert got[0].argmax_abs == tuple(range(1, m + 1))
+        got = self.maxima(X, m)
+        assert got == self.oracle(X, m)
+        _, (argmax_abs, _) = got[0]
+        assert argmax_abs == tuple(range(1, m + 1))
 
     def test_one_overflowing_replicate_raises(self):
         X = np.ones((3, 2, 3))
         X[1] = [[1e200, 1e200, 1.0], [1e200, -1e200, 1.0]]
         with pytest.raises(ValueError, match="tuple sums overflow float64"):
-            statcore.max_entries(X, 2)
+            statcore._screen([X] * 2)
         with pytest.raises(ValueError, match="tuple sums overflow float64"):
-            statcore.max_entries(np.stack([np.ones((4, 5)), np.full((4, 5), 1e120)]), 3)
+            statcore._screen([np.stack([np.ones((4, 5)), np.full((4, 5), 1e120)])] * 3)
 
     @pytest.mark.parametrize("small_tiles", [False, True])
     @pytest.mark.parametrize("m", [2, 3])
@@ -589,24 +602,7 @@ class TestMaxEntries:
         X = rng.standard_normal((3, 40, 12))
         X[1, :2] = 1.0
         X[1, :2, :2] = [[1e154, 1e154], [1e154, -1e154]]
-        assert statcore.max_entries(X, m) == [max_entry_bruteforce(M, m) for M in X]
-
-    def test_validation_and_budget(self):
-        with pytest.raises(ValueError, match="stack"):
-            statcore.max_entries(np.ones((4, 5)), 2)
-        with pytest.raises(ValueError, match="stack"):
-            statcore.max_entries(np.ones((0, 4, 5)), 2)
-        X = np.ones((2, 4, 5))
-        X[1, 0, 0] = np.inf
-        with pytest.raises(ValueError, match="finite"):
-            statcore.max_entries(X, 2)
-        with pytest.raises(ValueError, match="m"):
-            statcore.max_entries(np.ones((2, 4, 5)), 6)
-        # n * sum_{s<=20} C(40, s) is about 6e11 multiply-adds per matrix:
-        # rejected at once, where enumerating would not finish
-        assert enumeration_cost(40, 20, 1).multiply_adds > statcore.DEFAULT_COST_CEILING
-        with pytest.raises(BudgetError):
-            statcore.max_entries(np.ones((2, 1, 40)), 20)
+        assert self.maxima(X, m) == self.oracle(X, m)
 
     def test_gaussian_stack_rechecks_a_handful_per_replicate(self):
         rng = np.random.default_rng(601)

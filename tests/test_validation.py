@@ -56,8 +56,10 @@ def _pair_tail(s=1, n=10, p=5, m=2, reps=10, a_n=1.0):
 # entry point: (call whose defaults are valid, {integer argument: values out of its range})
 TABLE = {
     "max_entry": (lambda m=2: tm.max_entry(X, m), {"m": (1, 6)}),
-    "max_entries": (lambda m=2: tm.max_entries(X[None], m), {"m": (1, 6)}),
     "sample_matrix": (lambda n=4, p=5: tm.sample_matrix(NORMAL, n, p, SEED), {"n": (0,), "p": (2,)}),
+    # df / (df - 2.0) raises OverflowError past the float range
+    "PopulationSpec": (lambda df=3: tm.sample_matrix(tm.PopulationSpec("student_t_standardized", df), 4, 5, SEED),
+                       {"df": (10**400,)}),
     "estimate_single_tail": (
         lambda n=10, m=2, reps=10: tm.estimate_single_tail(NORMAL, n, m, 1.0, reps, SEED),
         {"n": (0,), "m": (1,), "reps": (0,)},
