@@ -51,14 +51,6 @@ def _log_config(name: str, resolved: dict) -> None:
     print(f"tensormax {name} config: {json.dumps(resolved, sort_keys=True, allow_nan=False)}", file=sys.stderr)
 
 
-def _population(args) -> PopulationSpec:
-    return PopulationSpec(family=args.population, df=args.df)
-
-
-def _seed(args) -> SeedSpec:
-    return SeedSpec(master_seed=args.seed, stream_id=args.stream)
-
-
 def _add_seed_flags(sub) -> None:
     sub.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED,
                      help=f"master seed, unsigned 64-bit (default {DEFAULT_MASTER_SEED})")
@@ -185,21 +177,23 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    spec = _population(args)
-    seed = _seed(args)
     flags = {name: getattr(args, name) for name in _DIAGNOSE_FLAGS[args.what]}
-    for name, value in flags.items():
-        if value is None:
-            raise ValueError(f"--{name.replace('_', '-')} is required for this diagnose mode")
+    # logged from the raw flags, before any of them is checked; df is left out when unset, as to_json does
+    population = {"family": args.population, **({} if args.df is None else {"df": args.df})}
     resolved = {
         "what": args.what,
-        "population": spec.to_json(),
-        "seed": seed.to_json(),
+        "population": population,
+        "seed": {"master_seed": args.seed, "stream_id": args.stream},
         "reps": args.reps,
         "workers": args.workers,
         **flags,
     }
     _log_config("diagnose", resolved)
+    spec = PopulationSpec(family=args.population, df=args.df)
+    seed = SeedSpec(master_seed=args.seed, stream_id=args.stream)
+    for name, value in flags.items():
+        if value is None:
+            raise ValueError(f"--{name.replace('_', '-')} is required for this diagnose mode")
     check_int("reps", args.reps, 1)
     check_int("workers", args.workers, 1)
     if args.what == "lambda":

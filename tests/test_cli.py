@@ -356,6 +356,23 @@ def test_non_finite_value_is_usage_error(capsys, argv):
     strict_config(err)
 
 
+@pytest.mark.parametrize("argv,population,seed", [
+    (("diagnose", "--what", "b1", "--p", "10", "--m", "2", "--single-tail", "0.1", "--seed", "-1"),
+     {"family": "standard_normal"}, {"master_seed": -1, "stream_id": 0}),
+    ((*DIAGNOSE_MDR, "--x", "1", "--population", "student_t_standardized", "--df", "2"),
+     {"family": "student_t_standardized", "df": 2}, {"master_seed": 12345, "stream_id": 0}),
+    # --p is missing
+    (("diagnose", "--what", "lambda", "--n", "10", "--m", "2", "--population", "rademacher"),
+     {"family": "rademacher"}, {"master_seed": 12345, "stream_id": 0}),
+], ids=["seed-1", "df2", "missing-p"])
+def test_diagnose_logs_the_raw_flags_before_any_check(capsys, argv, population, seed):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.count("tensormax: error:") == 1
+    config = strict_config(err)
+    assert (config["population"], config["seed"]) == (population, seed)
+
+
 def strict_config(err):
     """The logged config, read by a JSON parser that refuses NaN and Infinity."""
     def refuse(name):

@@ -68,7 +68,7 @@ def plain_product(spec, rng, shape, k):
 
 def plain_sums(spec, n, m, seed, index, count):
     """Oracle: one block's product sums drawn and multiplied in full."""
-    rng = make_generator(seed, extra=(index,))
+    rng = diagnostics._block_generator(seed, index)
     return plain_product(spec, rng, (count, n), m).sum(axis=1)
 
 
@@ -89,7 +89,7 @@ def plain_pair_tail(pspec, reps, rng):
 
 def plain_pair_sums(spec, n, s, m, seed, index, count):
     """Oracle: one block's pair sums over shared xi and fresh eta, zeta."""
-    rng = make_generator(seed, extra=(index,))
+    rng = diagnostics._block_generator(seed, index)
     xi = plain_product(spec, rng, (count, n), s)
     eta = plain_product(spec, rng, (count, n), m - s)
     zeta = plain_product(spec, rng, (count, n), m - s)
@@ -127,13 +127,13 @@ class TestBlockKernelsBitIdentical:
     @pytest.mark.parametrize("seed", KERNEL_SEEDS)
     def test_rademacher_tail_kernel(self, m, seed):
         spec, n, count = PopulationSpec(RADEMACHER), 37, 3000
-        (sums,) = diagnostics._product_sums(spec, make_generator(seed, extra=(4,)), (count, n), 0, m, 1)
+        (sums,) = diagnostics._product_sums(spec, diagnostics._block_generator(seed, 4), (count, n), 0, m, 1)
         assert_rademacher_sums(sums, n)
         root_n = math.sqrt(n)
         scaled = sums / root_n
         for t in (0.0, 0.5, 1.0, 1.5, 2.3):
-            two = diagnostics._tail_kernel(make_generator(seed, extra=(4,)), count, spec, n, m, TWO_SIDED, t)
-            one = diagnostics._tail_kernel(make_generator(seed, extra=(4,)), count, spec, n, m, ONE_SIDED, t)
+            two = diagnostics._tail_kernel(diagnostics._block_generator(seed, 4), count, spec, n, m, TWO_SIDED, t)
+            one = diagnostics._tail_kernel(diagnostics._block_generator(seed, 4), count, spec, n, m, ONE_SIDED, t)
             assert two == np.count_nonzero(np.abs(scaled) > t)
             assert one == np.count_nonzero(scaled >= t)
             assert_within_4_se(two, count, rademacher_tail(n, lambda x: abs(x / root_n) > t))
@@ -145,12 +145,12 @@ class TestBlockKernelsBitIdentical:
         # given the shared product xi the two sums are independent, so the
         # joint tail is q**2 and each margin is q
         spec, n, count = PopulationSpec(RADEMACHER), 29, 3000
-        s1, s2 = diagnostics._product_sums(spec, make_generator(seed, extra=(2,)), (count, n), s, m - s, 2)
+        s1, s2 = diagnostics._product_sums(spec, diagnostics._block_generator(seed, 2), (count, n), s, m - s, 2)
         assert_rademacher_sums(s1, n)
         assert_rademacher_sums(s2, n)
         for a in (0.2, 0.6, 1.0):
             thr = a * math.sqrt(n * math.log(10))
-            hits = diagnostics._pair_kernel(make_generator(seed, extra=(2,)), count, spec, n, s, m, thr)
+            hits = diagnostics._pair_kernel(diagnostics._block_generator(seed, 2), count, spec, n, s, m, thr)
             assert hits == np.count_nonzero((np.abs(s1) >= thr) & (np.abs(s2) >= thr))
             q = rademacher_tail(n, lambda x: abs(x) >= thr)
             assert_within_4_se(hits, count, q * q)
@@ -161,16 +161,16 @@ class TestBlockKernelsBitIdentical:
     def test_float_path_unchanged(self, m, s):
         n, count = 23, 500
         for spec in FLOAT_PATH_SPECS:
-            (sums,) = diagnostics._product_sums(spec, make_generator(SEED, extra=(1,)), (count, n), 0, m, 1)
+            (sums,) = diagnostics._product_sums(spec, diagnostics._block_generator(SEED, 1), (count, n), 0, m, 1)
             assert np.array_equal(sums, plain_sums(spec, n, m, SEED, 1, count))
-            pair = diagnostics._product_sums(spec, make_generator(SEED, extra=(1,)), (count, n), s, m - s, 2)
+            pair = diagnostics._product_sums(spec, diagnostics._block_generator(SEED, 1), (count, n), s, m - s, 2)
             for got, want in zip(pair, plain_pair_sums(spec, n, s, m, SEED, 1, count)):
                 assert np.array_equal(got, want)
 
 
 def traced_peak(fn, *args):
     """Peak bytes that tracemalloc sees allocated while ``fn(rng, *args)`` runs."""
-    rng = make_generator(SEED, extra=(0,))
+    rng = diagnostics._block_generator(SEED, 0)
     tracemalloc.start()
     try:
         fn(rng, *args)
@@ -200,7 +200,7 @@ class TestManyBlocks:
 
     @staticmethod
     def kernel_sum(kernel, params, sizes, seed):
-        return sum(kernel(make_generator(seed, extra=(i,)), c, *params) for i, c in enumerate(sizes))
+        return sum(kernel(diagnostics._block_generator(seed, i), c, *params) for i, c in enumerate(sizes))
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
@@ -302,6 +302,18 @@ def test_scale_mixture_streams_are_pinned(family, case):
     sums = diagnostics._product_sums(spec, make_generator(SEED), (40, 7), *case)
     digest = hashlib.sha256(b"".join(s.tobytes() for s in sums)).hexdigest()
     assert digest[:16] == MIXTURE_DIGESTS[family, case]
+
+
+# sha256 prefixes of the first 8 raw outputs of blocks 0 and 1 on SEED:
+# SFC64 keyed by SeedSequence((2025, 0, block)).  Another bit generator
+# or key moves them (Philox gives 761e6f64fb300c05 for block 0).
+BLOCK_DIGESTS = {0: "ff19cd31b8ca6bf9", 1: "86d4a7b16140681b"}
+
+
+@pytest.mark.parametrize("index", list(BLOCK_DIGESTS))
+def test_block_streams_are_pinned(index):
+    raw = diagnostics._block_generator(SEED, index).bit_generator.random_raw(8)
+    assert hashlib.sha256(raw.tobytes()).hexdigest()[:16] == BLOCK_DIGESTS[index]
 
 
 class TestStudentTMixture:

@@ -1,8 +1,9 @@
 """Every public entry point rejects a bad argument with ValueError before any work.
 
-The enumeration engine, the Monte Carlo driver and the generator factory
-are patched to raise, so a check that comes after a draw or an
-enumeration shows up as ``Worked`` instead of ValueError.
+The enumeration engine, the Monte Carlo driver and both generator
+factories (data streams and Monte Carlo blocks) are patched to raise, so
+a check that comes after a draw or an enumeration shows up as ``Worked``
+instead of ValueError.
 """
 
 import contextlib
@@ -25,7 +26,7 @@ BAD_TYPES = (2.5, True, "3", None)
 
 
 class Worked(Exception):
-    """Raised by the patched engine, driver and generator factory."""
+    """Raised by the patched engine, driver and generator factories."""
 
 
 @pytest.fixture(autouse=True)
@@ -36,6 +37,7 @@ def no_work(monkeypatch):
     monkeypatch.setattr(statcore, "_screen", refuse)
     monkeypatch.setattr(diagnostics, "_count", refuse)
     monkeypatch.setattr(populations, "make_generator", refuse)
+    monkeypatch.setattr(diagnostics, "_block_generator", refuse)
 
 
 def _experiment(n=10, p=21, m=2, reps=2, workers=1, z_grid=lab.DEFAULT_Z_GRID,
