@@ -178,7 +178,8 @@ def _cmd_test(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     flags = {name: getattr(args, name) for name in _DIAGNOSE_FLAGS[args.what]}
-    # logged from the raw flags, before any of them is checked; df is left out when unset, as to_json does
+    # logged from the raw flags before any is checked, so a bad one still
+    # leaves a config line; df is written only when set, as to_json does
     population = {"family": args.population, **({} if args.df is None else {"df": args.df})}
     resolved = {
         "what": args.what,
