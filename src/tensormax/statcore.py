@@ -65,6 +65,49 @@ that lands among the subnormals may lose up to 2**-1075 outright, which
 no relative bound sees, and the squared norms get a floor of
 n * 2**-1074 for the same reason.
 
+**The float32 screen.**  For m >= 3, the row copies of the prefix
+depths and one copy of the last stack are made in float32, so Q,
+y = q * x_a and the GEMMs run in float32, at about twice the float64
+rate.  The norms, the envelope, the slack, L, the candidate bounds and
+the recheck stay in float64 and read only the float64 data.  The two
+entries are no longer inner products of the same vectors, so both are
+held to the exact tuple sum T = sum_i t_i, t_i = x_1i ... x_mi, with
+E = sum_i |t_i| and u = 2**-24 (Higham and Mary, "Mixed precision
+algorithms in numerical linear algebra", *Acta Numerica* 31, 2022).
+Each of the m factors is rounded once by its cast, and each of the m-2
+float32 multiplies that form y rounds once more, so every term
+y_i x_bi is t_i (1 + theta_{2m-2}).  The GEMM adds gamma_n times the
+terms' absolute sum, plus at most 2**-150 for each of its n steps whose
+result falls among the float32 subnormals (a fused multiply-add after
+cancellation).  The canonical entry lies within gamma_{n+m+1} E / sqrt(n)
+of T / sqrt(n) in float64, less than one float32 rounding while
+n < 2**28.  Last, E <= max|q| ||x_a|| ||x_b||, and the exact prefix
+product q is at most (1 + gamma_{2m-5}) times the float32 one (m-2
+casts, m-3 multiplies), over which max|q| is taken.  With the 13
+float64 roundings above,
+
+    slack = 2 gamma_{n+4m+13} (max|q| + 2**-538) A B / sqrt(n) + 2 (sqrt(n) + 1) 2**-149
+
+bounds the distance from each screened entry of the tile to the
+canonical entry.  It is about 2.4e-3 at n = 300, m = 3 and 0.08 at
+n = 3000 on standard normal data, still below the gaps near the
+maximum.
+
+The terms above hold only if no float32 cast, product or partial sum
+overflows and no cast or product of nonzero factors falls below
+2**-126.  A range guard checks that per stack, from the float64 data,
+before any copy is made: every nonzero |x| is at least 2**(-125/m), so
+every product of at most m nonzero factors stays normal (zeros stay
+exact), and n max|x|**m is at most 2**126, a quarter of the float32
+range, which bounds every partial product and partial sum.  Besides,
+(n + 4m + 13) u <= 1/2 keeps gamma finite.  A stack with any replicate
+outside the window (n = 130, m = 3: 2.9e-13 <= |x| <= 8.7e11) is
+screened in float64 as before, so one stack has one dtype.  On
+standard normal stacks of 2**17 values the low edge is met with
+probability about 1 - 4e-5 at m = 4.  m = 2 stays in float64: its one
+product is a symmetric rank-n update of X itself, and a float32 copy of
+each stack costs more than the faster update saves.
+
 **The recheck.**  Let L be the largest |G| - slack over all tuples, the
 top |G| of a tile less its slack.  Every canonical |entry| is at least
 its own |G| - slack, so the maximum is at least L, and any tuple that
@@ -76,10 +119,11 @@ chosen among the canonical values with the smallest-tuple tie-break, so
 the screen decides only which tuples to recompute, never which one
 wins, and the result is bit-identical to the oracle for every finite
 input, replicate by replicate.  On standardized continuous data the
-slack is about 2 u n**1.5 max|q| (2.5e-12 at n = 500, m = 2), far below
-the gaps near the maximum, so a call rechecks the winners and rarely
-more.  Exact ties, near ties, and tiles that hold a few huge columns
-nearly orthogonal to the rest make many candidates.
+float64 slack is about 2 u n**1.5 max|q| (2.5e-12 at n = 500, m = 2),
+the float32 one as above, both far below the gaps near the maximum, so
+a call rechecks the winners and rarely more.  Exact ties, near ties,
+and tiles that hold a few huge columns nearly orthogonal to the rest
+make many candidates.
 
 **Overflow.**  The bound needs every partial sum to stay finite.  A
 replicate whose envelope (max|q| + 2**-538) A B plus top |G| is not
@@ -87,7 +131,9 @@ below a quarter of the largest double, NaN and inf included, gets no
 bound from that tile: the tile's tuples are recomputed and folded at
 once, before the rest of the tile is screened, and their exact values
 raise L.  A non-finite canonical entry raises ValueError ("tuple sums
-overflow float64"), exactly when the oracle raises.
+overflow float64"), exactly when the oracle raises.  A float32 screen
+never gets there: its range guard keeps every envelope far below the
+limit.
 
 :func:`enumeration_cost` counts n * sum_{s=1..m} C(p, s) multiply-adds,
 the work of sharing prefixes down to single triangle entries, and stays
@@ -118,6 +164,8 @@ _OVERFLOW_MESSAGE = "tuple sums overflow float64"
 
 _UNIT_ROUNDOFF = 2.0**-53
 _SMALLEST_SUBNORMAL = 2.0**-1074
+_FLOAT32_ROUNDOFF = 2.0**-24
+_FLOAT32_SUBNORMAL = 2.0**-149
 # Below this, a tile's envelope times (1 + gamma_n) cannot reach the largest double.
 _ENVELOPE_LIMIT = float(np.finfo(np.float64).max) / 4.0
 # Entries per screened tile, counted across the replicate axis (8 MB per
@@ -194,11 +242,20 @@ def enumeration_cost(p: int, m: int, n: int) -> EnumerationCost:
 
 
 def load_matrix_csv(path) -> np.ndarray:
-    """Read a headerless CSV of decimal floats as an n-by-p matrix; ValueError if it holds no values."""
+    """Read a headerless CSV of decimal floats as an n-by-p matrix.
+
+    A ValueError names the file: one that holds no values, or numpy's
+    reason for a row it cannot read.
+    """
     with warnings.catch_warnings():
         # numpy warns on input with no data, which is refused here instead
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        values = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+        try:
+            values = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+        except ValueError as exc:
+            # numpy's hint names its ``usecols`` parameter, which the CLI does not have
+            reason = str(exc).split("; use `usecols`")[0]
+            raise ValueError(f"{path}: {reason}") from None
     if values.size == 0:
         raise ValueError(f"{path} holds no values")
     return np.ascontiguousarray(values)
@@ -229,8 +286,8 @@ def check_budget(work, ceiling, name: str = "cost_ceiling") -> None:
                           f"above the {name} of {ceiling:,}; raise {name} to override")
 
 
-def _gamma(k: int) -> float:
-    return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
+def _gamma(k: int, u: float = _UNIT_ROUNDOFF) -> float:
+    return k * u / (1.0 - k * u)
 
 
 def _suffix_norms(M: np.ndarray, n: int) -> np.ndarray:
@@ -299,18 +356,26 @@ class _Screen:
     for |G|, index 1 for G.  The slack is one number per tile and
     replicate; bounds, candidates and exact maxima are kept per
     replicate.  Screened tiles have shape
-    (2, replicates, prefixes, rows a, columns b).
+    (2, replicates, prefixes, rows a, columns b).  The GEMMs read
+    ``pen_rows`` and ``right`` in the screen's dtype, float32 or float64;
+    everything else is float64.
     """
 
-    def __init__(self, mats: list[np.ndarray], pen_rows: np.ndarray | None):
+    def __init__(self, mats: list[np.ndarray], pen_rows: np.ndarray | None, dtype):
         self.mats = mats
         self.pen, self.last = mats[-2], mats[-1]
         R, n, _ = self.last.shape
         self.n = n
         self.sqrt_n = math.sqrt(n)
-        # slack = envelope * scale + tiny
-        self.scale = 2.0 * _gamma(n + 13) / self.sqrt_n
-        self.tiny = 2.0 * (self.sqrt_n + 1.0) * _SMALLEST_SUBNORMAL
+        # slack = envelope * scale + tiny, in the rounding of the screen's dtype
+        if dtype == np.float32:
+            k, u, subnormal = n + 4 * len(mats) + 13, _FLOAT32_ROUNDOFF, _FLOAT32_SUBNORMAL
+        else:
+            k, u, subnormal = n + 13, _UNIT_ROUNDOFF, _SMALLEST_SUBNORMAL
+        self.scale = 2.0 * _gamma(k, u) / self.sqrt_n
+        self.tiny = 2.0 * (self.sqrt_n + 1.0) * subnormal
+        # the columns b as the GEMMs read them: ``last`` itself or its float32 copy
+        self.right = np.asarray(self.last, dtype=dtype)
         # largest column norm from column j on, of the columns b and of the rows a
         self.last_max = _suffix_norms(self.last, n)
         self.pen_max = self.last_max if self.pen is self.last else _suffix_norms(self.pen, n)
@@ -331,7 +396,7 @@ class _Screen:
         k, n = len(prefixes), self.n
         w = p - s
         # max|q| + 2**-538 over each replicate's group (see "The bound")
-        q_max = 1.0 if Q is None else np.maximum.reduce(np.abs(Q), axis=(1, 2)) + 2.0**-538
+        q_max = 1.0 if Q is None else np.maximum.reduce(np.abs(Q), axis=(1, 2)).astype(np.float64) + 2.0**-538
         tile_rows = max(1, _TILE_ENTRIES // (R * k * max(w, n)))
         for r0 in range(0, w - 1, tile_rows):
             # The last tile keeps row w-1, which holds no tuple, so that
@@ -344,7 +409,7 @@ class _Screen:
             else:
                 Y = (Q[:, :, None, :] * self.pen_rows[:, None, o:s + r1]).reshape(R, -1, n)
             GG = np.empty((2, R, k, r1 - r0, w - r0))
-            np.matmul(Y, self.last[:, :, o:], out=GG[1].reshape(R, -1, w - r0))
+            np.matmul(Y, self.right[:, :, o:], out=GG[1].reshape(R, -1, w - r0))
             GG[1] /= self.sqrt_n
             np.abs(GG[1], out=GG[0])
             self._tile(prefixes, o, GG, q_max * self.pen_max[:, o] * self.last_max[:, o])
@@ -433,6 +498,26 @@ class _Screen:
         self.pending_count = 0
 
 
+def _fits_float32(stacks: list[np.ndarray]) -> bool:
+    """Whether an order m >= 3 screen of ``stacks`` stays in the window of "The float32 screen".
+
+    Every nonzero |x| is at least 2**(-125/m) and n * max|x|**m at most
+    2**126, so no float32 cast, product or partial sum overflows and no
+    product of nonzero factors falls below the normal range, and
+    (n + 4m + 13) 2**-24 <= 1/2 keeps gamma finite.
+    """
+    m = len(stacks)
+    n = stacks[0].shape[1]
+    if m < 3 or (n + 4 * m + 13) * _FLOAT32_ROUNDOFF > 0.5:
+        return False
+    low, high = 2.0 ** (-125 / m), (2.0**126 / n) ** (1 / m)
+    for M in {id(M): M for M in stacks}.values():
+        a = np.abs(M)
+        if a.max() > high or (a.min() < low and np.count_nonzero((a < low) & (a > 0.0))):
+            return False
+    return True
+
+
 def _screen(stacks: list[np.ndarray]) -> _Screen:
     """Screen all tuples by GEMM, prefix group by prefix group, and recheck the candidates.
 
@@ -440,16 +525,18 @@ def _screen(stacks: list[np.ndarray]) -> _Screen:
     The finished screen holds each replicate's maxima, 0-based tuples and ``rechecked`` count.
     """
     # Depths below m-1 need a row-major (R, p, n) copy, in which column i
-    # of every replicate is ``rows[:, i]``.  A stack repeated at several
-    # depths is one object, so it is transposed once; for m = 2 it stays
-    # one array and its product is X^T X.
+    # of every replicate is ``rows[:, i]``, and the last depth one copy, in
+    # the screen's dtype.  A stack repeated at several depths is one
+    # object, so it is transposed once; for m = 2 it stays one float64
+    # array and its product is X^T X.
+    dtype = np.float32 if _fits_float32(stacks) else np.float64
     copies = {}
     if len(stacks) > 2:
         for M in stacks[:-1]:
             if id(M) not in copies:
-                copies[id(M)] = np.ascontiguousarray(M.transpose(0, 2, 1))
+                copies[id(M)] = np.ascontiguousarray(M.transpose(0, 2, 1), dtype=dtype)
     rows = [copies.get(id(M)) for M in stacks]
-    screen = _Screen(stacks, rows[-2])
+    screen = _Screen(stacks, rows[-2], dtype)
     # Overflow is detected from the values and reported by ValueError.
     with np.errstate(over="ignore", invalid="ignore"):
         for prefixes, s, Q in _prefix_groups(rows[:-2], stacks[0].shape[2], screen.n):

@@ -609,3 +609,96 @@ class TestMaxEntries:
         for (n, p, m) in ((500, 60, 2), (200, 30, 3), (100, 16, 4)):
             X = rng.standard_normal((4, n, p))
             assert statcore._screen([X] * m).rechecked.max() <= 6
+
+
+class TestFloat32Window:
+    """Order m >= 3 stacks inside the float32 window are screened in float32, the rest in float64.
+
+    The window: every nonzero |x| at least 2**(-125/m), and n max|x|**m
+    at most 2**126.  Whichever dtype screens a stack, every replicate
+    gets the oracle's answer.
+    """
+
+    N, P = 130, 9
+
+    @pytest.fixture
+    def gemms(self, monkeypatch):
+        """The operand dtypes of every GEMM the screen runs."""
+        dtypes = []
+        matmul = np.matmul
+
+        def spy(a, b, **kwargs):
+            dtypes.append({a.dtype.name, b.dtype.name})
+            return matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        return dtypes
+
+    @pytest.fixture
+    def slack_checked(self, monkeypatch):
+        """Check that every screened entry of every tile lies within its slack of the canonical entry."""
+        tile = statcore._Screen._tile
+
+        def checked(screen, prefixes, o, GG, envelope):
+            S = envelope * screen.scale + screen.tiny
+            for r, k, i, j in np.ndindex(GG.shape[1:]):
+                if j > i:
+                    cols = (*prefixes[k], o + i, o + j)
+                    prod = screen.mats[0][r, :, cols[0]].copy()
+                    for d in range(1, len(cols)):
+                        prod = prod * screen.mats[d][r, :, cols[d]]
+                    assert abs(GG[1, r, k, i, j] - np.sum(prod) / screen.sqrt_n) <= S[r]
+            return tile(screen, prefixes, o, GG, envelope)
+
+        monkeypatch.setattr(statcore._Screen, "_tile", checked)
+
+    def edges(self, m):
+        """The smallest nonzero |x| and the largest |x| inside the window, with a relative margin of 1e-9."""
+        return 2.0 ** (-125 / m) * (1 + 1e-9), (2.0**126 / self.N) ** (1 / m) * (1 - 1e-9)
+
+    def edge_matrices(self, m, inside):
+        """Matrices at the overflow edge and at the underflow edge, just inside the window or just outside."""
+        lo, hi = self.edges(m)
+        if not inside:
+            lo, hi = lo * (1 - 1e-6), hi * (1 + 1e-6)
+        rng = np.random.default_rng(800 + m)
+        signs = rng.choice([-1.0, 1.0], (self.N, self.P))
+        # the top tuple (1, ..., m) sums to n max|x|**m, a quarter of the float32 range
+        big = rng.standard_normal((self.N, self.P)) * hi / 8
+        big[:, :m] = hi
+        # every nonzero |x| at or just above the smallest, and zeros, which stay exact
+        small = lo * (1 + rng.exponential(size=(self.N, self.P))) * signs
+        small[0, 0] = lo * signs[0, 0]
+        small[rng.random((self.N, self.P)) < 0.05] = 0.0
+        # standard data with one column at the smallest |x|
+        column = rng.standard_normal((self.N, self.P))
+        column[:, 1] = lo * signs[:, 1]
+        return {"overflow": big, "underflow": small, "column": column}
+
+    @pytest.mark.parametrize("inside", [True, False], ids=["inside", "outside"])
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_edges_match_the_oracle(self, m, inside, gemms, slack_checked):
+        for name, X in self.edge_matrices(m, inside).items():
+            gemms.clear()
+            assert max_entry(X, m) == max_entry_bruteforce(X, m), name
+            assert gemms and all(d == ({"float32"} if inside else {"float64"}) for d in gemms), name
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_a_stack_across_the_window_matches_the_oracle(self, m, gemms):
+        # One replicate just inside the overflow edge and one just outside:
+        # the stack is screened in float64, the inside replicate alone in
+        # float32, and all three screens agree with the oracle.
+        X = np.stack([self.edge_matrices(m, True)["overflow"], self.edge_matrices(m, False)["overflow"]])
+        got = TestMaxEntries.maxima(X, m)
+        assert gemms and all(d == {"float64"} for d in gemms)
+        assert got == TestMaxEntries.oracle(X, m)
+        gemms.clear()
+        assert TestMaxEntries.maxima(X[:1], m) == got[:1]
+        assert gemms and all(d == {"float32"} for d in gemms)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_standard_stacks_reach_a_float32_gemm_from_order_3(self, m, gemms):
+        X = np.random.default_rng(810 + m).standard_normal((3, 60, 12))
+        statcore._screen([X] * m)
+        max_entry_multi(list(X[:m]))
+        assert gemms and all(d == ({"float64"} if m == 2 else {"float32"}) for d in gemms)
