@@ -198,10 +198,13 @@ def run_experiment(
     Cells run sequentially; a cell's replicates (stream id = replicate
     index) run in chunks, at least one per usable worker, and the chunks
     are independent tasks that may run in parallel.  The returned report is identical for every
-    worker count.  If ``config.output_path`` is set the report is
-    persisted there.
+    worker count.  If ``config.output_path`` is set, its directory is
+    made before the first draw and the report is persisted there.
     """
     statcore.check_budget([(c.p, c.m, c.n, config.reps) for c in config.grid], budget, "budget")
+    if config.output_path is not None:
+        # an output path that cannot be a directory fails before the first draw, not after the run
+        _make_output_dir(Path(config.output_path))
     procs = usable_workers(workers)
     all_records: list[ReplicateRecord] = []
     cell_reports: list[CellReport] = []
@@ -225,6 +228,13 @@ def run_experiment(
     return report
 
 
+def _make_output_dir(out: Path) -> None:
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OSError(f"failed to persist report under {out}: {exc}") from exc
+
+
 def persist(report: ExperimentReport, path) -> None:
     """Write records.csv and summary.json under ``path``.
 
@@ -233,8 +243,8 @@ def persist(report: ExperimentReport, path) -> None:
     produce identical bytes regardless of worker count.
     """
     out = Path(path)
+    _make_output_dir(out)
     try:
-        out.mkdir(parents=True, exist_ok=True)
         with open(out / "records.csv", "w", newline="", encoding="ascii") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(RECORD_COLUMNS)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tensormax import diagnostics, statcore
+from tensormax import diagnostics, lab, statcore
 from tensormax.cli import main
 
 X_M2 = str(Path(__file__).parent / "golden" / "x_m2.csv")
@@ -149,6 +149,18 @@ class TestTest:
         assert (code, out) == (2, "")
         assert f"{path} holds no values" in err
 
+    @pytest.mark.parametrize("inputs", [("ragged.csv",), ("good.csv", "ragged.csv")], ids=["single", "multi"])
+    def test_ragged_csv_names_the_file_and_the_row(self, inputs, tmp_path, capsys):
+        # numpy's own message ends in a hint about ``usecols``, which the CLI has no flag for
+        (tmp_path / "good.csv").write_text("1,2,3\n4,5,6\n")
+        (tmp_path / "ragged.csv").write_text("1,2,3\n4,5\n")
+        paths = [str(tmp_path / name) for name in inputs]
+        code, out, err = run_cli(capsys, "test", "--input", *paths, *(("--m", "2") if len(paths) == 1 else ()))
+        assert (code, out) == (2, "")
+        assert f"{tmp_path / 'ragged.csv'}: the number of columns changed from 3 to 2 at row 2\n" in err
+        assert "good.csv" not in err.splitlines()[-1]
+        assert "usecols" not in err
+
     def test_unknown_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["test", "--frobnicate"])
@@ -246,6 +258,20 @@ class TestSimulate:
     def test_missing_config_io_error(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--config", "/nonexistent.json")
         assert code == 4
+
+    def test_output_that_is_a_file_fails_before_any_draw(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a matrix was drawn before the output directory was made")
+
+        monkeypatch.setattr(lab, "sample_matrix", refuse)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(self.config_obj(tmp_path / "ignored")))
+        target = tmp_path / "afile"
+        target.write_text("a file, not a directory")
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg), "--output", str(target))
+        assert (code, out) == (4, "")
+        assert f"tensormax: io error: failed to persist report under {target}" in err
+        assert target.read_text() == "a file, not a directory"
 
     def test_output_override(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
