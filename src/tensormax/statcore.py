@@ -361,7 +361,7 @@ class _Screen:
     everything else is float64.
     """
 
-    def __init__(self, mats: list[np.ndarray], pen_rows: np.ndarray | None, dtype):
+    def __init__(self, mats: list[np.ndarray], pen_rows: np.ndarray | None, dtype: type):
         self.mats = mats
         self.pen, self.last = mats[-2], mats[-1]
         R, n, _ = self.last.shape
