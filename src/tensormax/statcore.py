@@ -89,9 +89,21 @@ float64 roundings above,
     slack = 2 gamma_{n+4m+13} (max|q| + 2**-538) A B / sqrt(n) + 2 (sqrt(n) + 1) 2**-149
 
 bounds the distance from each screened entry of the tile to the
-canonical entry.  It is about 2.4e-3 at n = 300, m = 3 and 0.08 at
-n = 3000 on standard normal data, still below the gaps near the
-maximum.
+canonical entry.  It grows like 2**-23 n**1.5 max|q| times the squared
+spread of the data, against entries whose spread does not grow with n:
+on standard normal data, m = 3, p = 40, it is about 2.4e-3 at n = 300,
+0.08 at n = 3000 and 3 at n = 30000, where every tuple lies within it of
+the top and the recheck would rebuild all of them.  So the float32
+screen is taken only while the slack predicted for the stack's first
+tile, 2 gamma_{n+4m+13} max|x_1| ... max|x_{m-2}| A B / sqrt(n) with the
+largest column norms A, B, is at most a quarter of s_1 ... s_m, the
+standard deviation of an entry of independent data whose columns have
+the pooled standard deviations s_d; later tiles have smaller norms.  A
+quarter leaves a handful of rechecks per replicate (standard normal,
+m = 3, p = 40: 2 at a predicted share of 0.2, 8 at 0.33, and 5623 of
+the 9880 tuples at 3).  Heavy tails raise max|x| against s
+and uncentered data lower s against the entries' size, so both leave
+the float32 screen sooner, at no cost to the answer.
 
 The terms above hold only if no float32 cast, product or partial sum
 overflows and no cast or product of nonzero factors falls below
@@ -101,10 +113,10 @@ every product of at most m nonzero factors stays normal (zeros stay
 exact), and n max|x|**m is at most 2**126, a quarter of the float32
 range, which bounds every partial product and partial sum.  Besides,
 (n + 4m + 13) u <= 1/2 keeps gamma finite.  A stack with any replicate
-outside the window (n = 130, m = 3: 2.9e-13 <= |x| <= 8.7e11) is
-screened in float64 as before, so one stack has one dtype.  On
-standard normal stacks of 2**17 values the low edge is met with
-probability about 1 - 4e-5 at m = 4.  m = 2 stays in float64: its one
+outside the window (n = 130, m = 3: 2.9e-13 <= |x| <= 8.7e11), or past
+the slack share above, is screened in float64 as before, so one stack
+has one dtype.  On standard normal stacks of 2**17 values the low edge
+is met with probability about 1 - 4e-5 at m = 4.  m = 2 stays in float64: its one
 product is a symmetric rank-n update of X itself, and a float32 copy of
 each stack costs more than the faster update saves.
 
@@ -166,6 +178,9 @@ _UNIT_ROUNDOFF = 2.0**-53
 _SMALLEST_SUBNORMAL = 2.0**-1074
 _FLOAT32_ROUNDOFF = 2.0**-24
 _FLOAT32_SUBNORMAL = 2.0**-149
+# Largest predicted float32 slack, as a share of an entry's standard deviation,
+# that still leaves a handful of candidates near the maximum.
+_FLOAT32_SLACK_SHARE = 0.25
 # Below this, a tile's envelope times (1 + gamma_n) cannot reach the largest double.
 _ENVELOPE_LIMIT = float(np.finfo(np.float64).max) / 4.0
 # Entries per screened tile, counted across the replicate axis (8 MB per
@@ -504,18 +519,31 @@ def _fits_float32(stacks: list[np.ndarray]) -> bool:
     Every nonzero |x| is at least 2**(-125/m) and n * max|x|**m at most
     2**126, so no float32 cast, product or partial sum overflows and no
     product of nonzero factors falls below the normal range, and
-    (n + 4m + 13) 2**-24 <= 1/2 keeps gamma finite.
+    (n + 4m + 13) 2**-24 <= 1/2 keeps gamma finite.  Last, the float32
+    slack predicted from max|x| and the largest column norms is at most
+    ``_FLOAT32_SLACK_SHARE`` of the product of the stacks' pooled column
+    standard deviations, in every replicate.
     """
     m = len(stacks)
     n = stacks[0].shape[1]
     if m < 3 or (n + 4 * m + 13) * _FLOAT32_ROUNDOFF > 0.5:
         return False
     low, high = 2.0 ** (-125 / m), (2.0**126 / n) ** (1 / m)
-    for M in {id(M): M for M in stacks}.values():
-        a = np.abs(M)
-        if a.max() > high or (a.min() < low and np.count_nonzero((a < low) & (a > 0.0))):
-            return False
-    return True
+    # per replicate: max|x|, pooled column standard deviation, largest column norm
+    summary = {}
+    for M in stacks:
+        if id(M) not in summary:
+            a = np.abs(M)
+            top = a.max(axis=(1, 2))
+            if top.max() > high or (a.min() < low and np.count_nonzero((a < low) & (a > 0.0))):
+                return False
+            squares = np.einsum("rij,rij->rj", M, M)
+            # column sums through BLAS, several times faster than M.sum(axis=1)
+            spread = squares / n - np.square(np.ones(n) @ M / n)
+            summary[id(M)] = top, np.sqrt(np.maximum(spread, 0.0).mean(axis=1)), np.sqrt(squares.max(axis=1))
+    tops, spreads, norms = zip(*(summary[id(M)] for M in stacks))
+    slack = 2.0 * _gamma(n + 4 * m + 13, _FLOAT32_ROUNDOFF) * np.prod(tops[:-2], axis=0) * norms[-2] * norms[-1]
+    return bool(np.all(slack / math.sqrt(n) <= _FLOAT32_SLACK_SHARE * np.prod(spreads, axis=0)))
 
 
 def _screen(stacks: list[np.ndarray]) -> _Screen:

@@ -663,8 +663,9 @@ class TestFloat32Window:
             lo, hi = lo * (1 - 1e-6), hi * (1 + 1e-6)
         rng = np.random.default_rng(800 + m)
         signs = rng.choice([-1.0, 1.0], (self.N, self.P))
-        # the top tuple (1, ..., m) sums to n max|x|**m, a quarter of the float32 range
-        big = rng.standard_normal((self.N, self.P)) * hi / 8
+        # the top tuple (1, ..., m) sums to n max|x|**m, a quarter of the float32 range;
+        # the other columns spread on the same scale, so that the range alone decides
+        big = rng.uniform(0.5, 1.0, (self.N, self.P)) * hi * signs
         big[:, :m] = hi
         # every nonzero |x| at or just above the smallest, and zeros, which stay exact
         small = lo * (1 + rng.exponential(size=(self.N, self.P))) * signs
@@ -698,7 +699,28 @@ class TestFloat32Window:
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_standard_stacks_reach_a_float32_gemm_from_order_3(self, m, gemms):
-        X = np.random.default_rng(810 + m).standard_normal((3, 60, 12))
+        X = np.random.default_rng(810 + m).standard_normal((4, 60, 12))
         statcore._screen([X] * m)
-        max_entry_multi(list(X[:m]))
+        assert max_entry_multi(list(X[:m])).m == m
         assert gemms and all(d == ({"float64"} if m == 2 else {"float32"}) for d in gemms)
+
+    @pytest.mark.parametrize(("m", "n_inside", "n_outside"), [(3, 2000, 30000), (4, 800, 6000)])
+    def test_long_stacks_leave_the_window(self, m, n_inside, n_outside, gemms):
+        # The float32 slack grows like n**1.5.  At n_outside it would reach
+        # the whole top of the tensor and make every tuple a candidate, so
+        # the stack is screened in float64 and rechecks a handful.
+        rng = np.random.default_rng(830 + m)
+        for n, dtype in ((n_inside, "float32"), (n_outside, "float64")):
+            X = rng.standard_normal((n, 12))
+            gemms.clear()
+            assert statcore._screen([X[None]] * m).rechecked.max() <= 6, n
+            assert gemms and all(d == {dtype} for d in gemms), n
+            assert max_entry(X, m) == max_entry_bruteforce(X, m), n
+
+    def test_heavy_tails_leave_the_window(self, gemms):
+        # Student t(3): max|x| far above the spread makes the float32 slack
+        # reach every tuple at n = 10000, m = 3.
+        X = np.random.default_rng(840).standard_t(3, (10000, 12)) / math.sqrt(3)
+        assert statcore._screen([X[None]] * 3).rechecked.max() <= 6
+        assert gemms and all(d == {"float64"} for d in gemms)
+        assert max_entry(X, 3) == max_entry_bruteforce(X, 3)
