@@ -92,18 +92,21 @@ bounds the distance from each screened entry of the tile to the
 canonical entry.  It grows like 2**-23 n**1.5 max|q| times the squared
 spread of the data, against entries whose spread does not grow with n:
 on standard normal data, m = 3, p = 40, it is about 2.4e-3 at n = 300,
-0.08 at n = 3000 and 3 at n = 30000, where every tuple lies within it of
-the top and the recheck would rebuild all of them.  So the float32
+0.08 at n = 3000 and 3 at n = 30000, where every tuple lies within it
+of the top and the recheck would rebuild all of them.  So the float32
 screen is taken only while the slack predicted for the stack's first
-tile, 2 gamma_{n+4m+13} max|x_1| ... max|x_{m-2}| A B / sqrt(n) with the
-largest column norms A, B, is at most a quarter of s_1 ... s_m, the
+tile, 2 gamma_{n+4m+13} max|x_1| ... max|x_{m-2}| A B / sqrt(n) with
+the largest column norms A, B, is at most a quarter of s_1 ... s_m, the
 standard deviation of an entry of independent data whose columns have
-the pooled standard deviations s_d; later tiles have smaller norms.  A
-quarter leaves a handful of rechecks per replicate (standard normal,
-m = 3, p = 40: 2 at a predicted share of 0.2, 8 at 0.33, and 5623 of
-the 9880 tuples at 3).  Heavy tails raise max|x| against s
-and uncentered data lower s against the entries' size, so both leave
-the float32 screen sooner, at no cost to the answer.
+the pooled standard deviations s_d; later tiles have smaller norms.  As
+max|x_d| >= s_d and A B >= n s_{m-1} s_m, the share is at least 2
+gamma_{n+4m+13} sqrt(n), so from about n = 16400 on every stack stays
+in float64 without a look at its values.  A quarter leaves a handful of
+rechecks per replicate (standard normal, m = 3, p = 40: 2 at a
+predicted share of 0.2, 8 at 0.33, and 5623 of the 9880 tuples at 3).
+Heavy tails raise max|x| against s and uncentered data lower s against
+the entries' size, so both leave the float32 screen sooner, at no cost
+to the answer.
 
 The terms above hold only if no float32 cast, product or partial sum
 overflows and no cast or product of nonzero factors falls below
@@ -522,11 +525,18 @@ def _fits_float32(stacks: list[np.ndarray]) -> bool:
     (n + 4m + 13) 2**-24 <= 1/2 keeps gamma finite.  Last, the float32
     slack predicted from max|x| and the largest column norms is at most
     ``_FLOAT32_SLACK_SHARE`` of the product of the stacks' pooled column
-    standard deviations, in every replicate.
+    standard deviations, in every replicate.  As max|x| is at least the
+    standard deviation and a largest column norm at least sqrt(n) times
+    it, the share is at least 2 gamma_{n+4m+13} sqrt(n), past the limit
+    from about n = 16400 on whatever the data.
     """
     m = len(stacks)
     n = stacks[0].shape[1]
-    if m < 3 or (n + 4 * m + 13) * _FLOAT32_ROUNDOFF > 0.5:
+    k = n + 4 * m + 13
+    if m < 3 or k * _FLOAT32_ROUNDOFF > 0.5:
+        return False
+    scale = 2.0 * _gamma(k, _FLOAT32_ROUNDOFF) / math.sqrt(n)
+    if scale * n > _FLOAT32_SLACK_SHARE:
         return False
     low, high = 2.0 ** (-125 / m), (2.0**126 / n) ** (1 / m)
     # per replicate: max|x|, pooled column standard deviation, largest column norm
@@ -542,8 +552,8 @@ def _fits_float32(stacks: list[np.ndarray]) -> bool:
             spread = squares / n - np.square(np.ones(n) @ M / n)
             summary[id(M)] = top, np.sqrt(np.maximum(spread, 0.0).mean(axis=1)), np.sqrt(squares.max(axis=1))
     tops, spreads, norms = zip(*(summary[id(M)] for M in stacks))
-    slack = 2.0 * _gamma(n + 4 * m + 13, _FLOAT32_ROUNDOFF) * np.prod(tops[:-2], axis=0) * norms[-2] * norms[-1]
-    return bool(np.all(slack / math.sqrt(n) <= _FLOAT32_SLACK_SHARE * np.prod(spreads, axis=0)))
+    slack = scale * np.prod(tops[:-2], axis=0) * norms[-2] * norms[-1]
+    return bool(np.all(slack <= _FLOAT32_SLACK_SHARE * np.prod(spreads, axis=0)))
 
 
 def _screen(stacks: list[np.ndarray]) -> _Screen:
