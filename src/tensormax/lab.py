@@ -15,10 +15,15 @@ Replicates run in stacks: a cell's replicates are cut into chunks of at
 most ``_STACK_VALUES`` data values (at least one replicate each), and
 into at least as many chunks as there are usable workers, each chunk is
 drawn into one (R, n, p) array and enumerated by one engine call, and
-chunks are the tasks spread over workers.  The run is held to its
-budget once, before any draw, by :func:`tensormax.statcore.check_budget`
-over every cell's reps enumerations; a total that reaches 2**63 - 1 is
-refused whatever the budget.
+chunks are the tasks spread over workers.  A run keys its streams once:
+the Philox keys of streams 0 .. reps - 1 are hashed in one pass, each
+chunk carries its slice of them, and
+:func:`tensormax.populations.sample_stack` re-keys one generator per
+matrix, byte-identical to a ``make_generator`` per replicate.  The run
+is held to its budget once, before any draw, by
+:func:`tensormax.statcore.check_budget` over every cell's reps
+enumerations; a total that reaches 2**63 - 1 is refused whatever the
+budget.
 
 Reproducibility contract: replicate r of every cell draws from stream
 (master_seed, r) into its own row of a stack, and its result does not
@@ -43,7 +48,8 @@ import numpy as np
 from . import statcore
 from .asymptotics import MAX_ORDER, TWO_SIDED, GumbelLimit, check_int, check_real, check_sided, normalize
 from .hypotest import LEVELS, sided_statistic
-from .populations import PopulationSpec, SeedSpec, parallel_map, sample_matrix, usable_workers
+from .populations import PopulationSpec, _philox_keys, parallel_map, sample_stack, usable_workers
+from .populations import sample_matrix  # noqa: F401  (not called here; perfbench's tracer wraps it by this name)
 from .serial import JsonRecord
 
 DEFAULT_Z_GRID = tuple(float(z) for z in np.linspace(-6.0, 12.0, 101))
@@ -83,6 +89,7 @@ class ExperimentConfig(JsonRecord):
 
     def __post_init__(self):
         check_int("reps", self.reps, 1)
+        check_int("master_seed", self.master_seed, 0, 2**64 - 1)
         if not self.grid:
             raise ValueError("grid must contain at least one cell")
         if len(self.z_grid) < 2:
@@ -159,11 +166,9 @@ def _chunks(cell: CellConfig, reps: int, workers: int) -> list[tuple[int, int]]:
 
 
 def _run_chunk(args) -> np.ndarray:
-    """The (2, R) array of w_abs and w_signed of replicates [lo, hi) of a cell."""
-    cell, master_seed, lo, hi = args
-    X = np.empty((hi - lo, cell.n, cell.p))
-    for r in range(lo, hi):
-        X[r - lo] = sample_matrix(cell.spec, cell.n, cell.p, SeedSpec(master_seed, r))
+    """The (2, R) array of w_abs and w_signed of a cell's replicates keyed by ``keys``."""
+    cell, keys = args
+    X = sample_stack(cell.spec, cell.n, cell.p, keys)
     # X is finite float64 by construction and run_experiment checked the budget, so X enters the screen as it is
     return statcore._screen([X] * cell.m).w
 
@@ -206,11 +211,13 @@ def run_experiment(
         # an output path that cannot be a directory fails before the first draw, not after the run
         _make_output_dir(Path(config.output_path))
     procs = usable_workers(workers)
+    # replicate r draws from stream (master_seed, r) in every cell
+    keys = _philox_keys(config.master_seed, np.arange(config.reps))
     all_records: list[ReplicateRecord] = []
     cell_reports: list[CellReport] = []
     for cell_index, cell in enumerate(config.grid):
         t0 = time.perf_counter()
-        tasks = [(cell, config.master_seed, lo, hi) for lo, hi in _chunks(cell, config.reps, procs)]
+        tasks = [(cell, keys[lo:hi]) for lo, hi in _chunks(cell, config.reps, procs)]
         w_abs, w_signed = np.concatenate(parallel_map(_run_chunk, tasks, workers), axis=1)
         runtime = time.perf_counter() - t0
         w, flagged = sided_statistic(w_abs, w_signed, cell.sided)

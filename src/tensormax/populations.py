@@ -12,11 +12,16 @@ sensitivity, not because the limit law is claimed for it.
 
 Randomness is seeded: every data stream is a pure function of
 (master_seed, stream_id), realized as a Philox generator keyed through a
-SeedSequence.  Distinct stream ids give independent streams, and a
-generated matrix is byte-identical across runs and worker counts.  The
-Monte Carlo blocks of ``diagnostics`` draw from SFC64, which is faster;
-data matrices stay on Philox until the benchmark's pinned record
-digests are regenerated, when both will share one generator.
+SeedSequence (``make_generator``, the definition of a stream).  Distinct
+stream ids give independent streams, and a generated matrix is
+byte-identical across runs and worker counts.  A stack of replicates
+takes the same streams by a cheaper route: ``_philox_keys`` computes the
+SeedSequence keys of all its streams in one vectorized pass, and
+``sample_stack`` re-keys one Philox generator per matrix, byte-identical
+to ``make_generator``.  The Monte Carlo blocks of ``diagnostics`` draw
+from SFC64, which is faster; data matrices stay on Philox until the
+benchmark's pinned record digests are regenerated, when both will share
+one generator.
 """
 
 from __future__ import annotations
@@ -46,6 +51,11 @@ FAMILIES = (
 )
 
 _UINT64_MAX = 2**64 - 1
+_MASK32 = 2**32 - 1
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _SQRT3 = math.sqrt(3.0)
 # The largest integer that float() rounds to a finite value: halfway to
 # 2**1024 and above, it rounds up and raises OverflowError.
@@ -118,6 +128,51 @@ def make_generator(seed: SeedSpec) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _philox_keys(master_seed: int, streams) -> np.ndarray:
+    """The (R, 2) uint64 Philox keys of streams (master_seed, s) for s in ``streams``.
+
+    Row i is ``SeedSequence((master_seed, streams[i])).generate_state(2,
+    np.uint64)``, the key ``make_generator`` gives, computed for every
+    stream in one pass.  SeedSequence's entropy here is master_seed's one
+    or two 32-bit words, then the stream's low and high words, within its
+    pool of 4 words: a high word of 0 hashes as the pool's padding does,
+    and no word is left over for its extra-entropy loop.  Both seed
+    components are integers from 0 to 2**64 - 1.
+    """
+    master_seed = int(master_seed)
+    streams = np.asarray(streams, dtype=np.uint64)
+    words = [master_seed & _MASK32] + ([master_seed >> 32] if master_seed >> 32 else [])
+    entropy = [np.full(streams.shape, word, dtype=np.uint32) for word in words]
+    entropy += [(streams & np.uint64(_MASK32)).astype(np.uint32), (streams >> np.uint64(32)).astype(np.uint32)]
+    entropy += [np.zeros(streams.shape, dtype=np.uint32)] * (4 - len(entropy))
+    hashmix, output = _seed_hash(_INIT_A, _MULT_A), _seed_hash(_INIT_B, _MULT_B)
+    pool = [hashmix(word) for word in entropy]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = pool[dst] * np.uint32(_MIX_MULT_L) - hashmix(pool[src]) * np.uint32(_MIX_MULT_R)
+                pool[dst] = mixed ^ (mixed >> np.uint32(16))
+    state = [output(word).astype(np.uint64) for word in pool]
+    # generate_state pairs the words little-endian into uint64s
+    return np.stack([state[0] | state[1] << np.uint64(32), state[2] | state[3] << np.uint64(32)], axis=-1)
+
+
+def _seed_hash(hash_const: int, mult: int):
+    """SeedSequence's running hash of uint32 arrays; its constant steps by ``mult`` per call.
+
+    uint32 array arithmetic wraps modulo 2**32, as SeedSequence's does.
+    """
+
+    def hash_(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * mult & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    return hash_
+
+
 def draw(spec: PopulationSpec, rng: np.random.Generator, shape) -> np.ndarray:
     """Fill an array of the given shape with i.i.d. standardized draws."""
     if spec.family == STANDARD_NORMAL:
@@ -164,6 +219,30 @@ def sample_matrix(spec: PopulationSpec, n: int, p: int, seed: SeedSpec) -> np.nd
         order from a single stream.
     """
     return sample_values(spec, (check_int("n", n, 1), check_int("p", p, 3)), seed)
+
+
+def sample_stack(spec: PopulationSpec, n: int, p: int, keys: np.ndarray) -> np.ndarray:
+    """The (R, n, p) stack whose matrix i is drawn from the Philox stream keyed by ``keys[i]``.
+
+    With ``keys = _philox_keys(master_seed, streams)``, matrix i equals
+    ``sample_matrix(spec, n, p, SeedSpec(master_seed, streams[i]))``
+    byte for byte.  One Philox generator serves the whole stack: before
+    each matrix its state is set to the fresh state ``make_generator``
+    builds, the key with counter 0 and an empty buffer, which costs a
+    few microseconds against a SeedSequence and a generator per matrix.
+    n and p are not checked here.
+    """
+    bit_generator = np.random.Philox(0)
+    rng = np.random.Generator(bit_generator)
+    fresh = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    keys = np.asarray(keys, dtype=np.uint64).tolist()
+    X = np.empty((len(keys), n, p))
+    for i, key in enumerate(keys):
+        fresh["state"]["key"] = key
+        bit_generator.state = fresh
+        X[i] = draw(spec, rng, (n, p))
+    return X
 
 
 def usable_workers(workers: int) -> int:

@@ -263,7 +263,7 @@ class TestSimulate:
         def refuse(*args):
             raise AssertionError("a matrix was drawn before the output directory was made")
 
-        monkeypatch.setattr(lab, "sample_matrix", refuse)
+        monkeypatch.setattr(lab, "sample_stack", refuse)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(self.config_obj(tmp_path / "ignored")))
         target = tmp_path / "afile"
@@ -272,6 +272,15 @@ class TestSimulate:
         assert (code, out) == (4, "")
         assert f"tensormax: io error: failed to persist report under {target}" in err
         assert target.read_text() == "a file, not a directory"
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True])
+    def test_bad_seed_fails_before_the_output_is_made(self, tmp_path, capsys, seed):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**self.config_obj(tmp_path / "ignored"), "master_seed": seed}))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg), "--output", str(tmp_path / "out"))
+        assert (code, out) == (2, "")
+        assert "master_seed" in err
+        assert not (tmp_path / "out").exists()
 
     def test_output_override(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

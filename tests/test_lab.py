@@ -26,7 +26,7 @@ from tensormax import (
     run_experiment,
     statcore,
 )
-from tensormax.populations import STANDARD_NORMAL, sample_matrix
+from tensormax.populations import STANDARD_NORMAL, sample_matrix, sample_stack
 
 NORMAL = PopulationSpec(STANDARD_NORMAL)
 
@@ -127,7 +127,7 @@ class TestRunExperiment:
         # n * sum_{s<=20} C(200, s) passes 2**63 - 1, where a cell's count
         # is clamped, so two replicates of it sum to far less than 1e30.
         drawn = []
-        monkeypatch.setattr(lab, "sample_matrix", lambda *args: drawn.append(args) or sample_matrix(*args))
+        monkeypatch.setattr(lab, "sample_stack", lambda *args: drawn.append(args) or sample_stack(*args))
         cfg = ExperimentConfig(grid=(CellConfig(1, 200, 20, NORMAL),), reps=2, master_seed=1)
         with pytest.raises(BudgetError, match="more than 9.2e18"):
             run_experiment(cfg, budget=1e30)
@@ -140,7 +140,8 @@ class TestRunExperiment:
             raise AssertionError("the run was cut into chunks or drawn before its budget was checked")
 
         monkeypatch.setattr(lab, "_chunks", refuse)
-        monkeypatch.setattr(lab, "sample_matrix", refuse)
+        monkeypatch.setattr(lab, "_philox_keys", refuse)
+        monkeypatch.setattr(lab, "sample_stack", refuse)
         cfg = ExperimentConfig(grid=(CellConfig(10**6, 100, 2, NORMAL),), reps=2 * 10**9, master_seed=1)
         with pytest.raises(BudgetError, match="more than 9.2e18"):
             run_experiment(cfg, budget=1e30)

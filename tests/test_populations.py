@@ -26,6 +26,10 @@ from tensormax.populations import (
     STUDENT_T_STANDARDIZED,
     ULTRA_HIGH,
     UNIFORM_SCALED,
+    _philox_keys,
+    draw,
+    make_generator,
+    sample_stack,
 )
 
 SEED = SeedSpec(master_seed=2024, stream_id=0)
@@ -128,6 +132,41 @@ class TestSampling:
             sample_matrix(spec, 10, 2, SEED)
         with pytest.raises(ValueError, match="n"):
             sample_matrix(spec, 0, 5, SEED)
+
+
+# a seed word and a stream word at each end of the 32- and 64-bit ranges
+SEED_EDGES = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1)
+STACK_SPECS = [PopulationSpec(STANDARD_NORMAL), PopulationSpec(RADEMACHER), PopulationSpec(UNIFORM_SCALED),
+               PopulationSpec(CENTERED_EXPONENTIAL), PopulationSpec(STUDENT_T_STANDARDIZED, df=5)]
+
+
+class TestStackRoute:
+    """The stack route keys and draws the very streams that make_generator does."""
+
+    @pytest.mark.parametrize("master_seed", SEED_EDGES)
+    def test_keys_match_seed_sequence(self, master_seed):
+        expected = [np.random.SeedSequence((master_seed, s)).generate_state(2, np.uint64) for s in SEED_EDGES]
+        keys = _philox_keys(master_seed, SEED_EDGES)
+        assert keys.dtype == np.uint64 and keys.shape == (len(SEED_EDGES), 2)
+        assert np.array_equal(keys, expected)
+        for s, row in zip(SEED_EDGES, expected):
+            assert np.array_equal(_philox_keys(master_seed, [s]), [row])
+
+    def test_an_odd_rademacher_draw_leaves_a_half_used_state(self):
+        # so that the stack tests below would see a re-key that keeps it
+        rng = make_generator(SEED)
+        draw(PopulationSpec(RADEMACHER), rng, (7, 5))
+        state = rng.bit_generator.state
+        assert state["has_uint32"] == 1 and state["buffer_pos"] < 4
+
+    @pytest.mark.parametrize("spec", STACK_SPECS, ids=spec_id)
+    @pytest.mark.parametrize("master_seed", [7, 2**64 - 1])
+    def test_stack_matches_sample_matrix(self, spec, master_seed):
+        streams = [3, 0, 2**32 + 1, 3, 2**64 - 1]
+        X = sample_stack(spec, 7, 5, _philox_keys(master_seed, streams))
+        expected = np.stack([sample_matrix(spec, 7, 5, SeedSpec(master_seed, s)) for s in streams])
+        assert X.dtype == np.float64 and X.flags.c_contiguous
+        assert X.tobytes() == expected.tobytes()
 
 
 class TestCheckRegime:

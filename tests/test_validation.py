@@ -1,8 +1,9 @@
 """Every public entry point rejects a bad argument with ValueError before any work.
 
-The enumeration engine, the Monte Carlo driver and both generator
-factories (data streams and Monte Carlo blocks) are patched to raise, so
-a check that comes after a draw or an enumeration shows up as ``Worked``
+The enumeration engine, the Monte Carlo driver, both generator
+factories (data streams and Monte Carlo blocks) and the stack route of
+the data streams (key hash and stack draw) are patched to raise, so a
+check that comes after a draw or an enumeration shows up as ``Worked``
 instead of ValueError.
 """
 
@@ -38,12 +39,15 @@ def no_work(monkeypatch):
     monkeypatch.setattr(diagnostics, "_count", refuse)
     monkeypatch.setattr(populations, "make_generator", refuse)
     monkeypatch.setattr(diagnostics, "_block_generator", refuse)
+    # lab imports the stack route by name, so it is refused where lab looks it up
+    monkeypatch.setattr(lab, "_philox_keys", refuse)
+    monkeypatch.setattr(lab, "sample_stack", refuse)
 
 
-def _experiment(n=10, p=21, m=2, reps=2, workers=1, z_grid=lab.DEFAULT_Z_GRID,
+def _experiment(n=10, p=21, m=2, reps=2, master_seed=1, workers=1, z_grid=lab.DEFAULT_Z_GRID,
                 budget=statcore.DEFAULT_COST_CEILING):
     cell = tm.CellConfig(n=n, p=p, m=m, spec=NORMAL)
-    config = tm.ExperimentConfig(grid=(cell,), reps=reps, master_seed=1, z_grid=z_grid)
+    config = tm.ExperimentConfig(grid=(cell,), reps=reps, master_seed=master_seed, z_grid=z_grid)
     return tm.run_experiment(config, workers=workers, budget=budget)
 
 
@@ -82,7 +86,7 @@ TABLE = {
                      {"n": (0, 10**400), "p": (2, 10**400), "m": (1, 51)}),
     "run_experiment": (
         _experiment,
-        {"n": (0,), "p": (2,), "m": (1, 21), "reps": (0,), "workers": (0,)},
+        {"n": (0,), "p": (2,), "m": (1, 21), "reps": (0,), "master_seed": (-1, 2**64), "workers": (0,)},
     ),
     "test_independence": (lambda m=2: tm.test_independence(WIDE, m), {"m": (1, 21)}),
     "stein_chen_report": (_report, {"n": (0,), "p": (2, 10**160), "m": (1, 21), "reps": (0,)}),
