@@ -51,6 +51,11 @@ def _log_config(name: str, resolved: dict) -> None:
     print(f"tensormax {name} config: {json.dumps(resolved, sort_keys=True, allow_nan=False)}", file=sys.stderr)
 
 
+def _flags(args) -> dict:
+    """The request as argparse parsed it: every flag by its dest, without the command."""
+    return {k: v for k, v in vars(args).items() if k != "command"}
+
+
 def _add_seed_flags(sub) -> None:
     sub.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED,
                      help=f"master seed, unsigned 64-bit (default {DEFAULT_MASTER_SEED})")
@@ -110,7 +115,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="tail probability in [0,1] (b1)")
     _add_seed_flags(d)
 
-    s = subs.add_parser("simulate", help="run a replicated experiment grid from a JSON config")
+    s = subs.add_parser("simulate", help="run a replicated experiment grid from a JSON config",
+                        description="Run a replicated experiment grid from a JSON config.  A run above "
+                                    "1e10 multiply-adds in all exits 3; only the library's "
+                                    "run_experiment(budget=...) raises that limit.")
     s.add_argument("--config", required=True, help="path to the experiment config JSON")
     s.add_argument("--output", help="output directory (overrides the config's output_path)")
     s.add_argument("--workers", type=int, default=1,
@@ -120,14 +128,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_quantile(args) -> int:
+    # --q and --z are exclusive: the one left unset is not logged
+    _log_config("quantile", {k: v for k, v in _flags(args).items() if v is not None})
     limit = GumbelLimit(args.m, _SIDED[args.sided])
-    if args.q is not None:
-        _log_config("quantile", {"m": args.m, "sided": args.sided, "q": args.q})
-        value = limit.quantile(args.q)
-    else:
-        _log_config("quantile", {"m": args.m, "sided": args.sided, "z": args.z})
-        value = limit.cdf(args.z)
-    print(f"{value:.12g}")
+    print(f"{limit.cdf(args.z) if args.q is None else limit.quantile(args.q):.12g}")
     return EXIT_OK
 
 
@@ -141,15 +145,7 @@ def _studentized(A: np.ndarray) -> np.ndarray:
 
 
 def _cmd_test(args) -> int:
-    resolved = {
-        "input": list(args.input),
-        "m": args.m,
-        "sided": args.sided,
-        "studentize": args.studentize,
-        "cost_ceiling": args.cost_ceiling,
-        "workers": args.workers,
-    }
-    _log_config("test", resolved)
+    _log_config("test", _flags(args))
     # every flag is checked before any input is read
     check_int("workers", args.workers, 1)
     check_real("cost_ceiling", args.cost_ceiling, 0.0)
@@ -223,17 +219,7 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    try:
-        with open(args.config, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"config {args.config} is not valid JSON: {exc}") from exc
-    except OSError as exc:
-        raise OSError(f"cannot read config {args.config}: {exc}") from exc
-    try:
-        config = lab.ExperimentConfig.from_json(obj)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"config {args.config} is missing or mistypes a field: {exc}") from exc
+    config = lab.read_json(args.config, f"config {args.config}", lab.ExperimentConfig.from_json)
     if args.output is not None:
         config = dataclasses.replace(config, output_path=args.output)
     _log_config("simulate", {"config": config.to_json(), "workers": args.workers})

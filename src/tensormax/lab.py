@@ -207,10 +207,10 @@ def run_experiment(
     made before the first draw and the report is persisted there.
     """
     statcore.check_budget([(c.p, c.m, c.n, config.reps) for c in config.grid], budget, "budget")
+    procs = usable_workers(workers)
     if config.output_path is not None:
         # an output path that cannot be a directory fails before the first draw, not after the run
         _make_output_dir(Path(config.output_path))
-    procs = usable_workers(workers)
     # replicate r draws from stream (master_seed, r) in every cell
     keys = _philox_keys(config.master_seed, np.arange(config.reps))
     all_records: list[ReplicateRecord] = []
@@ -285,12 +285,39 @@ def _parse_record(row: list[str], line: int) -> ReplicateRecord:
     return ReplicateRecord(*values)
 
 
-def load_report(path) -> ExperimentReport:
-    """Rebuild an ExperimentReport from a persisted directory."""
-    out = Path(path)
+def read_json(path, what: str, decode):
+    """``decode`` applied to the JSON value read from ``path``.
+
+    Every error names ``what``: text that is not JSON, or a field that
+    ``decode`` finds missing or mistyped (KeyError or TypeError), raises
+    ValueError, and a file that cannot be read OSError.
+    """
     try:
-        with open(out / "summary.json", encoding="ascii") as fh:
-            summary = json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{what} is not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise OSError(f"cannot read {what}: {exc}") from exc
+    try:
+        return decode(obj)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{what} is missing or mistypes a field: {exc}") from exc
+
+
+def _decode_summary(summary: dict) -> tuple[ExperimentConfig, tuple[CellReport, ...]]:
+    return ExperimentConfig.from_json(summary["config"]), tuple(map(CellReport.from_json, summary["cells"]))
+
+
+def load_report(path) -> ExperimentReport:
+    """Rebuild an ExperimentReport from a persisted directory.
+
+    A summary.json that is not JSON or lacks a field raises a ValueError
+    naming the directory; a record that does not parse names its line.
+    """
+    out = Path(path)
+    config, cells = read_json(out / "summary.json", f"report {out}", _decode_summary)
+    try:
         with open(out / "records.csv", newline="", encoding="ascii") as fh:
             reader = csv.reader(fh)
             header = next(reader)
@@ -299,8 +326,4 @@ def load_report(path) -> ExperimentReport:
             records = [_parse_record(row, reader.line_num) for row in reader]
     except OSError as exc:
         raise OSError(f"failed to load report from {out}: {exc}") from exc
-    return ExperimentReport(
-        config=ExperimentConfig.from_json(summary["config"]),
-        cells=tuple(CellReport.from_json(c) for c in summary["cells"]),
-        records=tuple(records),
-    )
+    return ExperimentReport(config=config, cells=cells, records=tuple(records))

@@ -260,10 +260,11 @@ def enumeration_cost(p: int, m: int, n: int) -> EnumerationCost:
 
 
 def load_matrix_csv(path) -> np.ndarray:
-    """Read a headerless CSV of decimal floats as an n-by-p matrix.
+    """Read a headerless CSV of finite decimal floats as an n-by-p matrix.
 
-    A ValueError names the file: one that holds no values, or numpy's
-    reason for a row it cannot read.
+    A ValueError names the file: one that holds no values, or the first
+    line, numbered as in the file, that is not a row of finite floats as
+    wide as the first row.
     """
     with warnings.catch_warnings():
         # numpy warns on input with no data, which is refused here instead
@@ -273,10 +274,40 @@ def load_matrix_csv(path) -> np.ndarray:
         except ValueError as exc:
             # numpy's hint names its ``usecols`` parameter, which the CLI does not have
             reason = str(exc).split("; use `usecols`")[0]
-            raise ValueError(f"{path}: {reason}") from None
+            raise ValueError(_first_bad_line(path) or f"{path}: {reason}") from None
     if values.size == 0:
         raise ValueError(f"{path} holds no values")
+    if not np.isfinite(values).all():
+        raise ValueError(_first_bad_line(path) or f"{path} holds non-finite values")
     return np.ascontiguousarray(values)
+
+
+def _first_bad_line(path) -> str | None:
+    """Why the first bad line of a refused CSV is bad, or None if no line is.
+
+    numpy counts rows differently by error and without the blank and
+    comment lines it skips, so the file is read again here, skipping
+    them the same way but counting every line.
+    """
+    width = None
+    with open(path, errors="replace") as fh:
+        for line_no, line in enumerate(fh, 1):
+            text = line.split("#", 1)[0].rstrip("\n")
+            if not text:
+                continue
+            fields = text.split(",")
+            width = width or len(fields)
+            if len(fields) != width:
+                return f"{path} line {line_no}: the number of columns changed from {width} to {len(fields)}"
+            for col, field in enumerate(fields, 1):
+                try:
+                    # numpy's parser, unlike float(), refuses digit separators
+                    value = math.nan if "_" in field else float(field)
+                except ValueError:
+                    value = math.nan
+                if not math.isfinite(value):
+                    return f"{path} line {line_no} column {col}: {field.strip()!r} is not a finite float"
+    return None
 
 
 def _as_matrix(X) -> np.ndarray:

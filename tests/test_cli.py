@@ -47,6 +47,17 @@ class TestQuantile:
         assert code == 2
         assert "q" in err
 
+    @pytest.mark.parametrize("argv, config", [
+        (("--m", "25", "--q", "0.5"), {"m": 25, "q": 0.5, "sided": "two"}),
+        (("--m", "1", "--z", "0"), {"m": 1, "sided": "two", "z": 0.0}),
+    ], ids=["m25-q", "m1-z"])
+    def test_bad_m_is_logged_before_it_is_refused(self, capsys, argv, config):
+        # the line holds only the one of --q and --z that is set
+        code, out, err = run_cli(capsys, "quantile", *argv)
+        assert (code, out) == (2, "")
+        assert strict_config(err) == config
+        assert err.splitlines()[1].startswith("tensormax: error: m must be")
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["quantile", "--help"])
@@ -157,9 +168,27 @@ class TestTest:
         paths = [str(tmp_path / name) for name in inputs]
         code, out, err = run_cli(capsys, "test", "--input", *paths, *(("--m", "2") if len(paths) == 1 else ()))
         assert (code, out) == (2, "")
-        assert f"{tmp_path / 'ragged.csv'}: the number of columns changed from 3 to 2 at row 2\n" in err
+        assert f"{tmp_path / 'ragged.csv'} line 2: the number of columns changed from 3 to 2\n" in err
         assert "good.csv" not in err.splitlines()[-1]
         assert "usecols" not in err
+
+    @pytest.mark.parametrize("text, where", [
+        # numpy names "row 1, column 2", counting rows from 0
+        ("1,2,3\n4,x,6\n", "line 2 column 2: 'x' is not a finite float"),
+        # numpy names "row 3", skipping the blank line in its count
+        ("1,2,3\n\n4,5,6\n7,8\n", "line 4: the number of columns changed from 3 to 2"),
+        # np.loadtxt reads nan and inf; the engine's check would name no file
+        ("# a comment\n1,2,3\n4,nan,6\n", "line 3 column 2: 'nan' is not a finite float"),
+        ("1,2,3\n4,5,-inf\n", "line 2 column 3: '-inf' is not a finite float"),
+    ], ids=["bad-field", "after-a-blank-line", "nan", "inf"])
+    @pytest.mark.parametrize("inputs", [("bad.csv",), ("good.csv", "bad.csv")], ids=["single", "multi"])
+    def test_bad_csv_names_the_file_and_its_own_line(self, text, where, inputs, tmp_path, capsys):
+        (tmp_path / "good.csv").write_text("1,2,3\n4,5,6\n")
+        (tmp_path / "bad.csv").write_text(text)
+        paths = [str(tmp_path / name) for name in inputs]
+        code, out, err = run_cli(capsys, "test", "--input", *paths, *(("--m", "2") if len(paths) == 1 else ()))
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == f"tensormax: error: {tmp_path / 'bad.csv'} {where}"
 
     def test_unknown_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -281,6 +310,17 @@ class TestSimulate:
         assert (code, out) == (2, "")
         assert "master_seed" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_bad_workers_fail_before_the_output_is_made(self, tmp_path, capsys, workers):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(self.config_obj(tmp_path / "ignored")))
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg), "--output", str(out_dir),
+                                 "--workers", workers)
+        assert (code, out) == (2, "")
+        assert "workers must be >= 1" in err
+        assert not out_dir.exists()
 
     def test_output_override(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

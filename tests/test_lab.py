@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -196,6 +197,18 @@ class TestPersistence:
         lines[3] = ",".join(row)
         path.write_text("\n".join(lines))
         with pytest.raises(ValueError, match=f"records.csv line 4 column {column} must be"):
+            load_report(tmp_path)
+
+    @pytest.mark.parametrize("text, reason", [
+        ("{}", "is missing or mistypes a field: 'config'"),
+        ("[]", "is missing or mistypes a field"),
+        ("not json", "is not valid JSON"),
+        ('{"config": {}, "cells": []}', "is missing or mistypes a field: .*'grid'"),
+    ], ids=["empty-object", "list", "not-json", "empty-config"])
+    def test_summary_that_does_not_read_names_the_directory(self, tmp_path, text, reason):
+        run_experiment(small_config(tmpdir=tmp_path, reps=3))
+        (tmp_path / "summary.json").write_text(text)
+        with pytest.raises(ValueError, match=f"^report {re.escape(str(tmp_path))} {reason}"):
             load_report(tmp_path)
 
     def test_record_columns_are_the_record_fields(self):

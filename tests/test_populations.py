@@ -270,8 +270,11 @@ class TestParallelMap:
         assert many.records == one.records
 
     @pytest.mark.parametrize("workers", [0, 1.5])
-    def test_experiment_rejects_bad_workers(self, workers):
+    def test_experiment_rejects_bad_workers(self, workers, tmp_path):
+        # refused before the output directory is made, so nothing is left on disk
+        out = tmp_path / "out"
         cfg = ExperimentConfig(grid=(CellConfig(n=10, p=5, m=2, spec=PopulationSpec(RADEMACHER)),),
-                               reps=2, master_seed=3)
+                               reps=2, master_seed=3, output_path=str(out))
         with pytest.raises(ValueError, match="workers"):
             run_experiment(cfg, workers=workers)
+        assert not out.exists()
