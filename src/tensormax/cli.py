@@ -35,6 +35,10 @@ EXIT_IO = 4
 
 _SIDED = {"two": TWO_SIDED, "one": ONE_SIDED}
 
+# what a user of each command that enumerates can do about a budget error
+_BUDGET_REMEDY = {"test": "pass a larger --cost-ceiling to allow more, up to 9.2e18",
+                  "simulate": "run fewer reps or a smaller grid, as no flag raises this limit"}
+
 # The flags each diagnose mode reads: all are required, and all go into
 # the logged config.  Listed in the order they are checked.
 _DIAGNOSE_FLAGS = {
@@ -242,7 +246,7 @@ def main(argv=None) -> int:
     try:
         return handlers[args.command](args)
     except BudgetError as exc:
-        print(f"tensormax: budget error: {exc}", file=sys.stderr)
+        print(f"tensormax: budget error: {exc}; {_BUDGET_REMEDY[args.command]}", file=sys.stderr)
         return EXIT_BUDGET
     except ValueError as exc:
         print(f"tensormax: error: {exc}", file=sys.stderr)

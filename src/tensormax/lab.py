@@ -34,6 +34,7 @@ any worker count and any chunking.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -210,7 +211,9 @@ def run_experiment(
     procs = usable_workers(workers)
     if config.output_path is not None:
         # an output path that cannot be a directory fails before the first draw, not after the run
-        _make_output_dir(Path(config.output_path))
+        out = Path(config.output_path)
+        with _naming(f"failed to persist report under {out}"):
+            out.mkdir(parents=True, exist_ok=True)
     # replicate r draws from stream (master_seed, r) in every cell
     keys = _philox_keys(config.master_seed, np.arange(config.reps))
     all_records: list[ReplicateRecord] = []
@@ -235,11 +238,23 @@ def run_experiment(
     return report
 
 
-def _make_output_dir(out: Path) -> None:
+@contextlib.contextmanager
+def _naming(what: str):
+    """Re-raise any error of the body with ``what``, a file or directory, in front.
+
+    An OSError stays an OSError.  Text that is not JSON, a field that a decoder finds
+    missing or mistyped (KeyError or TypeError) and any other ValueError raise ValueError.
+    """
     try:
-        out.mkdir(parents=True, exist_ok=True)
+        yield
     except OSError as exc:
-        raise OSError(f"failed to persist report under {out}: {exc}") from exc
+        raise OSError(f"{what}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{what} is not valid JSON: {exc}") from exc
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{what} is missing or mistypes a field: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from exc
 
 
 def persist(report: ExperimentReport, path) -> None:
@@ -250,8 +265,8 @@ def persist(report: ExperimentReport, path) -> None:
     produce identical bytes regardless of worker count.
     """
     out = Path(path)
-    _make_output_dir(out)
-    try:
+    with _naming(f"failed to persist report under {out}"):
+        out.mkdir(parents=True, exist_ok=True)
         with open(out / "records.csv", "w", newline="", encoding="ascii") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(RECORD_COLUMNS)
@@ -262,8 +277,6 @@ def persist(report: ExperimentReport, path) -> None:
         with open(out / "summary.json", "w", encoding="ascii") as fh:
             json.dump(summary, fh, indent=2, sort_keys=False)
             fh.write("\n")
-    except OSError as exc:
-        raise OSError(f"failed to persist report under {out}: {exc}") from exc
 
 
 def _parse_record(row: list[str], line: int) -> ReplicateRecord:
@@ -288,21 +301,10 @@ def _parse_record(row: list[str], line: int) -> ReplicateRecord:
 def read_json(path, what: str, decode):
     """``decode`` applied to the JSON value read from ``path``.
 
-    Every error names ``what``: text that is not JSON, or a field that
-    ``decode`` finds missing or mistyped (KeyError or TypeError), raises
-    ValueError, and a file that cannot be read OSError.
+    Every error names ``what``, as :func:`_naming` words it.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{what} is not valid JSON: {exc}") from exc
-    except OSError as exc:
-        raise OSError(f"cannot read {what}: {exc}") from exc
-    try:
-        return decode(obj)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{what} is missing or mistypes a field: {exc}") from exc
+    with _naming(what), open(path, encoding="utf-8") as fh:
+        return decode(json.load(fh))
 
 
 def _decode_summary(summary: dict) -> tuple[ExperimentConfig, tuple[CellReport, ...]]:
@@ -312,18 +314,19 @@ def _decode_summary(summary: dict) -> tuple[ExperimentConfig, tuple[CellReport, 
 def load_report(path) -> ExperimentReport:
     """Rebuild an ExperimentReport from a persisted directory.
 
-    A summary.json that is not JSON or lacks a field raises a ValueError
-    naming the directory; a record that does not parse names its line.
+    Every error names the directory.  A summary.json that does not read, a
+    records.csv without its header, a record that does not parse (named by
+    its line) or a record count other than reps x cells raises ValueError.
     """
     out = Path(path)
     config, cells = read_json(out / "summary.json", f"report {out}", _decode_summary)
-    try:
-        with open(out / "records.csv", newline="", encoding="ascii") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if tuple(header) != RECORD_COLUMNS:
-                raise ValueError(f"unexpected records.csv header {header}")
-            records = [_parse_record(row, reader.line_num) for row in reader]
-    except OSError as exc:
-        raise OSError(f"failed to load report from {out}: {exc}") from exc
-    return ExperimentReport(config=config, cells=cells, records=tuple(records))
+    with _naming(f"report {out}"), open(out / "records.csv", newline="", encoding="ascii") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if header != list(RECORD_COLUMNS):
+            raise ValueError(f"records.csv header is {','.join(header)!r}, not {','.join(RECORD_COLUMNS)}")
+        records = tuple(_parse_record(row, reader.line_num) for row in reader)
+        if len(records) != config.reps * len(config.grid):
+            raise ValueError(f"records.csv holds {len(records)} records, not reps x cells = "
+                             f"{config.reps} x {len(config.grid)}")
+    return ExperimentReport(config=config, cells=cells, records=records)

@@ -291,8 +291,9 @@ def check_regime(n: int, p: int, m: int, alpha: float = 1.0) -> RegimeReport:
     ultra = log_p <= n_pow_beta
     poly = float(p) <= n_pow_alpha
     regime = ULTRA_HIGH if ultra else (POLYNOMIAL if poly else OUTSIDE)
-    # Threshold growth constant sqrt(2m/log n) * nu_p at z = 0; only
-    # defined once p is large enough for nu_p and n > 1 for log n.
+    # Threshold growth constant sqrt(2m/log n) * nu_p at z = 0, for n > 1.  nu_p(0, p, m)
+    # is defined for every p >= max(3, m) with m <= 20 (least 0.334, at p = m = 3),
+    # so c_n is None only past m = 20, where nu_p refuses the order.
     c_n = None
     if n > 1:
         try:

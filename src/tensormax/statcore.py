@@ -329,10 +329,11 @@ def check_budget(work, ceiling, name: str = "cost_ceiling") -> None:
     """
     check_real(name, ceiling, 0.0)
     total = sum(count * enumeration_cost(p, m, n).multiply_adds for p, m, n, count in work)
-    if total > ceiling or total >= _SATURATION:
-        ops = "more than 9.2e18" if total >= _SATURATION else f"{total:,}"
-        raise BudgetError(f"enumeration needs an estimated {ops} multiply-adds, "
-                          f"above the {name} of {ceiling:,}; raise {name} to override")
+    if total >= _SATURATION:
+        raise BudgetError(f"enumeration needs an estimated more than 9.2e18 multiply-adds, which no {name} allows")
+    if total > ceiling:
+        raise BudgetError(f"enumeration needs an estimated {total:,} multiply-adds, above the {name} of "
+                          f"{ceiling:,}")
 
 
 def _gamma(k: int, u: float = _UNIT_ROUNDOFF) -> float:

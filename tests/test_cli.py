@@ -95,6 +95,14 @@ class TestTest:
         assert code == 3
         assert "budget" in err
 
+    def test_budget_error_names_the_flag_that_raises_the_limit(self, capsys):
+        code, out, err = run_cli(capsys, "test", "--input", X_M2, "--m", "2", "--cost-ceiling", "10")
+        assert (code, out) == (3, "")
+        assert err.splitlines()[-1] == (
+            "tensormax: budget error: enumeration needs an estimated 2,200 multiply-adds, above the "
+            "cost_ceiling of 10; pass a larger --cost-ceiling to allow more, up to 9.2e18"
+        )
+
     def test_budget_refused_at_once_for_a_wide_input(self, tmp_path, capsys):
         # the cost estimate used to take 41 s here before the refusal
         path = write_csv(tmp_path / "wide.csv", np.ones((1, 20000)))
@@ -151,6 +159,14 @@ class TestTest:
         code, out, err = run_cli(capsys, "test", "--input", path, "--m", "2", "--studentize")
         assert (code, out) == (2, "")
         assert "at least 2 rows" in err
+
+    def test_studentize_constant_column_is_usage_error(self, tmp_path, capsys):
+        X = np.random.default_rng(0).standard_normal((10, 4))
+        X[:, 2] = 1.5
+        path = write_csv(tmp_path / "flat.csv", X)
+        code, out, err = run_cli(capsys, "test", "--input", path, "--m", "2", "--studentize")
+        assert (code, out) == (2, "")
+        assert "some column has zero sample variance" in err
 
     def test_empty_csv_is_usage_error_naming_the_file(self, tmp_path, capsys):
         # not numpy's "input contained no data" UserWarning, nor "p must be >= 3"
@@ -321,6 +337,28 @@ class TestSimulate:
         assert (code, out) == (2, "")
         assert "workers must be >= 1" in err
         assert not out_dir.exists()
+
+    def test_budget_error_says_what_the_config_can_change(self, tmp_path, capsys):
+        # no flag raises simulate's limit; the library's name for it, budget, is no flag either
+        cfg = tmp_path / "big.json"
+        config = self.config_obj(tmp_path / "out", reps=10)
+        config["grid"] = [{"n": 1000, "p": 200, "m": 4, "spec": {"family": "standard_normal"}}]
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert (code, out) == (3, "")
+        assert err.splitlines()[-1] == (
+            "tensormax: budget error: enumeration needs an estimated 660,184,500,000 multiply-adds, above the "
+            "budget of 10,000,000,000; run fewer reps or a smaller grid, as no flag raises this limit"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_value_the_codec_refuses_names_the_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(self.config_obj(tmp_path / "out", reps=2.5)))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == f"tensormax: error: config {cfg}: ExperimentConfig.reps must be an integer, got 2.5"
+        assert not (tmp_path / "out").exists()
 
     def test_output_override(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

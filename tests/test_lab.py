@@ -211,6 +211,23 @@ class TestPersistence:
         with pytest.raises(ValueError, match=f"^report {re.escape(str(tmp_path))} {reason}"):
             load_report(tmp_path)
 
+    @pytest.mark.parametrize("name, edit, reason", [
+        # the codec refuses a fractional reps in the config, which comes before the cells
+        ("summary.json", lambda text: text.replace('"reps": 3', '"reps": 2.5', 1),
+         "ExperimentConfig.reps must be an integer, got 2.5"),
+        ("records.csv", lambda text: text.replace("w_abs", "w"), "records.csv header is 'cell_id,replicate,w,"),
+        ("records.csv", lambda text: "", "records.csv header is '', not cell_id"),
+        # cut to its header and first record, as an interrupted copy leaves it
+        ("records.csv", lambda text: "".join(text.splitlines(keepends=True)[:2]),
+         "records.csv holds 1 records, not reps x cells = 3 x 1"),
+    ], ids=["fractional-reps", "bad-header", "empty-records", "truncated-records"])
+    def test_report_that_does_not_load_names_the_directory(self, tmp_path, name, edit, reason):
+        run_experiment(small_config(tmpdir=tmp_path, reps=3))
+        path = tmp_path / name
+        path.write_text(edit(path.read_text()))
+        with pytest.raises(ValueError, match=f"^report {re.escape(str(tmp_path))}: {re.escape(reason)}"):
+            load_report(tmp_path)
+
     def test_record_columns_are_the_record_fields(self):
         assert lab.RECORD_COLUMNS == tuple(f.name for f in dataclasses.fields(lab.ReplicateRecord))
 

@@ -208,6 +208,12 @@ class TestCheckRegime:
         expected = math.sqrt(4.0 / math.log(500)) * 1.8486028298836414
         assert rep.c_n == pytest.approx(expected, abs=1e-9)
 
+    def test_no_threshold_growth_constant_past_the_largest_order(self):
+        # nu_p is defined for every p >= max(3, m) up to m = 20, so c_n is
+        # None only past it; check_regime itself takes any m <= p
+        assert check_regime(100, 30, 20).c_n is not None
+        assert check_regime(100, 30, 21).c_n is None
+
 
 @pytest.fixture
 def pool_sizes(monkeypatch):

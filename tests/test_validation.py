@@ -107,6 +107,12 @@ CASES = [
     pytest.param(lambda: tm.max_entry_multi([X]), id="max_entry_multi-m=1"),
     pytest.param(lambda: tm.max_entry_multi([X] * 6), id="max_entry_multi-m=6"),
     pytest.param(functools.partial(_report, a_n=-1.0), id="stein_chen_report-a_n=-1.0"),
+    # a data matrix is 2-dimensional and non-empty
+    pytest.param(lambda: tm.max_entry(np.ones(5), 2), id="max_entry-X=1-D"),
+    pytest.param(lambda: tm.max_entry(np.ones((0, 5)), 2), id="max_entry-X=empty"),
+    # an experiment has a cell, and a z grid of two points or more
+    pytest.param(lambda: tm.ExperimentConfig(grid=(), reps=2, master_seed=1), id="ExperimentConfig-grid=()"),
+    pytest.param(functools.partial(_experiment, z_grid=(0.0,)), id="ExperimentConfig-z_grid=(0.0,)"),
 ]
 
 
