@@ -308,15 +308,22 @@ def read_json(path, what: str, decode):
 
 
 def _decode_summary(summary: dict) -> tuple[ExperimentConfig, tuple[CellReport, ...]]:
-    return ExperimentConfig.from_json(summary["config"]), tuple(map(CellReport.from_json, summary["cells"]))
+    config = ExperimentConfig.from_json(summary["config"])
+    cells = tuple(map(CellReport.from_json, summary["cells"]))
+    # run_experiment writes one report per grid cell, in grid order
+    expected = [(cell.cell_id(i), cell, config.reps) for i, cell in enumerate(config.grid)]
+    if [(c.cell_id, c.cell, c.reps) for c in cells] != expected:
+        raise ValueError("summary.json's cells are not one report of reps replicates per grid cell, in grid order")
+    return config, cells
 
 
 def load_report(path) -> ExperimentReport:
     """Rebuild an ExperimentReport from a persisted directory.
 
-    Every error names the directory.  A summary.json that does not read, a
-    records.csv without its header, a record that does not parse (named by
-    its line) or a record count other than reps x cells raises ValueError.
+    Every error names the directory.  A summary.json that does not read or
+    whose cells are not the grid's, a records.csv without its header, a
+    record that does not parse (named by its line), or records other than
+    reps per grid cell in (cell, replicate) order raise ValueError.
     """
     out = Path(path)
     config, cells = read_json(out / "summary.json", f"report {out}", _decode_summary)
@@ -326,7 +333,8 @@ def load_report(path) -> ExperimentReport:
         if header != list(RECORD_COLUMNS):
             raise ValueError(f"records.csv header is {','.join(header)!r}, not {','.join(RECORD_COLUMNS)}")
         records = tuple(_parse_record(row, reader.line_num) for row in reader)
-        if len(records) != config.reps * len(config.grid):
+        expected = [(cell.cell_id(i), r) for i, cell in enumerate(config.grid) for r in range(config.reps)]
+        if [(rec.cell_id, rec.replicate) for rec in records] != expected:
             raise ValueError(f"records.csv holds {len(records)} records, not reps x cells = "
-                             f"{config.reps} x {len(config.grid)}")
+                             f"{config.reps} x {len(config.grid)} of its grid in (cell, replicate) order")
     return ExperimentReport(config=config, cells=cells, records=records)

@@ -267,27 +267,23 @@ def load_matrix_csv(path) -> np.ndarray:
     wide as the first row.
     """
     with warnings.catch_warnings():
-        # numpy warns on input with no data, which is refused here instead
+        # numpy warns on input with no data, which _as_matrix refuses
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
-            values = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-        except ValueError as exc:
-            # numpy's hint names its ``usecols`` parameter, which the CLI does not have
-            reason = str(exc).split("; use `usecols`")[0]
-            raise ValueError(_first_bad_line(path) or f"{path}: {reason}") from None
-    if values.size == 0:
-        raise ValueError(f"{path} holds no values")
-    if not np.isfinite(values).all():
-        raise ValueError(_first_bad_line(path) or f"{path} holds non-finite values")
-    return np.ascontiguousarray(values)
+            return _as_matrix(np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2))
+        except ValueError:
+            raise ValueError(_refusal(path)) from None
 
 
-def _first_bad_line(path) -> str | None:
-    """Why the first bad line of a refused CSV is bad, or None if no line is.
+def _refusal(path) -> str:
+    """Why a CSV that ``load_matrix_csv`` refused is refused, from the file's own lines.
 
     numpy counts rows differently by error and without the blank and
-    comment lines it skips, so the file is read again here, skipping
-    them the same way but counting every line.
+    comment lines it skips, so the file is read again here, by numpy's
+    rules: those lines are skipped the same way but counted, and a field
+    is a float only if its text, stripped of whitespace, is ASCII
+    without ``_`` and Python reads it (numpy's parser, unlike float(),
+    refuses digit separators and non-ASCII digits).
     """
     width = None
     with open(path, errors="replace") as fh:
@@ -299,15 +295,14 @@ def _first_bad_line(path) -> str | None:
             width = width or len(fields)
             if len(fields) != width:
                 return f"{path} line {line_no}: the number of columns changed from {width} to {len(fields)}"
-            for col, field in enumerate(fields, 1):
+            for col, field in enumerate(map(str.strip, fields), 1):
                 try:
-                    # numpy's parser, unlike float(), refuses digit separators
-                    value = math.nan if "_" in field else float(field)
+                    value = float(field) if field.isascii() and "_" not in field else math.nan
                 except ValueError:
                     value = math.nan
                 if not math.isfinite(value):
-                    return f"{path} line {line_no} column {col}: {field.strip()!r} is not a finite float"
-    return None
+                    return f"{path} line {line_no} column {col}: {field!r} is not a finite float"
+    return f"{path} holds no values" if width is None else f"{path} is not a matrix of finite floats"
 
 
 def _as_matrix(X) -> np.ndarray:

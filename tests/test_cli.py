@@ -178,7 +178,7 @@ class TestTest:
 
     @pytest.mark.parametrize("inputs", [("ragged.csv",), ("good.csv", "ragged.csv")], ids=["single", "multi"])
     def test_ragged_csv_names_the_file_and_the_row(self, inputs, tmp_path, capsys):
-        # numpy's own message ends in a hint about ``usecols``, which the CLI has no flag for
+        # every message comes from the file's own lines; none names numpy's ``usecols``, which the CLI has no flag for
         (tmp_path / "good.csv").write_text("1,2,3\n4,5,6\n")
         (tmp_path / "ragged.csv").write_text("1,2,3\n4,5\n")
         paths = [str(tmp_path / name) for name in inputs]
@@ -196,7 +196,10 @@ class TestTest:
         # np.loadtxt reads nan and inf; the engine's check would name no file
         ("# a comment\n1,2,3\n4,nan,6\n", "line 3 column 2: 'nan' is not a finite float"),
         ("1,2,3\n4,5,-inf\n", "line 2 column 3: '-inf' is not a finite float"),
-    ], ids=["bad-field", "after-a-blank-line", "nan", "inf"])
+        # float() reads non-ASCII digits; numpy's parser does not
+        ("1,2,3\n\uff14,5,6\n", "line 2 column 1: '\uff14' is not a finite float"),
+        ("1,2,3\n\u0665,5,6\n", "line 2 column 1: '\u0665' is not a finite float"),
+    ], ids=["bad-field", "after-a-blank-line", "nan", "inf", "fullwidth-digit", "arabic-indic-digit"])
     @pytest.mark.parametrize("inputs", [("bad.csv",), ("good.csv", "bad.csv")], ids=["single", "multi"])
     def test_bad_csv_names_the_file_and_its_own_line(self, text, where, inputs, tmp_path, capsys):
         (tmp_path / "good.csv").write_text("1,2,3\n4,5,6\n")

@@ -38,6 +38,7 @@ from tensormax import (
     lambda_limit,
     moderate_deviation_ratio,
     normal_upper_tail,
+    nu_p,
     stein_chen_report,
 )
 from tensormax import diagnostics
@@ -591,3 +592,19 @@ class TestSteinChenReport:
         assert rep.b1_bound >= 0.0
         obj = rep.to_json()
         assert obj["psi_estimates"].keys() == {"1", "2"}
+
+    def test_default_threshold_multiplier_reaches_every_pair_tail(self, monkeypatch):
+        # a pair tail this far out reads a hit or none, so the spy reads the multiplier it is given
+        seen = []
+        real = diagnostics.estimate_pair_tail
+
+        def spy(pspec, reps, seed, workers=1):
+            seen.append(pspec)
+            return real(pspec, reps, seed, workers=workers)
+
+        monkeypatch.setattr(diagnostics, "estimate_pair_tail", spy)
+        z, n, p, m = 0.5, 30, 8, 3
+        rep = stein_chen_report(z, n, p, m, NORMAL, 200, SEED)
+        a_n = math.sqrt(2 * m / math.log(p)) * nu_p(z, p, m)
+        assert [(ps.s, ps.a_n) for ps in seen] == [(1, a_n), (2, a_n)]
+        assert set(rep.psi_estimates) == {1, 2}

@@ -162,6 +162,19 @@ class TestRunExperiment:
         assert base.cells[0].ks_distance == par.cells[0].ks_distance
 
 
+def _edit_records(text, edit):
+    """records.csv text with ``edit`` applied to every record's fields."""
+    header, *rows = text.splitlines()
+    return "\n".join([header, *(",".join(edit(row.split(","))) for row in rows)]) + "\n"
+
+
+def _edit_summary(text, edit):
+    """summary.json text after ``edit`` changed its decoded value in place."""
+    summary = json.loads(text)
+    edit(summary)
+    return json.dumps(summary)
+
+
 class TestPersistence:
     def test_round_trip_identity(self, tmp_path):
         report = run_experiment(small_config(tmpdir=tmp_path))
@@ -223,6 +236,25 @@ class TestPersistence:
     ], ids=["fractional-reps", "bad-header", "empty-records", "truncated-records"])
     def test_report_that_does_not_load_names_the_directory(self, tmp_path, name, edit, reason):
         run_experiment(small_config(tmpdir=tmp_path, reps=3))
+        path = tmp_path / name
+        path.write_text(edit(path.read_text()))
+        with pytest.raises(ValueError, match=f"^report {re.escape(str(tmp_path))}: {re.escape(reason)}"):
+            load_report(tmp_path)
+
+    @pytest.mark.parametrize("name, edit, reason", [
+        ("records.csv", lambda text: text.replace("c00_", "c07_"), "records.csv holds 6 records, not reps x cells"),
+        ("records.csv", lambda text: _edit_records(text, lambda row: [row[0], "7", *row[2:]]),
+         "records.csv holds 6 records, not reps x cells"),
+        ("summary.json",
+         lambda text: _edit_summary(
+             text, lambda s: (s["cells"][0].update(reps=-5), s["cells"][0]["cell"].update(n=999))),
+         "summary.json's cells are not one report of reps replicates per grid cell"),
+        ("summary.json", lambda text: _edit_summary(text, lambda s: s["cells"].pop()),
+         "summary.json's cells are not one report of reps replicates per grid cell"),
+    ], ids=["cell-not-in-grid", "replicate-7", "cell-report-edited", "cells-cut"])
+    def test_run_its_writer_could_not_have_made_names_the_directory(self, tmp_path, name, edit, reason):
+        grid = (CellConfig(n=25, p=10, m=2, spec=NORMAL), CellConfig(n=20, p=6, m=3, spec=NORMAL))
+        run_experiment(ExperimentConfig(grid=grid, reps=3, master_seed=99, output_path=str(tmp_path)))
         path = tmp_path / name
         path.write_text(edit(path.read_text()))
         with pytest.raises(ValueError, match=f"^report {re.escape(str(tmp_path))}: {re.escape(reason)}"):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import time
 
 import numpy as np
@@ -215,6 +216,29 @@ class TestValidationAndBudget:
     def test_multi_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             max_entry_multi([np.ones((3, 4)), np.ones((3, 5))])
+
+
+class TestLoadMatrixCsv:
+    """A refused CSV is explained by a rescan that follows numpy's parser, not float()."""
+
+    @pytest.mark.parametrize("space", ["\u2003", "\u00a0"], ids=["em-space", "no-break-space"])
+    def test_csv_padded_with_unicode_spaces_loads_as_its_ascii_twin(self, tmp_path, space):
+        (tmp_path / "ascii.csv").write_text("1,2,3\n4.5,-6,7e1\n")
+        padded = f"1,{space}2,3{space}\n4.5,-6,{space}7e1{space}\n"
+        (tmp_path / "padded.csv").write_text(padded, encoding="utf-8")
+        twin = statcore.load_matrix_csv(tmp_path / "ascii.csv")
+        assert twin.shape == (2, 3)
+        np.testing.assert_array_equal(statcore.load_matrix_csv(tmp_path / "padded.csv"), twin)
+        # the rescan strips the same spaces, so it passes over the padded lines to the bad one
+        (tmp_path / "padded.csv").write_text(padded + "7,8,x\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="padded.csv line 3 column 3: 'x' is not a finite float$"):
+            statcore.load_matrix_csv(tmp_path / "padded.csv")
+
+    def test_csv_of_only_comments_and_blank_lines_holds_no_values(self, tmp_path):
+        path = tmp_path / "notes.csv"
+        path.write_text("# a comment\n\n# another\n\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} holds no values$"):
+            statcore.load_matrix_csv(path)
 
 
 class TestEnumerationCost:
