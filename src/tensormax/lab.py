@@ -97,6 +97,9 @@ class ExperimentConfig(JsonRecord):
             raise ValueError(f"z_grid must hold at least two points, got {self.z_grid}")
         for z in self.z_grid:
             check_real("z_grid", z)
+        # the path is written into summary.json, which the codec reads back only as a string
+        if self.output_path is not None and not isinstance(self.output_path, str):
+            raise ValueError(f"ExperimentConfig.output_path must be a string, got {self.output_path!r}")
 
 
 @dataclass(frozen=True)
@@ -141,14 +144,16 @@ def ks_distance(samples, limit: GumbelLimit) -> float:
     """Exact one-sample Kolmogorov-Smirnov statistic against the limit law.
 
     Evaluates both one-sided envelopes at the sorted sample points, where
-    the supremum of |F_hat - F| over the whole line is attained.
+    the supremum of |F_hat - F| over the whole line is attained.  F is
+    ``limit.cdf``, the form every p-value reads, built on ``math`` so that
+    its bits do not depend on the kernels numpy dispatches to.
     """
     xs = np.sort(np.asarray(samples, dtype=np.float64))
     if xs.size == 0 or not np.isfinite(xs).all():
         raise ValueError("samples must be non-empty and finite")
     r = xs.size
     grid = np.arange(1, r + 1, dtype=np.float64)
-    cdf = limit.cdf_array(xs)
+    cdf = np.array([limit.cdf(x) for x in xs.tolist()])
     d_plus = np.max(grid / r - cdf)
     d_minus = np.max(cdf - (grid - 1.0) / r)
     return float(max(d_plus, d_minus))
@@ -273,28 +278,31 @@ def persist(report: ExperimentReport, path) -> None:
             columns = [map(fmt, map(operator.attrgetter(name), report.records))
                        for name, fmt in zip(RECORD_COLUMNS, _RECORD_FORMATS)]
             writer.writerows(zip(*columns))
+        # a summary that does not serialize fails before its file is opened, so none is left cut short
         summary = {"config": report.config.to_json(), "cells": [c.to_json() for c in report.cells]}
-        with open(out / "summary.json", "w", encoding="ascii") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=False)
-            fh.write("\n")
+        text = json.dumps(summary, indent=2, sort_keys=False) + "\n"
+        (out / "summary.json").write_text(text, encoding="ascii")
 
 
 def _parse_record(row: list[str], line: int) -> ReplicateRecord:
     """Read one records.csv row; a ValueError names the line, and the column that does not parse.
 
-    ``persist`` never writes nan or inf, so a float column refuses them.
+    A field must be its value as ``persist`` formats it, so ``1_0``, ``+2`` or
+    ``1E3`` is refused; and ``persist`` never writes nan or inf, so a float
+    column refuses them.
     """
     if len(row) != len(RECORD_COLUMNS):
         raise ValueError(f"records.csv line {line} has {len(row)} fields, expected {len(RECORD_COLUMNS)}")
     values = []
-    for (name, tp), text in zip(_RECORD_TYPES.items(), row):
+    for (name, tp), fmt, text in zip(_RECORD_TYPES.items(), _RECORD_FORMATS, row):
         try:
             values.append(tp(text))
-            if tp is float and not math.isfinite(values[-1]):
+            if fmt(values[-1]) != text or (tp is float and not math.isfinite(values[-1])):
                 raise ValueError
         except ValueError:
             what = "finite float" if tp is float else tp.__name__
-            raise ValueError(f"records.csv line {line} column {name} must be {what}, got {text!r}") from None
+            raise ValueError(f"records.csv line {line} column {name} must be {what} as persist writes it, "
+                             f"got {text!r}") from None
     return ReplicateRecord(*values)
 
 

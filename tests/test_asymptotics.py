@@ -93,13 +93,6 @@ class TestCdf:
         z = 200.0
         assert lim.sf(z) == pytest.approx(lim.c * math.exp(-0.5 * z), rel=1e-10)
 
-    def test_vectorized_cdf_matches_scalar(self):
-        lim = GumbelLimit(4, ONE_SIDED)
-        zs = np.linspace(-8, 15, 97)
-        vec = lim.cdf_array(zs)
-        for z, v in zip(zs, vec):
-            assert v == pytest.approx(lim.cdf(z), abs=1e-15)
-
 
 class TestQuantile:
     def test_frozen_values(self):

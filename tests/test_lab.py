@@ -1,9 +1,15 @@
 """Experiment runner: KS statistic, persistence, determinism, budget."""
 
 import dataclasses
+import fractions
+import importlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +17,9 @@ import pytest
 import scipy.stats
 from test_golden_json import GOLDEN, SIMULATE_CONFIG
 
+import tensormax
 from tensormax import (
+    ONE_SIDED,
     BudgetError,
     CellConfig,
     ExperimentConfig,
@@ -41,6 +49,16 @@ def small_config(tmpdir=None, reps=40, p=10, n=25, seed=99):
     )
 
 
+def _numpy_has_avx512f() -> bool:
+    """Whether numpy reports AVX512F, and so may dispatch AVX-512 kernels."""
+    for module in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):  # numpy 2, numpy 1
+        try:
+            return bool(importlib.import_module(module).__cpu_features__.get("AVX512F"))
+        except ImportError:
+            pass
+    return False
+
+
 class TestKsDistance:
     def test_stratified_inverse_cdf_attains_half_spacing(self):
         lim = GumbelLimit(2)
@@ -66,8 +84,33 @@ class TestKsDistance:
         rng = np.random.default_rng(1)
         samples = rng.uniform(-6, 12, size=257)
         ours = ks_distance(samples, lim)
-        ref = scipy.stats.kstest(samples, lambda z: lim.cdf_array(z)).statistic
+        ref = scipy.stats.kstest(samples, np.vectorize(lim.cdf, otypes=[float])).statistic
         assert ours == pytest.approx(ref, abs=1e-12)
+
+    def test_cell_ks_is_the_scalar_cdf_ks_bit_for_bit(self):
+        grid = (CellConfig(n=25, p=10, m=2, spec=NORMAL), CellConfig(n=20, p=6, m=3, spec=NORMAL),
+                CellConfig(n=30, p=8, m=2, spec=NORMAL, sided=ONE_SIDED))
+        report = run_experiment(ExperimentConfig(grid=grid, reps=200, master_seed=5))
+        for cell in report.cells:
+            lim = GumbelLimit(cell.cell.m, cell.cell.sided)
+            t = sorted(rec.t_value for rec in report.records if rec.cell_id == cell.cell_id)
+            r = len(t)
+            ks = max(max(i / r - lim.cdf(z), lim.cdf(z) - (i - 1) / r) for i, z in enumerate(t, 1))
+            assert cell.ks_distance == ks
+
+    @pytest.mark.skipif(not _numpy_has_avx512f(), reason="numpy dispatches no AVX-512 kernels on this CPU")
+    def test_cell_ks_does_not_follow_numpy_simd_dispatch(self):
+        # Under numpy's AVX-512 kernels np.exp and math.exp differ in the last bit on about
+        # 5% of inputs, which moved this cell's KS from ...684 to ...685.
+        config = "ExperimentConfig((CellConfig(30, 6, 2, PopulationSpec('standard_normal')),), 25, 9)"
+        code = ("from tensormax import CellConfig, ExperimentConfig, PopulationSpec, run_experiment; "
+                f"print(repr(run_experiment({config}).cells[0].ks_distance))")
+        path = [str(Path(tensormax.__file__).parents[1]), *filter(None, [os.environ.get("PYTHONPATH")])]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path),
+               "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+        baseline = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        ks = run_experiment(ExperimentConfig((CellConfig(30, 6, 2, NORMAL),), 25, 9)).cells[0].ks_distance
+        assert baseline.stdout == f"{ks!r}\n" == "0.2484387467902684\n"
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -200,6 +243,8 @@ class TestPersistence:
         ("replicate", "1.5"), ("w_abs", "x"), ("ratio", ""),
         # persist never writes a non-finite float
         ("w_abs", "nan"), ("t_value", "-inf"), ("w_signed", "inf"),
+        # nor a field other than its value in its own format, though int() and float() read these
+        ("w_abs", "1_0"), ("replicate", " 0_0 "), ("ratio", " 0.5"), ("t_value", "1E3"), ("replicate", "+2"),
     ])
     def test_record_field_that_does_not_parse_names_its_line_and_column(self, tmp_path, column, text):
         run_experiment(small_config(tmpdir=tmp_path, reps=3))
@@ -291,6 +336,22 @@ class TestPersistence:
         target.write_text("file, not a directory")
         with pytest.raises(OSError, match="blocked"):
             persist(report, target)
+
+    def test_output_path_that_is_not_a_string_is_refused_when_built(self, tmp_path, monkeypatch):
+        # summary.json holds the path, and the codec reads it back only as a string
+        monkeypatch.chdir(tmp_path)
+        out = Path("out")
+        reason = f"ExperimentConfig.output_path must be a string, got {out!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
+            dataclasses.replace(small_config(reps=3), output_path=out)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_summary_that_does_not_serialize_is_not_left_cut_short(self, tmp_path):
+        report = run_experiment(small_config(reps=3))
+        cell = dataclasses.replace(report.cells[0], runtime_seconds=fractions.Fraction(1, 3))
+        with pytest.raises(ValueError, match="Fraction is not JSON serializable"):
+            persist(dataclasses.replace(report, cells=(cell,)), tmp_path)
+        assert not (tmp_path / "summary.json").exists()
 
     def test_config_json_round_trip(self, tmp_path):
         cfg = small_config(tmpdir=tmp_path, reps=2)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import tensormax as tm
-from tensormax import diagnostics, lab, populations, statcore
+from tensormax import asymptotics, diagnostics, lab, populations, statcore
 
 NORMAL = tm.PopulationSpec("standard_normal")
 SEED = tm.SeedSpec(1)
@@ -164,7 +164,6 @@ CEILING = statcore.DEFAULT_COST_CEILING
 REAL_TABLE = {
     "GumbelLimit.cdf": (lambda z=0.0: tm.GumbelLimit(2).cdf(z), {"z": ()}),
     "GumbelLimit.sf": (lambda z=0.0: tm.GumbelLimit(2).sf(z), {"z": ()}),
-    "GumbelLimit.cdf_array": (lambda z=0.0: tm.GumbelLimit(2).cdf_array(z), {"z": ()}),
     "GumbelLimit.quantile": (lambda q=0.5: tm.GumbelLimit(2).quantile(q), {"q": (0.0, 1.0, -INF, INF)}),
     "nu_p": (lambda z=0.0: tm.nu_p(z, 100, 2), {"z": (-INF, INF)}),
     # exp(-z/2) overflows below z = -1419.56
@@ -246,7 +245,6 @@ def test_the_limit_law_takes_both_infinities_and_numpy_reals(call):
 # array form: (call, argument name, values out of its range); test_asymptotics has normalize's
 ARRAY_FORMS = {
     "normalize": (lambda w: tm.normalize(w, 10, 2), "w", (np.array([1.0, SQUARE_OVERFLOWS]),)),
-    "GumbelLimit.cdf_array": (lambda z: tm.GumbelLimit(2).cdf_array(z), "z", (np.array([0.0, math.nan]),)),
 }
 BAD_ARRAYS = (
     [math.nan, "1"], [1.0, None], [1.0, True], [[1.0], [1j]],
@@ -265,9 +263,14 @@ def test_array_forms_reject_with_the_argument_name(call, name, bad):
 
 
 def test_array_forms_take_lists_and_integer_arrays_as_float64():
-    limit = tm.GumbelLimit(2)
-    zs = [-INF, -1, 0.5, INF]
-    got = limit.cdf_array(zs).tolist()
-    assert got == limit.cdf_array(np.array(zs)).tolist() and (got[0], got[-1]) == (0.0, 1.0)
     t_value = [tm.normalize(w, 10, 2).tolist() for w in (np.arange(4), [0.0, 1.0, 2.0, 3.0])]
     assert t_value[0] == t_value[1]
+
+
+@pytest.mark.parametrize("bad", [math.nan, INF, -INF, BELOW_0], ids=repr)
+def test_an_array_is_refused_in_the_words_of_a_scalar(bad):
+    with pytest.raises(ValueError) as scalar:
+        asymptotics.check_real("w", bad, 0.0)
+    with pytest.raises(ValueError) as array:
+        asymptotics.check_real_array("w", np.array([1.0, bad]), 0.0)
+    assert str(array.value) == str(scalar.value)
