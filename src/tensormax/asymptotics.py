@@ -83,17 +83,19 @@ def check_real_array(name: str, values, lo=-math.inf) -> np.ndarray:
 
     A numpy array needs an integer or float dtype; anything else is checked
     value by value, so a bool, str or None inside a list fails as well.
-    Every refusal is worded by ``check_real``, as for a scalar.
+    Every refusal is worded by ``check_real``, as for a scalar, and names
+    a refused array by its dtype, never by its values.  An accepted array
+    costs one finite pass, and one comparison pass if ``lo`` is finite;
+    the first bad value is looked for only when there is one.
     """
     if not isinstance(values, np.ndarray):
         cells = np.asarray(values, dtype=object)
         return np.array([check_real(name, v, lo) for v in cells.flat]).reshape(cells.shape)
     if values.dtype.kind not in "iuf":
-        check_real(name, values)  # an array of any other dtype is not a real number
+        check_real(name, values.dtype)  # an array of any other dtype is not a real number
     xs = values.astype(np.float64, copy=False)
-    bad = ~np.isfinite(xs) | (xs < lo)
-    if bad.any():
-        check_real(name, xs[bad][0], lo)
+    if not (np.isfinite(xs).all() and (lo == -math.inf or (xs >= lo).all())):
+        check_real(name, xs[~np.isfinite(xs) | (xs < lo)][0], lo)
     return xs
 
 

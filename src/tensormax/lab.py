@@ -47,7 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from . import statcore
-from .asymptotics import MAX_ORDER, TWO_SIDED, GumbelLimit, check_int, check_real, check_sided, normalize
+from .asymptotics import MAX_ORDER, TWO_SIDED, GumbelLimit, check_int, check_real_array, check_sided, normalize
 from .hypotest import LEVELS, sided_statistic
 from .populations import PopulationSpec, _philox_keys, parallel_map, sample_stack, usable_workers
 from .populations import sample_matrix  # noqa: F401  (not called here; perfbench's tracer wraps it by this name)
@@ -93,10 +93,9 @@ class ExperimentConfig(JsonRecord):
         check_int("master_seed", self.master_seed, 0, 2**64 - 1)
         if not self.grid:
             raise ValueError("grid must contain at least one cell")
-        if len(self.z_grid) < 2:
-            raise ValueError(f"z_grid must hold at least two points, got {self.z_grid}")
-        for z in self.z_grid:
-            check_real("z_grid", z)
+        z_grid = check_real_array("z_grid", self.z_grid)
+        if z_grid.ndim != 1 or z_grid.size < 2:
+            raise ValueError(f"z_grid must be a flat sequence of at least two points, got {self.z_grid}")
         # the path is written into summary.json, which the codec reads back only as a string
         if self.output_path is not None and not isinstance(self.output_path, str):
             raise ValueError(f"ExperimentConfig.output_path must be a string, got {self.output_path!r}")
@@ -146,11 +145,13 @@ def ks_distance(samples, limit: GumbelLimit) -> float:
     Evaluates both one-sided envelopes at the sorted sample points, where
     the supremum of |F_hat - F| over the whole line is attained.  F is
     ``limit.cdf``, the form every p-value reads, built on ``math`` so that
-    its bits do not depend on the kernels numpy dispatches to.
+    its bits do not depend on the kernels numpy dispatches to.  The
+    samples are held to ``check_real_array``: finite reals, never a bool,
+    a string or a complex number.
     """
-    xs = np.sort(np.asarray(samples, dtype=np.float64))
-    if xs.size == 0 or not np.isfinite(xs).all():
-        raise ValueError("samples must be non-empty and finite")
+    xs = np.sort(check_real_array("samples", samples))
+    if xs.size == 0:
+        raise ValueError("samples must be non-empty")
     r = xs.size
     grid = np.arange(1, r + 1, dtype=np.float64)
     cdf = np.array([limit.cdf(x) for x in xs.tolist()])

@@ -227,15 +227,14 @@ def sample_stack(spec: PopulationSpec, n: int, p: int, keys: np.ndarray) -> np.n
     With ``keys = _philox_keys(master_seed, streams)``, matrix i equals
     ``sample_matrix(spec, n, p, SeedSpec(master_seed, streams[i]))``
     byte for byte.  One Philox generator serves the whole stack: before
-    each matrix its state is set to the fresh state ``make_generator``
-    builds, the key with counter 0 and an empty buffer, which costs a
-    few microseconds against a SeedSequence and a generator per matrix.
-    n and p are not checked here.
+    each matrix it is put back in its state as built, counter 0 and an
+    empty buffer, with the matrix's key, which costs a few microseconds
+    against a SeedSequence and a generator per matrix.  n and p are not
+    checked here.
     """
     bit_generator = np.random.Philox(0)
     rng = np.random.Generator(bit_generator)
-    fresh = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
-             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    fresh = bit_generator.state
     keys = np.asarray(keys, dtype=np.uint64).tolist()
     X = np.empty((len(keys), n, p))
     for i, key in enumerate(keys):

@@ -168,7 +168,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import check_int, check_real
+from .asymptotics import check_int, check_real, check_real_array
 from .serial import JsonRecord
 
 DEFAULT_COST_CEILING = 10**10
@@ -306,14 +306,12 @@ def _refusal(path) -> str:
 
 
 def _as_matrix(X) -> np.ndarray:
-    """An n-by-p matrix: C-contiguous float64, non-empty, finite."""
-    A = np.ascontiguousarray(np.asarray(X, dtype=np.float64))
+    """An n-by-p matrix: C-contiguous float64, non-empty, its values held to ``check_real_array``."""
+    A = np.ascontiguousarray(check_real_array("data matrix", X))
     if A.ndim != 2:
         raise ValueError(f"data matrix must be 2-dimensional, got shape {A.shape}")
     if 0 in A.shape:
         raise ValueError(f"data matrix must be non-empty, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("data matrix contains non-finite values")
     return A
 
 

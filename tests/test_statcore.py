@@ -217,6 +217,13 @@ class TestValidationAndBudget:
         with pytest.raises(ValueError, match="shape"):
             max_entry_multi([np.ones((3, 4)), np.ones((3, 5))])
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_integer_and_float32_matrices_give_the_result_of_their_float64_copy(self, m):
+        rng = np.random.default_rng(29)
+        for X in (rng.integers(-5, 6, size=(30, 8)), rng.standard_normal((30, 8)).astype(np.float32)):
+            assert max_entry(X, m) == max_entry(X.astype(np.float64), m)
+            assert max_entry_multi([X] * m) == max_entry_multi([X.astype(np.float64)] * m)
+
 
 class TestLoadMatrixCsv:
     """A refused CSV is explained by a rescan that follows numpy's parser, not float()."""

@@ -113,6 +113,7 @@ CASES = [
     # an experiment has a cell, and a z grid of two points or more
     pytest.param(lambda: tm.ExperimentConfig(grid=(), reps=2, master_seed=1), id="ExperimentConfig-grid=()"),
     pytest.param(functools.partial(_experiment, z_grid=(0.0,)), id="ExperimentConfig-z_grid=(0.0,)"),
+    pytest.param(functools.partial(_experiment, z_grid=((0.0,), (1.0,))), id="ExperimentConfig-z_grid=2-D"),
 ]
 
 
@@ -242,9 +243,17 @@ def test_the_limit_law_takes_both_infinities_and_numpy_reals(call):
     assert call(np.int64(2)) == call(2) == call(2.0)
 
 
+def _two_rows(values):
+    """A matrix of two rows of ``values``, as a list or an array as given, so no refusal is owed to its shape."""
+    return np.stack([values, values]) if isinstance(values, np.ndarray) else [values, values]
+
+
 # array form: (call, argument name, values out of its range); test_asymptotics has normalize's
 ARRAY_FORMS = {
     "normalize": (lambda w: tm.normalize(w, 10, 2), "w", (np.array([1.0, SQUARE_OVERFLOWS]),)),
+    "max_entry": (lambda values: tm.max_entry(_two_rows(values), 2), "data matrix", (np.array([1.0, math.nan]),)),
+    "ks_distance": (lambda samples: lab.ks_distance(samples, tm.GumbelLimit(2)), "samples", ()),
+    "ExperimentConfig": (lambda z_grid: _experiment(z_grid=z_grid), "z_grid", ()),
 }
 BAD_ARRAYS = (
     [math.nan, "1"], [1.0, None], [1.0, True], [[1.0], [1j]],
@@ -260,6 +269,26 @@ BAD_ARRAYS = (
 def test_array_forms_reject_with_the_argument_name(call, name, bad):
     with pytest.raises(ValueError, match=f"^{name} must"):
         call(bad)
+
+
+# a matrix of bools, digit strings or complex numbers, which numpy would read as floats
+NOT_REAL = {"bool": X.astype(bool), "str": X.astype(int).astype(str), "complex": X.astype(complex)}
+
+
+@pytest.mark.parametrize("dtype", sorted(NOT_REAL))
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda M: tm.max_entry_multi([X, M]), id="max_entry_multi"),
+    pytest.param(lambda M: tm.test_independence(M, 2), id="test_independence"),
+])
+def test_a_matrix_of_other_values_than_reals_is_refused(call, dtype):
+    with pytest.raises(ValueError, match=r"^data matrix must be a real number, got dtype"):
+        call(NOT_REAL[dtype])
+
+
+def test_a_refused_array_is_named_by_its_dtype_in_one_line():
+    with pytest.raises(ValueError) as exc:
+        tm.max_entry(np.ones((50, 6), dtype=bool), 2)
+    assert str(exc.value) == "data matrix must be a real number, got dtype('bool')"
 
 
 def test_array_forms_take_lists_and_integer_arrays_as_float64():
