@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -70,6 +71,7 @@ def _add_seed_flags(sub) -> None:
                           "are identical for any value (default 1)")
 
 
+@functools.cache  # one parser per process: main may run many requests
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tensormax",

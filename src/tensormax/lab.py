@@ -146,10 +146,13 @@ def ks_distance(samples, limit: GumbelLimit) -> float:
     the supremum of |F_hat - F| over the whole line is attained.  F is
     ``limit.cdf``, the form every p-value reads, built on ``math`` so that
     its bits do not depend on the kernels numpy dispatches to.  The
-    samples are held to ``check_real_array``: finite reals, never a bool,
-    a string or a complex number.
+    samples are a flat sequence held to ``check_real_array``: finite reals,
+    never a bool, a string or a complex number.
     """
-    xs = np.sort(check_real_array("samples", samples))
+    xs = check_real_array("samples", samples)
+    if xs.ndim != 1:
+        raise ValueError(f"samples must be a flat sequence, got an array of shape {xs.shape}")
+    xs = np.sort(xs)
     if xs.size == 0:
         raise ValueError("samples must be non-empty")
     r = xs.size
@@ -281,7 +284,10 @@ def persist(report: ExperimentReport, path) -> None:
             writer.writerows(zip(*columns))
         # a summary that does not serialize fails before its file is opened, so none is left cut short
         summary = {"config": report.config.to_json(), "cells": [c.to_json() for c in report.cells]}
-        text = json.dumps(summary, indent=2, sort_keys=False) + "\n"
+        try:
+            text = json.dumps(summary, indent=2, sort_keys=False) + "\n"
+        except TypeError as exc:
+            raise ValueError(f"the summary does not serialize to JSON: {exc}") from exc
         (out / "summary.json").write_text(text, encoding="ascii")
 
 

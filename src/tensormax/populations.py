@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -263,6 +262,7 @@ def parallel_map(fn, tasks, workers: int) -> list:
     procs = min(usable_workers(workers), len(tasks))
     if procs <= 1:
         return [fn(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor  # only a pool pays for importing one
     with ProcessPoolExecutor(max_workers=procs) as pool:
         return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * procs))))
 

@@ -86,6 +86,25 @@ def test_output_matches_golden(name, tmp_path, capsys, monkeypatch):
         assert text == expected, fname
 
 
+def test_reused_parser_leaks_no_state(tmp_path, capsys, monkeypatch):
+    # main keeps one parser for the process; a refused request and a help
+    # request between two passes over every case must not change a byte
+    def every_case(pass_name):
+        for name in sorted(CASES):
+            workdir = tmp_path / pass_name / name
+            workdir.mkdir(parents=True)
+            for fname, text in run_case(name, workdir, capsys, monkeypatch).items():
+                assert text == (GOLDEN / fname).read_text(encoding="ascii"), (pass_name, fname)
+
+    every_case("first")
+    for argv, code in ((["test", "--frobnicate"], 2), (["quantile", "--help"], 0)):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == code
+        capsys.readouterr()
+    every_case("second")
+
+
 def _regenerate():
     """Rewrite every golden from the current code (see the module docstring)."""
     for name in sorted(CASES):

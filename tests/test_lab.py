@@ -121,6 +121,12 @@ class TestKsDistance:
         with pytest.raises(ValueError, match="finite"):
             ks_distance([bad, 1.0], GumbelLimit(2))
 
+    @pytest.mark.parametrize("samples, shape", [([[1.0, 2.0], [3.0, 4.0]], (2, 2)), (1.0, ())])
+    def test_array_that_is_not_flat_rejected(self, samples, shape):
+        reason = f"samples must be a flat sequence, got an array of shape {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
+            ks_distance(samples, GumbelLimit(2))
+
 
 class TestRunExperiment:
     def test_single_replicate_degenerate(self):
@@ -349,8 +355,10 @@ class TestPersistence:
     def test_summary_that_does_not_serialize_is_not_left_cut_short(self, tmp_path):
         report = run_experiment(small_config(reps=3))
         cell = dataclasses.replace(report.cells[0], runtime_seconds=fractions.Fraction(1, 3))
-        with pytest.raises(ValueError, match="Fraction is not JSON serializable"):
+        with pytest.raises(ValueError, match="Fraction is not JSON serializable") as info:
             persist(dataclasses.replace(report, cells=(cell,)), tmp_path)
+        assert str(info.value).startswith(f"failed to persist report under {tmp_path}: the summary does not serialize")
+        assert "missing or mistypes" not in str(info.value)
         assert not (tmp_path / "summary.json").exists()
 
     def test_config_json_round_trip(self, tmp_path):

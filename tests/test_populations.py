@@ -1,10 +1,17 @@
 """Population families: analytic standardization, determinism, regimes."""
 
+import concurrent.futures
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tensormax
 from tensormax import (
     CellConfig,
     ExperimentConfig,
@@ -238,7 +245,7 @@ def pool_sizes(monkeypatch):
             assert chunksize >= 1
             return map(fn, tasks)
 
-    monkeypatch.setattr(populations, "ProcessPoolExecutor", StubPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StubPool)
     monkeypatch.setattr(populations.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     return sizes
 
@@ -265,6 +272,24 @@ class TestParallelMap:
         one = estimate_single_tail(spec, 20, 2, 1.0, 1000, SEED)
         assert estimate_single_tail(spec, 20, 2, 1.0, 1000, SEED, workers=64) == one
         assert pool_sizes == []
+
+    def test_one_worker_requests_never_import_the_pool(self, tmp_path):
+        # a fresh interpreter: this one has already imported the pool for other tests
+        config = {"grid": [{"n": 10, "p": 5, "m": 2, "spec": {"family": "rademacher"}}],
+                  "reps": 3, "master_seed": 1, "output_path": "out"}
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        code = ("import contextlib, io, sys, tensormax.cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+                "    assert tensormax.cli.main(['diagnose', '--what', 'lambda', '--z', '0', '--n', '20',\n"
+                "                               '--p', '10', '--m', '2', '--reps', '1000']) == 0\n"
+                "    assert tensormax.cli.main(['simulate', '--config', 'cfg.json']) == 0\n"
+                "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+        path = [str(Path(tensormax.__file__).parents[1]), *filter(None, [os.environ.get("PYTHONPATH")])]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+        done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout == "[]\n"
+        assert (tmp_path / "out" / "records.csv").exists()
 
     def test_experiment_pool_is_capped_and_records_unchanged(self, pool_sizes):
         cfg = ExperimentConfig(grid=(CellConfig(n=10, p=5, m=2, spec=PopulationSpec(RADEMACHER)),),
