@@ -67,7 +67,7 @@ def _add_seed_flags(sub) -> None:
     sub.add_argument("--stream", type=int, default=0,
                      help="stream id / replicate index (default 0)")
     sub.add_argument("--workers", type=int, default=1,
-                     help="worker processes, >= 1, capped at the CPUs available; results "
+                     help="worker threads, >= 1, capped at the CPUs available; results "
                           "are identical for any value (default 1)")
 
 
@@ -128,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--config", required=True, help="path to the experiment config JSON")
     s.add_argument("--output", help="output directory (overrides the config's output_path)")
     s.add_argument("--workers", type=int, default=1,
-                   help="worker processes per cell, >= 1, capped at the CPUs available; "
+                   help="worker threads per cell, >= 1, capped at the CPUs available; "
                         "output bytes identical for any value")
     return parser
 

@@ -304,11 +304,6 @@ def _block_generator(seed: SeedSpec, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(ss))
 
 
-def _run_block(task) -> int:
-    kernel, params, seed, index, count = task
-    return kernel(_block_generator(seed, index), count, *params)
-
-
 def _count(kernel, params: tuple, reps: int, scalars_per_rep: int, seed: SeedSpec, workers: int) -> TailEstimate:
     """Sum ``kernel(rng, count, *params)`` over the blocks of ``reps`` >= 1 replicates.
 
@@ -317,8 +312,11 @@ def _count(kernel, params: tuple, reps: int, scalars_per_rep: int, seed: SeedSpe
     """
     block = max(1, min(reps, _BLOCK_SCALARS // max(1, scalars_per_rep)))
     sizes = [block] * (reps // block) + ([reps % block] if reps % block else [])
-    tasks = [(kernel, params, seed, i, c) for i, c in enumerate(sizes)]
-    return TailEstimate.from_counts(sum(parallel_map(_run_block, tasks, workers)), reps)
+
+    def run_block(i: int) -> int:
+        return kernel(_block_generator(seed, i), sizes[i], *params)
+
+    return TailEstimate.from_counts(sum(parallel_map(run_block, range(len(sizes)), workers)), reps)
 
 
 def _single_tail(

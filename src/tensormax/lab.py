@@ -15,7 +15,8 @@ Replicates run in stacks: a cell's replicates are cut into chunks of at
 most ``_STACK_VALUES`` data values (at least one replicate each), and
 into at least as many chunks as there are usable workers, each chunk is
 drawn into one (R, n, p) array and enumerated by one engine call, and
-chunks are the tasks spread over workers.  A run keys its streams once:
+chunks are the tasks spread over worker threads, which share the BLAS
+threads while they run.  A run keys its streams once:
 the Philox keys of streams 0 .. reps - 1 are hashed in one pass, each
 chunk carries its slice of them, and
 :func:`tensormax.populations.sample_stack` re-keys one generator per
@@ -175,14 +176,6 @@ def _chunks(cell: CellConfig, reps: int, workers: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-def _run_chunk(args) -> np.ndarray:
-    """The (2, R) array of w_abs and w_signed of a cell's replicates keyed by ``keys``."""
-    cell, keys = args
-    X = sample_stack(cell.spec, cell.n, cell.p, keys)
-    # X is finite float64 by construction and run_experiment checked the budget, so X enters the screen as it is
-    return statcore._screen([X] * cell.m).w
-
-
 def _summarize_cell(
     cell_id: str, cell: CellConfig, t: np.ndarray, ratios: np.ndarray, flagged: int, z_grid, runtime: float
 ) -> CellReport:
@@ -217,7 +210,7 @@ def run_experiment(
     made before the first draw and the report is persisted there.
     """
     statcore.check_budget([(c.p, c.m, c.n, config.reps) for c in config.grid], budget, "budget")
-    procs = usable_workers(workers)
+    usable = usable_workers(workers)
     if config.output_path is not None:
         # an output path that cannot be a directory fails before the first draw, not after the run
         out = Path(config.output_path)
@@ -229,8 +222,15 @@ def run_experiment(
     cell_reports: list[CellReport] = []
     for cell_index, cell in enumerate(config.grid):
         t0 = time.perf_counter()
-        tasks = [(cell, keys[lo:hi]) for lo, hi in _chunks(cell, config.reps, procs)]
-        w_abs, w_signed = np.concatenate(parallel_map(_run_chunk, tasks, workers), axis=1)
+
+        def run_chunk(bounds: tuple[int, int]) -> np.ndarray:
+            """The (2, R) array of w_abs and w_signed of the cell's replicates lo .. hi - 1."""
+            lo, hi = bounds
+            X = sample_stack(cell.spec, cell.n, cell.p, keys[lo:hi])
+            # X is finite float64 by construction and the budget was checked above, so X enters the screen as it is
+            return statcore._screen([X] * cell.m).w
+
+        w_abs, w_signed = np.concatenate(parallel_map(run_chunk, _chunks(cell, config.reps, usable), workers), axis=1)
         runtime = time.perf_counter() - t0
         w, flagged = sided_statistic(w_abs, w_signed, cell.sided)
         t = normalize(w, cell.p, cell.m)

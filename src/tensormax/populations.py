@@ -26,6 +26,8 @@ one generator.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -251,20 +253,70 @@ def usable_workers(workers: int) -> int:
 
 
 def parallel_map(fn, tasks, workers: int) -> list:
-    """``[fn(t) for t in tasks]``, in task order, on up to ``workers`` processes.
+    """``[fn(t) for t in tasks]``, in task order, on up to ``workers`` threads.
 
     ``workers`` must be an integer >= 1.  At most
-    min(workers, len(tasks), available CPUs) processes start, and none
-    when that is 1.  Tasks carry their own stream addresses, so the
-    result does not depend on the worker count.
+    min(workers, len(tasks), available CPUs) threads start, and none
+    when that is 1.  While they run, the BLAS threads are cut to an even
+    share of their count (see ``_blas_share``).  Tasks carry their own
+    stream addresses, so the result does not depend on the worker count.
     """
     tasks = list(tasks)
-    procs = min(usable_workers(workers), len(tasks))
-    if procs <= 1:
+    size = min(usable_workers(workers), len(tasks))
+    if size <= 1:
         return [fn(t) for t in tasks]
-    from concurrent.futures import ProcessPoolExecutor  # only a pool pays for importing one
-    with ProcessPoolExecutor(max_workers=procs) as pool:
-        return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * procs))))
+    from concurrent.futures import ThreadPoolExecutor
+
+    with _blas_share(size), ThreadPoolExecutor(max_workers=size) as pool:
+        return list(pool.map(fn, tasks))
+
+
+@contextlib.contextmanager
+def _blas_share(workers: int):
+    """Set the BLAS threads to max(1, threads // workers) for the body, and restore them after.
+
+    The count is process-wide: BLAS work that other threads of the
+    process run meanwhile runs under the cut count too.  Where numpy's
+    OpenBLAS has no thread-count call, the body runs uncapped.
+    """
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    before = get()
+    set_(max(1, before // workers))
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+@functools.cache
+def _openblas_threads():
+    """The (get, set) thread-count calls of the OpenBLAS in numpy's wheel, or None.
+
+    numpy has no public call for them.  Its wheels carry OpenBLAS in
+    ``numpy.libs``: numpy >= 2 names the calls ``scipy_openblas_*64_``
+    and numpy 1.x ``openblas_*64_``.  RTLD_NOLOAD opens only a library
+    that is already loaded, so no second BLAS is ever loaded.
+    """
+    import ctypes
+    import glob
+
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs", "*openblas*")):
+        try:
+            lib = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            get = getattr(lib, f"{prefix}_get_num_threads64_", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads64_", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
 
 
 def check_regime(n: int, p: int, m: int, alpha: float = 1.0) -> RegimeReport:

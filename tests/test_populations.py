@@ -223,11 +223,17 @@ class TestCheckRegime:
 
 
 @pytest.fixture
-def pool_sizes(monkeypatch):
-    """Replace the process pool by an in-process stub on a 4-CPU affinity.
+def four_cpus(monkeypatch):
+    """An affinity of 4 CPUs, so a map of 2 to 4 workers starts a pool."""
+    monkeypatch.setattr(populations.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch, four_cpus):
+    """Replace the thread pool by a serial stub on a 4-CPU affinity.
 
     Returns the list of ``max_workers`` values the stub was built with;
-    no process is ever started.
+    no thread is ever started.
     """
     sizes = []
 
@@ -241,13 +247,29 @@ def pool_sizes(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks, chunksize=1):
-            assert chunksize >= 1
+        def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StubPool)
-    monkeypatch.setattr(populations.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", StubPool)
     return sizes
+
+
+@pytest.fixture
+def blas_count(monkeypatch, four_cpus):
+    """The thread-count getter of the BLAS that parallel_map caps, set to 4 threads for the test.
+
+    Where numpy's OpenBLAS has no thread-count call, a counter stands in for it.
+    """
+    blas = populations._openblas_threads()
+    if blas is None:
+        count = [0]
+        blas = (lambda: count[0], lambda k: count.__setitem__(0, k))
+        monkeypatch.setattr(populations, "_openblas_threads", lambda: blas)
+    get, set_ = blas
+    before = get()
+    set_(4)
+    yield get
+    set_(before)
 
 
 class TestParallelMap:
@@ -273,22 +295,25 @@ class TestParallelMap:
         assert estimate_single_tail(spec, 20, 2, 1.0, 1000, SEED, workers=64) == one
         assert pool_sizes == []
 
-    def test_one_worker_requests_never_import_the_pool(self, tmp_path):
-        # a fresh interpreter: this one has already imported the pool for other tests
+    def test_requests_never_import_a_process_pool(self, tmp_path):
+        # a fresh interpreter: this one may have imported multiprocessing for other tests
         config = {"grid": [{"n": 10, "p": 5, "m": 2, "spec": {"family": "rademacher"}}],
                   "reps": 3, "master_seed": 1, "output_path": "out"}
         (tmp_path / "cfg.json").write_text(json.dumps(config))
         code = ("import contextlib, io, sys, tensormax.cli\n"
                 "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
-                "    assert tensormax.cli.main(['diagnose', '--what', 'lambda', '--z', '0', '--n', '20',\n"
-                "                               '--p', '10', '--m', '2', '--reps', '1000']) == 0\n"
-                "    assert tensormax.cli.main(['simulate', '--config', 'cfg.json']) == 0\n"
-                "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+                "    for workers in ('1', '2'):\n"
+                "        assert tensormax.cli.main(['diagnose', '--what', 'lambda', '--z', '0', '--n', '20', '--p',\n"
+                "                                   '10', '--m', '2', '--reps', '1000', '--workers', workers]) == 0\n"
+                "        assert tensormax.cli.main(['simulate', '--config', 'cfg.json', '--workers', workers]) == 0\n"
+                "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))\n"
+                "print('concurrent.futures.thread' in sys.modules)")
         path = [str(Path(tensormax.__file__).parents[1]), *filter(None, [os.environ.get("PYTHONPATH")])]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
         done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                               capture_output=True, text=True, check=True)
-        assert done.stdout == "[]\n"
+        # the workers-2 simulate run splits its 3 replicates over a thread pool where 2 CPUs are usable
+        assert done.stdout == f"[]\n{populations.usable_workers(2) > 1}\n"
         assert (tmp_path / "out" / "records.csv").exists()
 
     def test_experiment_pool_is_capped_and_records_unchanged(self, pool_sizes):
@@ -309,3 +334,47 @@ class TestParallelMap:
         with pytest.raises(ValueError, match="workers"):
             run_experiment(cfg, workers=workers)
         assert not out.exists()
+
+
+class TestBlasShare:
+    @pytest.mark.parametrize("threads, workers, share", [(4, 2, 2), (5, 2, 2), (4, 3, 1), (1, 2, 1)])
+    def test_tasks_run_under_the_planned_share(self, four_cpus, threads, workers, share):
+        blas = populations._openblas_threads()
+        if blas is None:
+            pytest.skip("numpy's BLAS has no thread-count call to read back")
+        get, set_ = blas
+        before = get()
+        set_(threads)
+        try:
+            assert populations.parallel_map(lambda t: get(), range(workers), workers) == [share] * workers
+            assert get() == threads
+        finally:
+            set_(before)
+
+    def test_count_is_restored_after_the_map(self, blas_count):
+        assert populations.parallel_map(lambda t: (abs(t), blas_count()), range(-4, 0), 2) == [
+            (4, 2), (3, 2), (2, 2), (1, 2)]
+        assert blas_count() == 4
+
+    def test_count_is_restored_when_a_task_raises(self, blas_count):
+        error = KeyError("task 3")
+
+        def task(t):
+            if t == 3:
+                raise error
+            return t
+
+        with pytest.raises(KeyError) as raised:
+            populations.parallel_map(task, range(6), 2)
+        assert raised.value is error
+        assert blas_count() == 4
+
+    def test_without_the_call_the_map_runs_uncapped(self, monkeypatch, four_cpus):
+        blas = populations._openblas_threads()
+        monkeypatch.setattr(populations, "_openblas_threads", lambda: None)
+        cfg = ExperimentConfig(grid=(CellConfig(n=30, p=8, m=3, spec=PopulationSpec(STANDARD_NORMAL)),),
+                               reps=6, master_seed=5)
+        assert run_experiment(cfg, workers=2).records == run_experiment(cfg).records
+        if blas is not None:
+            get = blas[0]
+            assert populations.parallel_map(lambda t: get(), range(2), 2) == [get()] * 2
