@@ -57,6 +57,18 @@ SFC64 generator keyed by SeedSequence((master_seed, stream_id, i)),
 built by ``_block_generator``: SFC64 draws normals and gammas about
 1.45 times as fast as the Philox generator of the data streams
 (``populations.make_generator``).
+
+A block of count replicates holds one (count, n) float64 array per live
+product: the running product (for the normal and t families, of
+squares), and in a pair block also xi (or its squares).  A product's
+first factor is drawn at full size as that array; every later factor is
+drawn in flat pieces of at most ``_PIECE`` values through one reused
+buffer and folded in place (``_fold``), in the draw order of whole
+factors, so the sums keep their bits.  One replicate of n m-fold
+products thus holds about 8.25 bytes per unit of n.  A Rademacher sum
+is one binomial draw and never uses pieces: int8 ``integers`` drops its
+leftover random bytes after each call, so int8 draws in pieces would
+not be the values of one whole draw.
 """
 
 from __future__ import annotations
@@ -82,6 +94,8 @@ from .statcore import comb_capped
 
 # Nominal scalars per replicate block (see ``_count``).
 _BLOCK_SCALARS = 2**24
+# Values per piece of a factor folded into a block's product (see ``_fold``): 256 KB.
+_PIECE = 2**15
 
 _NORMAL = PopulationSpec(STANDARD_NORMAL)
 
@@ -209,37 +223,63 @@ def b1_bound(p: int, m: int, single_tail: float) -> float:
     return _b1_factor(p, m) * single_tail * single_tail
 
 
+def _fold(shape, factors, out: np.ndarray | None = None) -> np.ndarray | None:
+    """out op_1 f_1 op_2 f_2 ... over fresh factors, in draw order; ``out`` is not modified.
+
+    ``factors`` lists (fill, op) pairs, op np.multiply or np.divide:
+    fill(shape, buf) returns the factor's next draws in an array of
+    that shape, written into the float64 array ``buf`` if given.  The
+    first factor is drawn at full size and becomes the accumulator,
+    op_1 applied to ``out`` if given (f_1 itself if not).  Every later factor is drawn in flat pieces of at
+    most ``_PIECE`` values into one reused buffer, each folded into its
+    slice of the flattened accumulator in place.  The pieces take the
+    generator's values in the order of one whole-array draw, so the
+    result has the bits of folding whole factors, and a block holds one
+    (count, n) array per live product.  None if there is no factor and
+    no ``out``.
+    """
+    if not factors:
+        return out
+    (fill, op), *later = factors
+    acc = fill(shape)
+    if out is not None:
+        op(out, acc, out=acc)
+    flat = acc.reshape(-1)
+    buf = np.empty(min(_PIECE, flat.size))
+    for fill, op in later:
+        for start in range(0, flat.size, _PIECE):
+            piece = flat[start : start + _PIECE]
+            op(piece, fill(piece.shape, buf[: piece.size]), out=piece)
+    return acc
+
+
 def _squares(
     spec: PopulationSpec, rng: np.random.Generator, shape, normals: int, gammas: int, out: np.ndarray | None = None
 ) -> np.ndarray | None:
     """out * (Z_1 * ... * Z_normals)**2 * k/G_1 * ... * k/G_gammas over fresh draws; ``out`` is not modified.
 
-    Each Z array is filled by ``draw``, as the float path's factors are.
-    G/k is drawn as Gamma(df/2, scale 1/k), with k = (df-2)/2: k enters
+    Each Z is drawn by ``draw``, as the float path's factors are.  G/k
+    is drawn as Gamma(df/2, scale 1/k), with k = (df-2)/2: k enters
     factor by factor, and k**gammas, which overflows at a huge df, is
-    never formed.
+    never formed.  The normals come first, so a product that starts
+    from no ``out`` starts from Z_1**2.
     """
-    for _ in range(normals):
-        x = draw(_NORMAL, rng, shape)
-        np.square(x, out=x)
-        out = x if out is None else np.multiply(out, x, out=x)
-        del x
-    for _ in range(gammas):
-        g = rng.gamma(spec.df / 2.0, 2.0 / (spec.df - 2.0), shape)
-        out = np.reciprocal(g, out=g) if out is None else np.divide(out, g, out=g)
-        del g
-    return out
+
+    def square(size, buf=None):
+        z = draw(_NORMAL, rng, size, out=buf)
+        return np.square(z, out=z)
+
+    def gamma(size, buf=None):
+        # numpy's gamma(a, scale) is scale * standard_gamma(a), value by value
+        g = rng.standard_gamma(spec.df / 2.0, size, out=buf)
+        return np.multiply(g, 2.0 / (spec.df - 2.0), out=g)
+
+    return _fold(shape, [(square, np.multiply)] * normals + [(gamma, np.divide)] * gammas, out)
 
 
 def _product(spec: PopulationSpec, rng: np.random.Generator, shape, k: int) -> np.ndarray | None:
     """Product of k fresh float64 factors, None for k = 0."""
-    out = None
-    for _ in range(k):
-        x = draw(spec, rng, shape)
-        out = x if out is None else np.multiply(out, x, out=out)
-        # released before the next factor is drawn
-        del x
-    return out
+    return _fold(shape, [(lambda size, buf=None: draw(spec, rng, size, out=buf), np.multiply)] * k)
 
 
 def _product_sums(
@@ -309,6 +349,8 @@ def _count(kernel, params: tuple, reps: int, scalars_per_rep: int, seed: SeedSpe
 
     The layout depends only on (reps, scalars_per_rep) and block i draws
     from sub-stream (seed, i), so the count is the same at any worker count.
+    A running block holds one (count, n) array per live product, later
+    factors folded in through a fixed piece buffer (module docstring).
     """
     block = max(1, min(reps, _BLOCK_SCALARS // max(1, scalars_per_rep)))
     sizes = [block] * (reps // block) + ([reps % block] if reps % block else [])

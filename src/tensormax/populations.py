@@ -174,10 +174,21 @@ def _seed_hash(hash_const: int, mult: int):
     return hash_
 
 
-def draw(spec: PopulationSpec, rng: np.random.Generator, shape) -> np.ndarray:
-    """Fill an array of the given shape with i.i.d. standardized draws."""
+def draw(spec: PopulationSpec, rng: np.random.Generator, shape, out: np.ndarray | None = None) -> np.ndarray:
+    """Fill an array of the given shape with i.i.d. standardized draws.
+
+    Given ``out``, a C-contiguous float64 array of that shape, the same
+    values are written into it and it is returned.
+    """
     if spec.family == STANDARD_NORMAL:
-        return rng.standard_normal(shape)
+        return rng.standard_normal(shape, out=out)
+    if spec.family == CENTERED_EXPONENTIAL:
+        x = rng.standard_exponential(shape, out=out)
+        return np.subtract(x, 1.0, out=x)
+    if out is not None:
+        # no in-place draw for these families: a temporary of out's size
+        np.copyto(out, draw(spec, rng, shape))
+        return out
     if spec.family == RADEMACHER:
         # int8 draws consume a quarter of the bit stream of the default
         # int64 path and convert exactly to +/-1.0
@@ -185,8 +196,6 @@ def draw(spec: PopulationSpec, rng: np.random.Generator, shape) -> np.ndarray:
         return bits.astype(np.float64) * 2.0 - 1.0
     if spec.family == UNIFORM_SCALED:
         return rng.uniform(-_SQRT3, _SQRT3, size=shape)
-    if spec.family == CENTERED_EXPONENTIAL:
-        return rng.standard_exponential(shape) - 1.0
     if spec.family == STUDENT_T_STANDARDIZED:
         scale = math.sqrt(spec.df / (spec.df - 2.0))
         return rng.standard_t(spec.df, size=shape) / scale

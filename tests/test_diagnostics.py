@@ -17,6 +17,7 @@ KS, and plain re-simulations of the joint pair tail).
 """
 
 import hashlib
+import itertools
 import math
 import sys
 import time
@@ -181,17 +182,78 @@ def traced_peak(fn, *args):
 
 
 def test_float_blocks_release_each_factor():
-    # A block holds the running product and the factor being drawn (for
-    # the normal and t families, the running product of squares and the
-    # normal or gamma draw), plus xi or its squares in a pair block; a
-    # factor already multiplied in is released.
+    # A block holds one (count, n) array per live product: the running
+    # product (for the normal and t families, of squares), plus xi or
+    # its squares in a pair block.  Every later factor comes in pieces
+    # of at most 2**15 values through one buffer (the uniform family
+    # draws each piece into a temporary of its size first).
     n, count = 100, 2000
-    array = count * n * 8
-    for spec in (NORMAL, PopulationSpec(STUDENT_T_STANDARDIZED, df=8), PopulationSpec(CENTERED_EXPONENTIAL)):
+    array, pieces = count * n * 8, 3 * diagnostics._PIECE * 8
+    for spec in (
+        NORMAL,
+        PopulationSpec(STUDENT_T_STANDARDIZED, df=8),
+        PopulationSpec(CENTERED_EXPONENTIAL),
+        PopulationSpec(UNIFORM_SCALED),
+    ):
         tail = traced_peak(diagnostics._tail_kernel, count, spec, n, 4, TWO_SIDED, 1.0)
-        assert tail < 2.5 * array, spec.family
+        assert tail < array + pieces, spec.family
         pair = traced_peak(diagnostics._pair_kernel, count, spec, n, 1, 4, 1.0)
-        assert pair < 3.5 * array, spec.family
+        assert pair < 2 * array + pieces, spec.family
+
+
+@pytest.mark.parametrize(
+    "spec", [*FLOAT_PATH_SPECS, NORMAL, PopulationSpec(STUDENT_T_STANDARDIZED, df=8)], ids=lambda s: s.family
+)
+def test_ratio_replicate_holds_one_array(spec):
+    # one replicate of n = 2**20 three-fold products: the 8 MB product
+    # and a few pieces, about 8.25 bytes per unit of n
+    n = 2**20
+    tracemalloc.start()
+    try:
+        moderate_deviation_ratio(spec, 3, n, 2.0, 1, SEED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * n
+
+
+class TestPieces:
+    """Later factors are drawn in pieces; the piece size never changes a bit of the sums."""
+
+    # 41 * 9 = 369 values per factor, a multiple of neither 5 nor 7
+    SHAPE = (41, 9)
+
+    @pytest.mark.parametrize("piece", [1, 5, 7])
+    @pytest.mark.parametrize("case", [(0, 3, 1), (0, 4, 1), (1, 2, 2), (2, 1, 2)], ids=lambda c: "-".join(map(str, c)))
+    @pytest.mark.parametrize(
+        "spec", [NORMAL, PopulationSpec(STUDENT_T_STANDARDIZED, df=5), *FLOAT_PATH_SPECS], ids=lambda s: s.family
+    )
+    def test_piece_size_leaves_the_sums_unchanged(self, spec, case, piece, monkeypatch):
+        whole = diagnostics._product_sums(spec, diagnostics._block_generator(SEED, 5), self.SHAPE, *case)
+        monkeypatch.setattr(diagnostics, "_PIECE", piece)
+        pieced = diagnostics._product_sums(spec, diagnostics._block_generator(SEED, 5), self.SHAPE, *case)
+        assert b"".join(s.tobytes() for s in pieced) == b"".join(s.tobytes() for s in whole)
+
+    @pytest.mark.parametrize("bit_generator", [np.random.SFC64, np.random.Philox])
+    def test_numpy_fills_in_pieces_as_one_fill(self, bit_generator):
+        # what the piece loop assumes of numpy: each value takes the
+        # generator's next outputs whatever the call it falls in, and
+        # gamma(a, s) is s * standard_gamma(a) value by value
+        fills = {
+            "standard_normal": lambda rng, buf: rng.standard_normal(buf.shape, out=buf),
+            "standard_gamma": lambda rng, buf: rng.standard_gamma(2.5, buf.shape, out=buf),
+            "standard_exponential": lambda rng, buf: rng.standard_exponential(buf.shape, out=buf),
+            "uniform": lambda rng, buf: np.copyto(buf, rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), buf.shape)),
+        }
+        for name, fill in fills.items():
+            whole, pieced = np.empty(369), np.empty(369)
+            fill(np.random.Generator(bit_generator(17)), whole)
+            rng = np.random.Generator(bit_generator(17))
+            for start, stop in itertools.pairwise((0, 1, 8, 13, 113, 369)):
+                fill(rng, pieced[start:stop])
+            assert np.array_equal(pieced, whole), name
+        scaled = np.random.Generator(bit_generator(17)).gamma(2.5, 0.4, 369)
+        assert np.array_equal(scaled, 0.4 * np.random.Generator(bit_generator(17)).standard_gamma(2.5, 369))
 
 
 class TestManyBlocks:
