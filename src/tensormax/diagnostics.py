@@ -3,9 +3,10 @@
 The limit law rests on a Poisson approximation for the number of index
 tuples whose entry exceeds the threshold sqrt(2m) * nu_p(z): the
 intensity lambda = C(p, m) * P(single tuple exceeds) tends to exp(-z/2),
-the first clustering term b1 is bounded by
-C(p, m) * m**2 * p**(m-1) * tail**2, and the second term b2 is driven by
-joint tails of two tuple sums sharing s coordinates.  This module
+the first clustering term b1 is C(p, m) * (C(p, m) - C(p - m, m)) *
+tail**2 (each tuple times the tuples that share a coordinate with it,
+itself included), and the second term b2 is driven by joint tails of
+two tuple sums sharing s coordinates.  This module
 estimates those pieces by counting threshold crossings of simulated
 product sums, plus the moderate deviation ratio
 P(S_n/sqrt(n) >= x) / (1 - Phi(x)) that links product-variable sums to
@@ -73,6 +74,7 @@ not be the values of one whole draw.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 from dataclasses import dataclass, field, replace
@@ -196,28 +198,30 @@ def normal_upper_tail(x: float) -> float:
 
 
 def _b1_factor(p: int, m: int) -> float:
-    """b1 / tail**2 = C(p, m) * m**2 * p**(m-1) for integers 2 <= m <= p; ValueError if it overflows.
+    """b1 / tail**2 = C(p, m) * (C(p, m) - C(p - m, m)) for integers 2 <= m <= p; ValueError if it overflows.
 
-    For m = 2 that is p above about 4.5e102.
+    C(p, m) - C(p - m, m) counts the tuples that share a coordinate with
+    a given one, the tuple itself included.  For m = 2 the factor
+    overflows for p above about 5.6e102.
     """
     p = check_int("p", p, 2)
     m = check_int("m", m, 2, p)
-    try:
-        factor = comb_capped(p, m, 2**1024) * (m * m) * float(p) ** (m - 1)
-    except OverflowError:
-        factor = math.inf
-    if factor == math.inf:
-        raise ValueError(f"p={p} is too large for m={m}: C(p, m) * m**2 * p**(m-1) overflows float64")
-    return factor
+    tuples = comb_capped(p, m, 2**1024)
+    if tuples <= 2**1024:  # exact, and so is C(p - m, m) <= C(p, m)
+        disjoint = comb_capped(p - m, m, tuples) if p >= 2 * m else 0
+        with contextlib.suppress(OverflowError):
+            return float(tuples * (tuples - disjoint))
+    raise ValueError(f"p={p} is too large for m={m}: C(p, m) * (C(p, m) - C(p - m, m)) overflows float64")
 
 
 def b1_bound(p: int, m: int, single_tail: float) -> float:
-    """First clustering bound C(p, m) * m**2 * p**(m-1) * tail**2.
+    """First clustering bound C(p, m) * (C(p, m) - C(p - m, m)) * tail**2.
 
-    C(p, m) counts the tuples and m**2 * p**(m-1) bounds the number of
-    neighbors sharing at least one coordinate with a given tuple.  With
-    tail ~ m!/p**m the bound decays like 1/p.  A (p, m) whose
-    C(p, m) * m**2 * p**(m-1) overflows float64 raises ValueError.
+    C(p, m) counts the tuples and C(p, m) - C(p - m, m) the tuples that
+    share at least one coordinate with a given one, itself included: the
+    exact neighbourhood, about m**2 * p**(m-1) / m! for p much larger
+    than m.  With tail ~ m!/p**m the bound decays like 1/p.  A (p, m)
+    whose factor overflows float64 raises ValueError.
     """
     single_tail = check_real("single_tail", single_tail, 0.0, 1.0)
     return _b1_factor(p, m) * single_tail * single_tail

@@ -222,7 +222,7 @@ class TestDiagnose:
             "--single-tail", "0.001",
         )
         assert code == 0
-        assert json.loads(out)["b1_bound"] == pytest.approx(1.8e-3, rel=1e-12)
+        assert json.loads(out)["b1_bound"] == pytest.approx(7.65e-4, rel=1e-12)
 
     def test_b1_overflow_refused_at_once(self, capsys):
         start = time.perf_counter()

@@ -514,16 +514,17 @@ class TestLambda:
 
 class TestB1Bound:
     def test_worked_value(self):
-        assert b1_bound(10, 2, 1e-3) == pytest.approx(1.8e-3, rel=1e-12)
+        # 45 pairs in p = 10, each sharing a coordinate with 45 - C(8, 2) = 17 of them
+        assert b1_bound(10, 2, 1e-3) == pytest.approx(7.65e-4, rel=1e-12)
 
     def test_zero_tail(self):
         assert b1_bound(10, 2, 0.0) == 0.0
 
     def test_asymptotic_tail_decay(self):
         # with the asymptotic single tail m!/p**m at z = 0 the bound is
-        # C(p,m) * m^2 * p^(m-1) * (m!/p^m)^2, decaying like 1/p
+        # C(p,m) * (C(p,m) - C(p-m,m)) * (m!/p^m)^2, decaying like 1/p
         val = b1_bound(100, 2, 2.0 / 100**2)
-        assert val == pytest.approx(4950 * 4 * 100 * (2e-4) ** 2, rel=1e-12)
+        assert val == pytest.approx(4950 * (4950 - 4753) * (2e-4) ** 2, rel=1e-12)
         assert b1_bound(1000, 2, 2.0 / 1000**2) < val
 
     def test_quadratic_scaling(self):
@@ -536,8 +537,9 @@ class TestB1Bound:
     def test_factor_is_exact_until_it_overflows(self):
         for p in range(2, 300, 7):
             for m in range(2, p + 1, 3):
+                tuples = math.comb(p, m)
                 try:
-                    expected = math.comb(p, m) * (m * m) * float(p) ** (m - 1)
+                    expected = float(tuples * (tuples - math.comb(p - m, m)))
                 except OverflowError:
                     expected = math.inf
                 if expected == math.inf:
@@ -546,12 +548,22 @@ class TestB1Bound:
                 else:
                     assert b1_bound(p, m, 1.0) == expected, (p, m)
 
+    def test_neighbourhood_matches_brute_force(self):
+        # every ordered pair of m-tuples that share a coordinate, a tuple with itself included
+        for p in range(2, 13):
+            for m in range(2, p + 1):
+                masks = np.array([sum(1 << i for i in t) for t in itertools.combinations(range(p), m)])
+                pairs = np.count_nonzero(masks[:, None] & masks[None, :])
+                assert b1_bound(p, m, 1.0) == pairs, (p, m)
+
     def test_huge_binomial_refused_at_once(self):
         # math.comb(10**6, 5 * 10**5) alone takes seconds
         start = time.perf_counter()
-        for p, m in ((10**6, 5 * 10**5), (10**7, 10**7 - 2), (20000, 10000)):
+        for p, m in ((10**6, 5 * 10**5), (20000, 10000)):
             with pytest.raises(ValueError, match="overflows"):
                 b1_bound(p, m, 0.5)
+        # C(p, m) = C(p, p - m) is small near m = p, and there every two tuples share a coordinate
+        assert b1_bound(10**7, 10**7 - 2, 1.0) == float(math.comb(10**7, 2) ** 2)
         assert time.perf_counter() - start < 1.0
 
 
