@@ -234,13 +234,13 @@ def _fold(shape, factors, out: np.ndarray | None = None) -> np.ndarray | None:
     fill(shape, buf) returns the factor's next draws in an array of
     that shape, written into the float64 array ``buf`` if given.  The
     first factor is drawn at full size and becomes the accumulator,
-    op_1 applied to ``out`` if given (f_1 itself if not).  Every later factor is drawn in flat pieces of at
-    most ``_PIECE`` values into one reused buffer, each folded into its
-    slice of the flattened accumulator in place.  The pieces take the
-    generator's values in the order of one whole-array draw, so the
-    result has the bits of folding whole factors, and a block holds one
-    (count, n) array per live product.  None if there is no factor and
-    no ``out``.
+    op_1 applied to ``out`` if given (f_1 itself if not).  Every later
+    factor is drawn in flat pieces of at most ``_PIECE`` values into one
+    reused buffer, each folded into its slice of the flattened
+    accumulator in place.  The pieces take the generator's values in the
+    order of one whole-array draw, so the result has the bits of folding
+    whole factors, and a block holds one (count, n) array per live
+    product.  None if there is no factor and no ``out``.
     """
     if not factors:
         return out
