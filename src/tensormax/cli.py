@@ -36,9 +36,10 @@ EXIT_IO = 4
 
 _SIDED = {"two": TWO_SIDED, "one": ONE_SIDED}
 
-# what a user of each command that enumerates can do about a budget error
+# what a user of each command that enumerates or draws can do about a budget error
 _BUDGET_REMEDY = {"test": "pass a larger --cost-ceiling to allow more, up to 9.2e18",
-                  "simulate": "run fewer reps or a smaller grid, as no flag raises this limit"}
+                  "simulate": "run fewer reps or a smaller grid, as no flag raises this limit",
+                  "diagnose": "pass fewer --reps or a smaller --n or --m, as no flag raises this limit"}
 
 # The flags each diagnose mode reads: all are required, and all go into
 # the logged config.  Listed in the order they are checked.

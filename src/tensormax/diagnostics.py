@@ -92,7 +92,7 @@ from .populations import (
     parallel_map,
 )
 from .serial import JsonRecord
-from .statcore import comb_capped
+from .statcore import DEFAULT_COST_CEILING, Draws, check_budget, comb_capped
 
 # Nominal scalars per replicate block (see ``_count``).
 _BLOCK_SCALARS = 2**24
@@ -326,6 +326,18 @@ def _product_sums(
     return sums
 
 
+def _draws(spec: PopulationSpec, n: int, shared: int, fresh: int, copies: int) -> int:
+    """Values that ``_product_sums`` draws for one replicate of these arguments."""
+    if spec.family == RADEMACHER:
+        return copies
+    if spec.family in (STANDARD_NORMAL, STUDENT_T_STANDARDIZED):
+        gammas = int(spec.family == STUDENT_T_STANDARDIZED)
+        if shared + fresh == 2 and not gammas:
+            return (1 if shared else copies) + copies
+        return n * (shared + copies * (fresh - 1) + gammas * (shared + copies * fresh)) + copies
+    return n * (shared + copies * fresh)
+
+
 def _tail_kernel(rng, count: int, spec: PopulationSpec, n: int, m: int, sided: str, threshold: float) -> int:
     """Hits |S|/sqrt(n) > t (two-sided) or S/sqrt(n) >= x (one-sided) among ``count`` sums."""
     (sums,) = _product_sums(spec, rng, (count, n), 0, m, 1)
@@ -366,11 +378,20 @@ def _count(kernel, params: tuple, reps: int, scalars_per_rep: int, seed: SeedSpe
 
 
 def _single_tail(
-    spec: PopulationSpec, n: int, m: int, sided: str, threshold: float, reps: int, seed: SeedSpec, workers: int
+    spec: PopulationSpec,
+    n: int,
+    m: int,
+    sided: str,
+    threshold: float,
+    reps: int,
+    seed: SeedSpec,
+    workers: int,
+    budget: int,
 ) -> TailEstimate:
-    """The single-tail kernel's count over reps n-term sums of m-fold products."""
+    """The single-tail kernel's count over reps n-term sums of m-fold products, within ``budget`` drawn values."""
     m, n, reps = check_int("m", m, 2), check_int("n", n, 1), check_int("reps", reps, 1)
     threshold = check_real("threshold", threshold, finite=False)
+    check_budget([Draws(reps * _draws(spec, n, 0, m, 1))], budget, "budget")
     return _count(_tail_kernel, (spec, n, m, sided, threshold), reps, n * m, seed, workers)
 
 
@@ -382,6 +403,7 @@ def estimate_single_tail(
     reps: int,
     seed: SeedSpec,
     workers: int = 1,
+    budget: int = DEFAULT_COST_CEILING,
 ) -> TailEstimate:
     """Estimate P(|sum_k psi_k| / sqrt(n) > threshold) for m-fold products.
 
@@ -392,9 +414,10 @@ def estimate_single_tail(
 
     Deterministic for fixed (seed, reps) at any worker count: draws come
     in fixed-size blocks with one sub-stream each and the counts add up
-    order-free.
+    order-free.  A request that would draw more than ``budget`` values
+    raises BudgetError before any draw.
     """
-    return _single_tail(spec, n, m, TWO_SIDED, threshold, reps, seed, workers)
+    return _single_tail(spec, n, m, TWO_SIDED, threshold, reps, seed, workers, budget)
 
 
 def estimate_lambda(
@@ -406,6 +429,7 @@ def estimate_lambda(
     reps: int,
     seed: SeedSpec,
     workers: int = 1,
+    budget: int = DEFAULT_COST_CEILING,
 ) -> SteinChenReport:
     """Estimate the Poisson intensity lambda at tail parameter z.
 
@@ -419,7 +443,7 @@ def estimate_lambda(
     # b1 and lambda_hat need C(p, m) as a float: checked before the draws
     _b1_factor(p, m)
     threshold = math.sqrt(2.0 * m) * nu
-    tail = estimate_single_tail(spec, n, m, threshold, reps, seed, workers=workers)
+    tail = estimate_single_tail(spec, n, m, threshold, reps, seed, workers=workers, budget=budget)
     lam_hat = math.comb(p, m) * tail.probability
     advisory = []
     # Asymptotic single-tail m!/p**m * exp(-z/2) predicts the hit count.
@@ -449,15 +473,19 @@ def estimate_pair_tail(
     reps: int,
     seed: SeedSpec,
     workers: int = 1,
+    budget: int = DEFAULT_COST_CEILING,
 ) -> TailEstimate:
     """Joint tail of two tuple sums sharing the s leading coordinates.
 
     The shared xi columns induce the dependence; eta and zeta use fresh
     draws.  Thresholds are a_n * sqrt(n * log p) on the unscaled sums.
+    A request that would draw more than ``budget`` values raises
+    BudgetError before any draw.
     """
     n, s, m = pspec.n, pspec.s, pspec.m
     threshold = pspec.a_n * math.sqrt(n * math.log(pspec.p))
     reps = check_int("reps", reps, 1)
+    check_budget([Draws(reps * _draws(pspec.spec, n, s, m - s, 2))], budget, "budget")
     return _count(_pair_kernel, (pspec.spec, n, s, m, threshold), reps, n * (2 * m - s), seed, workers)
 
 
@@ -484,6 +512,7 @@ def moderate_deviation_ratio(
     reps: int,
     seed: SeedSpec,
     workers: int = 1,
+    budget: int = DEFAULT_COST_CEILING,
 ) -> RatioReport:
     """Estimate P(S_n / sqrt(n) >= x) / (1 - Phi(x)) for product summands.
 
@@ -497,7 +526,7 @@ def moderate_deviation_ratio(
     # The tail is subnormal past x ~ 37.5, where one hit overflows the ratio, and 0 past x ~ 38.5.
     if gauss < sys.float_info.min:
         raise ValueError(f"x must be finite with a Gaussian tail above 2.2e-308 (x below about 37.5), got {x}")
-    est = _single_tail(spec, n, m, ONE_SIDED, x, reps, seed, workers)
+    est = _single_tail(spec, n, m, ONE_SIDED, x, reps, seed, workers, budget)
     advisory = []
     if reps * gauss < MIN_EXPECTED_HITS_RATIO:
         advisory.append(
@@ -528,6 +557,7 @@ def stein_chen_report(
     seed: SeedSpec,
     a_n: float | None = None,
     workers: int = 1,
+    budget: int = DEFAULT_COST_CEILING,
 ) -> SteinChenReport:
     """Full diagnostic: lambda, b1 bound and pair tails for every overlap s.
 
@@ -536,13 +566,17 @@ def stein_chen_report(
     coordinate with it, so lambda, b1 and the pair tails are the whole
     story.  Pair tails use ``reps`` replicates at threshold multiplier ``a_n``
     (default: the asymptotically exact sqrt(2m) * nu_p(z) / sqrt(log p),
-    usually unobservable; pass a reduced value to see hits).
+    usually unobservable; pass a reduced value to see hits).  ``budget``
+    bounds the values the whole report draws, checked before any draw.
     """
     # Every argument is checked before the lambda draws: z, p and m here.
     nu = nu_p(z, p, m)
     if a_n is None:
         a_n = math.sqrt(2.0 * m / math.log(p)) * nu
     pspecs = [PairTailSpec(s=s, a_n=a_n, n=n, p=p, m=m, spec=spec) for s in range(1, m)]
-    report = estimate_lambda(z, n, p, m, spec, reps, seed, workers=workers)
-    psi = {ps.s: estimate_pair_tail(ps, reps, seed, workers=workers) for ps in pspecs}
+    reps = check_int("reps", reps, 1)
+    parts = [(0, m, 1)] + [(s, m - s, 2) for s in range(1, m)]
+    check_budget([Draws(reps * _draws(spec, n, *part)) for part in parts], budget, "budget")
+    report = estimate_lambda(z, n, p, m, spec, reps, seed, workers=workers, budget=budget)
+    psi = {ps.s: estimate_pair_tail(ps, reps, seed, workers=workers, budget=budget) for ps in pspecs}
     return replace(report, psi_estimates=psi)

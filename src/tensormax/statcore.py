@@ -165,6 +165,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -315,18 +316,30 @@ def _as_matrix(X) -> np.ndarray:
     return A
 
 
-def check_budget(work, ceiling, name: str = "cost_ceiling") -> None:
-    """Raise BudgetError when ``work`` needs more than ``ceiling`` multiply-adds, or at least 2**63 - 1.
+class Draws(NamedTuple):
+    """A budget item: a Monte Carlo request that draws ``values`` scalars."""
 
-    ``work`` holds (p, m, n, count) items: ``count`` enumerations of (p, m, n) each.
+    values: int
+
+
+def check_budget(work, ceiling, name: str = "cost_ceiling") -> None:
+    """Raise BudgetError when ``work`` needs more than ``ceiling`` units, or at least 2**63 - 1.
+
+    ``work`` holds items of one kind: (p, m, n, count), ``count``
+    enumerations of (p, m, n) each, a unit per multiply-add; or
+    ``Draws(values)``, a unit per value a Monte Carlo request draws.
     """
     check_real(name, ceiling, 0.0)
-    total = sum(count * enumeration_cost(p, m, n).multiply_adds for p, m, n, count in work)
+    if all(isinstance(item, Draws) for item in work):
+        what, unit = "Monte Carlo sampling", "drawn values"
+        total = sum(item.values for item in work)
+    else:
+        what, unit = "enumeration", "multiply-adds"
+        total = sum(count * enumeration_cost(p, m, n).multiply_adds for p, m, n, count in work)
     if total >= _SATURATION:
-        raise BudgetError(f"enumeration needs an estimated more than 9.2e18 multiply-adds, which no {name} allows")
+        raise BudgetError(f"{what} needs an estimated more than 9.2e18 {unit}, which no {name} allows")
     if total > ceiling:
-        raise BudgetError(f"enumeration needs an estimated {total:,} multiply-adds, above the {name} of "
-                          f"{ceiling:,}")
+        raise BudgetError(f"{what} needs an estimated {total:,} {unit}, above the {name} of {ceiling:,}")
 
 
 def _gamma(k: int, u: float = _UNIT_ROUNDOFF) -> float:

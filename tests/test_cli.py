@@ -231,6 +231,20 @@ class TestDiagnose:
         assert code == 2 and "overflows" in err
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("n,words", [("10000000000000", "an estimated 20,000,000,000,000 drawn values, above "
+                                                        "the budget of 10,000,000,000"),
+                                         ("100000000000000000000", "an estimated more than 9.2e18 drawn values, "
+                                                                   "which no budget allows")])
+    def test_draws_above_the_budget_exit_3(self, capsys, n, words):
+        # numpy's MemoryError traceback (exit 1) at n = 1e13, before the budget
+        code, out, err = run_cli(capsys, "diagnose", "--what", "mdr", "--x", "1", "--n", n, "--m", "2",
+                                 "--population", "centered_exponential", "--reps", "1")
+        assert (code, out) == (3, "")
+        assert err.splitlines()[1:] == [
+            f"tensormax: budget error: Monte Carlo sampling needs {words}; "
+            "pass fewer --reps or a smaller --n or --m, as no flag raises this limit"
+        ]
+
     def test_lambda_smoke(self, capsys):
         code, out, err = run_cli(
             capsys, "diagnose", "--what", "lambda", "--z", "0", "--n", "50",

@@ -256,6 +256,38 @@ class TestPieces:
         assert np.array_equal(scaled, 0.4 * np.random.Generator(bit_generator(17)).standard_gamma(2.5, 369))
 
 
+class CountingGenerator:
+    """Passes every call on to a generator and counts the values its draws return."""
+
+    def __init__(self, rng):
+        self.rng, self.values = rng, 0
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self.values += np.size(out)
+            return out
+
+        return counted
+
+
+@pytest.mark.parametrize("piece", [4, diagnostics._PIECE])
+@pytest.mark.parametrize("case", [(0, 2, 1), (0, 3, 1), (1, 1, 2), (1, 2, 2), (2, 1, 2)], ids=lambda c: "-".join(map(str, c)))
+@pytest.mark.parametrize(
+    "spec", [NORMAL, PopulationSpec(STUDENT_T_STANDARDIZED, df=5), PopulationSpec(RADEMACHER), *FLOAT_PATH_SPECS],
+    ids=lambda s: s.family,
+)
+def test_the_budget_counts_every_drawn_value(spec, case, piece, monkeypatch):
+    # the diagnose budget holds a request to _draws, so it must count what the kernels draw
+    monkeypatch.setattr(diagnostics, "_PIECE", piece)
+    count, n = 30, 11
+    rng = CountingGenerator(diagnostics._block_generator(SEED, 0))
+    diagnostics._product_sums(spec, rng, (count, n), *case)
+    assert rng.values == count * diagnostics._draws(spec, n, *case)
+
+
 class TestManyBlocks:
     """With small blocks each estimate is the sum of its kernel over sub-streams (seed, i)."""
 
@@ -672,9 +704,9 @@ class TestSteinChenReport:
         seen = []
         real = diagnostics.estimate_pair_tail
 
-        def spy(pspec, reps, seed, workers=1):
+        def spy(pspec, reps, seed, **options):
             seen.append(pspec)
-            return real(pspec, reps, seed, workers=workers)
+            return real(pspec, reps, seed, **options)
 
         monkeypatch.setattr(diagnostics, "estimate_pair_tail", spy)
         z, n, p, m = 0.5, 30, 8, 3

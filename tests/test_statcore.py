@@ -201,6 +201,14 @@ class TestValidationAndBudget:
             max_entry(X, 6, cost_ceiling=cost - 1)
         assert max_entry(X, 6, cost_ceiling=cost).w_abs == pytest.approx(2.0 / math.sqrt(2.0))
 
+    def test_drawn_values_are_a_budget_item_kind(self):
+        statcore.check_budget([statcore.Draws(6), statcore.Draws(4)], 10, "budget")
+        with pytest.raises(BudgetError, match=r"^Monte Carlo sampling needs an estimated 11 drawn values, "
+                                              r"above the budget of 10$"):
+            statcore.check_budget([statcore.Draws(6), statcore.Draws(5)], 10, "budget")
+        with pytest.raises(BudgetError, match="more than 9.2e18 drawn values"):
+            statcore.check_budget([statcore.Draws(2**63)], 1e30, "budget")
+
     def test_oracle_scale_guard(self):
         X = np.ones((200, 40))
         with pytest.raises(BudgetError, match="oracle"):

@@ -51,12 +51,12 @@ def _experiment(n=10, p=21, m=2, reps=2, master_seed=1, workers=1, z_grid=lab.DE
     return tm.run_experiment(config, workers=workers, budget=budget)
 
 
-def _report(n=10, p=10, m=3, reps=10, a_n=0.5):
-    return tm.stein_chen_report(0.0, n, p, m, NORMAL, reps, SEED, a_n=a_n)
+def _report(n=10, p=10, m=3, reps=10, a_n=0.5, budget=statcore.DEFAULT_COST_CEILING):
+    return tm.stein_chen_report(0.0, n, p, m, NORMAL, reps, SEED, a_n=a_n, budget=budget)
 
 
-def _pair_tail(s=1, n=10, p=5, m=2, reps=10, a_n=1.0):
-    return tm.estimate_pair_tail(tm.PairTailSpec(s=s, a_n=a_n, n=n, p=p, m=m, spec=NORMAL), reps, SEED)
+def _pair_tail(s=1, n=10, p=5, m=2, reps=10, a_n=1.0, budget=statcore.DEFAULT_COST_CEILING):
+    return tm.estimate_pair_tail(tm.PairTailSpec(s=s, a_n=a_n, n=n, p=p, m=m, spec=NORMAL), reps, SEED, budget=budget)
 
 
 # entry point: (call whose defaults are valid, {integer argument: values out of its range})
@@ -174,19 +174,22 @@ REAL_TABLE = {
     "center": (lambda w=1.0: tm.normalize(np.array([w]), 10, 2), {"w": (BELOW_0, -INF, INF, SQUARE_OVERFLOWS)}),
     "normal_upper_tail": (lambda x=1.0: tm.normal_upper_tail(x), {"x": ()}),
     "moderate_deviation_ratio": (
-        lambda x=1.0: tm.moderate_deviation_ratio(NORMAL, 2, 10, x, 10, SEED),
+        lambda x=1.0, budget=CEILING: tm.moderate_deviation_ratio(NORMAL, 2, 10, x, 10, SEED, budget=budget),
         # 1 - Phi(x) is subnormal past x ~ 37.5, where one hit overflows the ratio
-        {"x": (BELOW_0, -INF, INF, 38.0)},
+        {"x": (BELOW_0, -INF, INF, 38.0), "budget": (BELOW_0, INF)},
     ),
     "estimate_single_tail": (
-        lambda threshold=1.0: tm.estimate_single_tail(NORMAL, 10, 2, threshold, 10, SEED),
-        {"threshold": ()},
+        lambda threshold=1.0, budget=CEILING: tm.estimate_single_tail(NORMAL, 10, 2, threshold, 10, SEED,
+                                                                      budget=budget),
+        {"threshold": (), "budget": (BELOW_0, INF)},
     ),
-    "estimate_lambda": (lambda z=0.0: tm.estimate_lambda(z, 10, 10, 2, NORMAL, 10, SEED), {"z": (-INF, INF)}),
+    "estimate_lambda": (lambda z=0.0, budget=CEILING: tm.estimate_lambda(z, 10, 10, 2, NORMAL, 10, SEED, budget=budget),
+                        {"z": (-INF, INF), "budget": (BELOW_0, INF)}),
     "PairTailSpec": (_pair_tail, {"a_n": (0.0, -INF, INF, SQUARE_OVERFLOWS)}),
+    "estimate_pair_tail": (_pair_tail, {"budget": (BELOW_0, INF)}),
     "stein_chen_report": (
-        lambda z=0.0: tm.stein_chen_report(z, 10, 10, 3, NORMAL, 10, SEED, a_n=0.5),
-        {"z": (-INF, INF)},
+        lambda z=0.0, budget=CEILING: tm.stein_chen_report(z, 10, 10, 3, NORMAL, 10, SEED, a_n=0.5, budget=budget),
+        {"z": (-INF, INF), "budget": (BELOW_0, INF)},
     ),
     "b1_bound": (
         lambda single_tail=0.5: tm.b1_bound(10, 2, single_tail),
@@ -241,6 +244,33 @@ def test_the_limit_law_takes_both_infinities_and_numpy_reals(call):
     assert (call(-INF), call(INF)) in ((0.0, 1.0), (1.0, 0.0))
     assert call(np.float32(2.5)) == call(np.float64(2.5)) == call(2.5)
     assert call(np.int64(2)) == call(2) == call(2.0)
+
+
+EXPONENTIAL = tm.PopulationSpec("centered_exponential")
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: tm.estimate_single_tail(NORMAL, 10**13, 3, 1.0, 1, SEED), id="estimate_single_tail"),
+    pytest.param(lambda: tm.moderate_deviation_ratio(EXPONENTIAL, 2, 10**13, 1.0, 1, SEED),
+                 id="moderate_deviation_ratio"),
+    pytest.param(lambda: tm.moderate_deviation_ratio(EXPONENTIAL, 2, 10**20, 1.0, 1, SEED),
+                 id="moderate_deviation_ratio-past-9.2e18"),
+    pytest.param(lambda: tm.estimate_lambda(0.0, 10**13, 10, 3, NORMAL, 1, SEED), id="estimate_lambda"),
+    # a normal pair at m = 2 draws one chi2 and two normals per replicate, whatever n is
+    pytest.param(lambda: _pair_tail(reps=4 * 10**9), id="estimate_pair_tail"),
+    pytest.param(lambda: _report(n=10**13), id="stein_chen_report"),
+    # the lambda draws (210 values) fit, the whole report (750) does not: nothing is drawn
+    pytest.param(lambda: _report(budget=749), id="stein_chen_report-whole"),
+    pytest.param(lambda: tm.estimate_single_tail(NORMAL, 10, 2, 1.0, 10, SEED, budget=0), id="budget=0"),
+])
+def test_a_request_above_its_budget_draws_nothing(call):
+    with pytest.raises(tm.BudgetError, match="drawn values"):
+        call()
+
+
+def test_a_report_at_its_budget_reaches_the_draws():
+    with pytest.raises(Worked):
+        _report(budget=750)
 
 
 def _two_rows(values):
