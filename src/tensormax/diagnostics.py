@@ -59,17 +59,25 @@ built by ``_block_generator``: SFC64 draws normals and gammas about
 1.45 times as fast as the Philox generator of the data streams
 (``populations.make_generator``).
 
-A block of count replicates holds one (count, n) float64 array per live
-product: the running product (for the normal and t families, of
-squares), and in a pair block also xi (or its squares).  A product's
-first factor is drawn at full size as that array; every later factor is
-drawn in flat pieces of at most ``_PIECE`` values through one reused
-buffer and folded in place (``_fold``), in the draw order of whole
-factors, so the sums keep their bits.  One replicate of n m-fold
-products thus holds about 8.25 bytes per unit of n.  A Rademacher sum
-is one binomial draw and never uses pieces: int8 ``integers`` drops its
-leftover random bytes after each call, so int8 draws in pieces would
-not be the values of one whole draw.
+A float block (exponential and uniform factors, every Student t sum,
+and a normal sum unless it is one chi2 draw) is drawn piece by piece
+(``_fold``).  The flattened (count, n) block is cut into pieces of at
+most ``_PIECE`` values: whole rows when n <= ``_PIECE``, otherwise
+consecutive chunks of one row.  For each piece, every factor of the
+product is drawn in turn into a reused piece buffer and folded in
+place, the shared factors first, then each copy's fresh ones (for the
+normal and t families, the normals, then the scaled gammas), and the
+piece's row sums go into the block's (count,) sums; the normals of
+sqrt(V) * Z are drawn after the pieces.  So a block holds its sums and
+at most three piece buffers (768 KB), whatever count and n are: memory
+is O(piece) per block, not O(count * n).  The piece size is part of the
+stream layout, as ``_BLOCK_SCALARS`` is: another piece size draws the
+same laws with other bits.  A Rademacher sum is one binomial draw and
+never uses pieces.
+
+Every request is held to a budget of drawn values before any draw
+(``_draws``, ``statcore.check_budget``), 1e10 by default, the ceiling of
+``test`` and ``simulate``.
 """
 
 from __future__ import annotations
@@ -96,7 +104,7 @@ from .statcore import DEFAULT_COST_CEILING, Draws, check_budget, comb_capped
 
 # Nominal scalars per replicate block (see ``_count``).
 _BLOCK_SCALARS = 2**24
-# Values per piece of a factor folded into a block's product (see ``_fold``): 256 KB.
+# Values per piece of a block, drawn and folded piece by piece (see ``_fold``): 256 KB.
 _PIECE = 2**15
 
 _NORMAL = PopulationSpec(STANDARD_NORMAL)
@@ -227,63 +235,87 @@ def b1_bound(p: int, m: int, single_tail: float) -> float:
     return _b1_factor(p, m) * single_tail * single_tail
 
 
-def _fold(shape, factors, out: np.ndarray | None = None) -> np.ndarray | None:
-    """out op_1 f_1 op_2 f_2 ... over fresh factors, in draw order; ``out`` is not modified.
+def _pieces(count: int, n: int):
+    """(first row, rows, width) of each piece of a (count, n) block, in draw order.
 
-    ``factors`` lists (fill, op) pairs, op np.multiply or np.divide:
-    fill(shape, buf) returns the factor's next draws in an array of
-    that shape, written into the float64 array ``buf`` if given.  The
-    first factor is drawn at full size and becomes the accumulator,
-    op_1 applied to ``out`` if given (f_1 itself if not).  Every later
-    factor is drawn in flat pieces of at most ``_PIECE`` values into one
-    reused buffer, each folded into its slice of the flattened
-    accumulator in place.  The pieces take the generator's values in the
-    order of one whole-array draw, so the result has the bits of folding
-    whole factors, and a block holds one (count, n) array per live
-    product.  None if there is no factor and no ``out``.
+    A piece holds at most ``_PIECE`` values: as many whole rows as fit,
+    or, for a row longer than that, consecutive chunks of the row.
     """
-    if not factors:
-        return out
-    (fill, op), *later = factors
-    acc = fill(shape)
-    if out is not None:
-        op(out, acc, out=acc)
-    flat = acc.reshape(-1)
-    buf = np.empty(min(_PIECE, flat.size))
-    for fill, op in later:
-        for start in range(0, flat.size, _PIECE):
-            piece = flat[start : start + _PIECE]
-            op(piece, fill(piece.shape, buf[: piece.size]), out=piece)
-    return acc
+    rows = max(1, _PIECE // n)
+    for row in range(0, count, rows):
+        for start in range(0, n, _PIECE):
+            yield row, min(rows, count - row), min(_PIECE, n - start)
 
 
-def _squares(
-    spec: PopulationSpec, rng: np.random.Generator, shape, normals: int, gammas: int, out: np.ndarray | None = None
-) -> np.ndarray | None:
-    """out * (Z_1 * ... * Z_normals)**2 * k/G_1 * ... * k/G_gammas over fresh draws; ``out`` is not modified.
+def _fold(shape, shared: list, fresh: list, copies: int) -> list[np.ndarray]:
+    """Row sums of xi * eta_c for c < copies over a (count, n) block, drawn piece by piece.
+
+    ``shared`` and ``fresh`` list the factors of xi and of each eta_c as
+    (fill, op) pairs, op np.multiply or np.divide: fill(buf) writes the
+    factor's next draws into the float64 array ``buf`` and returns it.
+    For each piece in turn (``_pieces``), xi's factors are drawn, then
+    each copy's.  A product's first factor is drawn into the product's
+    piece buffer, op_1 applied to xi if xi has factors (f_1 itself if
+    not), and every later factor is drawn into one reused buffer and
+    folded in place.  A copy with no factor of its own sums xi.  The
+    piece's row sums then go into the copy's sums.  So a block holds its
+    (count,) sums and at most three piece buffers (768 KB), whatever
+    count and n are, and the piece size is part of the stream layout, as
+    ``_BLOCK_SCALARS`` is.
+    """
+    count, n = shape
+    sums = [np.zeros(count) for _ in range(copies)]
+    piece = (min(count, max(1, _PIECE // n)), min(n, _PIECE))
+    scratch, acc, xi_buf = np.empty(piece), np.empty(piece), np.empty(piece) if shared else None
+
+    def product(factors, buf, scratch, out):
+        if not factors:
+            return out
+        (fill, op), *later = factors
+        fill(buf)
+        if out is not None:
+            op(out, buf, out=buf)
+        for fill, op in later:
+            op(buf, fill(scratch), out=buf)
+        return buf
+
+    for row, rows, width in _pieces(count, n):
+        part = np.s_[:rows, :width]
+        xi = product(shared, xi_buf[part], scratch[part], None) if shared else None
+        for total in sums:
+            eta = product(fresh, acc[part], scratch[part], xi)
+            if width == n:  # whole rows: each row sum is written once
+                eta.sum(axis=1, out=total[row : row + rows])
+            else:
+                total[row] += eta.sum()
+    return sums
+
+
+def _squares(spec: PopulationSpec, rng: np.random.Generator, normals: int, gammas: int) -> list:
+    """(fill, op) factors of (Z_1 * ... * Z_normals)**2 * k/G_1 * ... * k/G_gammas, for ``_fold``.
 
     Each Z is drawn by ``draw``, as the float path's factors are.  G/k
     is drawn as Gamma(df/2, scale 1/k), with k = (df-2)/2: k enters
     factor by factor, and k**gammas, which overflows at a huge df, is
     never formed.  The normals come first, so a product that starts
-    from no ``out`` starts from Z_1**2.
+    from no xi starts from Z_1**2.
     """
 
-    def square(size, buf=None):
-        z = draw(_NORMAL, rng, size, out=buf)
+    def square(buf):
+        z = draw(_NORMAL, rng, buf.shape, out=buf)
         return np.square(z, out=z)
 
-    def gamma(size, buf=None):
+    def gamma(buf):
         # numpy's gamma(a, scale) is scale * standard_gamma(a), value by value
-        g = rng.standard_gamma(spec.df / 2.0, size, out=buf)
+        g = rng.standard_gamma(spec.df / 2.0, buf.shape, out=buf)
         return np.multiply(g, 2.0 / (spec.df - 2.0), out=g)
 
-    return _fold(shape, [(square, np.multiply)] * normals + [(gamma, np.divide)] * gammas, out)
+    return [(square, np.multiply)] * normals + [(gamma, np.divide)] * gammas
 
 
-def _product(spec: PopulationSpec, rng: np.random.Generator, shape, k: int) -> np.ndarray | None:
-    """Product of k fresh float64 factors, None for k = 0."""
-    return _fold(shape, [(lambda size, buf=None: draw(spec, rng, size, out=buf), np.multiply)] * k)
+def _product(spec: PopulationSpec, rng: np.random.Generator, k: int) -> list:
+    """(fill, op) factors of a product of k float64 draws from ``spec``, for ``_fold``."""
+    return [(lambda buf: draw(spec, rng, buf.shape, out=buf), np.multiply)] * k
 
 
 def _product_sums(
@@ -310,20 +342,11 @@ def _product_sums(
             chi2 = [rng.chisquare(n, count) for _ in range(1 if shared else copies)]
             variances = chi2 * (copies if shared else 1)
         else:
-            weight = _squares(spec, rng, shape, shared, gammas * shared)
-            variances = [
-                _squares(spec, rng, shape, fresh - 1, gammas * fresh, weight).sum(axis=1) for _ in range(copies)
-            ]
+            xi = _squares(spec, rng, shared, gammas * shared)
+            variances = _fold(shape, xi, _squares(spec, rng, fresh - 1, gammas * fresh), copies)
+        # the last factor's normals, integrated out: one normal per sum, drawn after the pieces
         return [np.sqrt(v) * rng.standard_normal(count) for v in variances]
-    xi = _product(spec, rng, shape, shared)
-    sums = []
-    for _ in range(copies):
-        eta = _product(spec, rng, shape, fresh)
-        if xi is not None:
-            eta *= xi
-        sums.append(eta.sum(axis=1))
-        del eta
-    return sums
+    return _fold(shape, _product(spec, rng, shared), _product(spec, rng, fresh), copies)
 
 
 def _draws(spec: PopulationSpec, n: int, shared: int, fresh: int, copies: int) -> int:
@@ -365,8 +388,8 @@ def _count(kernel, params: tuple, reps: int, scalars_per_rep: int, seed: SeedSpe
 
     The layout depends only on (reps, scalars_per_rep) and block i draws
     from sub-stream (seed, i), so the count is the same at any worker count.
-    A running block holds one (count, n) array per live product, later
-    factors folded in through a fixed piece buffer (module docstring).
+    A running block holds its (count,) sums and at most three piece
+    buffers, its factors drawn and folded piece by piece (module docstring).
     """
     block = max(1, min(reps, _BLOCK_SCALARS // max(1, scalars_per_rep)))
     sizes = [block] * (reps // block) + ([reps % block] if reps % block else [])

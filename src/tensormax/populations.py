@@ -185,6 +185,10 @@ def draw(spec: PopulationSpec, rng: np.random.Generator, shape, out: np.ndarray 
     if spec.family == CENTERED_EXPONENTIAL:
         x = rng.standard_exponential(shape, out=out)
         return np.subtract(x, 1.0, out=x)
+    if spec.family == UNIFORM_SCALED:
+        # uniform(-a, a) is -a + 2a * random(), value by value: the same bits, in place
+        u = rng.random(shape, out=out)
+        return np.subtract(np.multiply(u, 2.0 * _SQRT3, out=u), _SQRT3, out=u)
     if out is not None:
         # no in-place draw for these families: a temporary of out's size
         np.copyto(out, draw(spec, rng, shape))
@@ -194,8 +198,6 @@ def draw(spec: PopulationSpec, rng: np.random.Generator, shape, out: np.ndarray 
         # int64 path and convert exactly to +/-1.0
         bits = rng.integers(0, 2, size=shape, dtype=np.int8)
         return bits.astype(np.float64) * 2.0 - 1.0
-    if spec.family == UNIFORM_SCALED:
-        return rng.uniform(-_SQRT3, _SQRT3, size=shape)
     if spec.family == STUDENT_T_STANDARDIZED:
         scale = math.sqrt(spec.df / (spec.df - 2.0))
         return rng.standard_t(spec.df, size=shape) / scale

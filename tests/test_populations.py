@@ -92,6 +92,17 @@ class TestSampling:
         X = sample_matrix(PopulationSpec(RADEMACHER), 2, 3, SEED)
         assert set(np.unique(X)) <= {-1.0, 1.0}
 
+    @pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.SFC64])
+    def test_uniform_is_numpys_uniform_filled_in_place(self, bit_generator):
+        # -a + 2a * random() is numpy's uniform(-a, a) value by value, so
+        # draw fills an out array in place with the same bits
+        spec, shape, a = PopulationSpec(UNIFORM_SCALED), (50, 41), math.sqrt(3.0)
+        want = np.random.Generator(bit_generator(3)).uniform(-a, a, shape)
+        out = np.empty(shape)
+        assert draw(spec, np.random.Generator(bit_generator(3)), shape, out=out) is out
+        assert out.tobytes() == want.tobytes()
+        assert draw(spec, np.random.Generator(bit_generator(3)), shape).tobytes() == want.tobytes()
+
     def test_uniform_support(self):
         X = sample_values(PopulationSpec(UNIFORM_SCALED), 10_000, SEED)
         s3 = math.sqrt(3.0)
