@@ -268,7 +268,7 @@ def _fold(shape, shared: list, fresh: list, copies: int) -> list[np.ndarray]:
     piece = (min(count, max(1, _PIECE // n)), min(n, _PIECE))
     scratch, acc, xi_buf = np.empty(piece), np.empty(piece), np.empty(piece) if shared else None
 
-    def product(factors, buf, scratch, out):
+    def product(factors, buf, spare, out):
         if not factors:
             return out
         (fill, op), *later = factors
@@ -276,7 +276,7 @@ def _fold(shape, shared: list, fresh: list, copies: int) -> list[np.ndarray]:
         if out is not None:
             op(out, buf, out=buf)
         for fill, op in later:
-            op(buf, fill(scratch), out=buf)
+            op(buf, fill(spare), out=buf)
         return buf
 
     for row, rows, width in _pieces(count, n):
