@@ -426,30 +426,46 @@ class TestGaussianReduction:
 
 
 # sha256 prefixes of the concatenated sum bytes at shape (40, 7) on SEED,
-# for the normal family and t(5): a reordered, missing or extra draw
-# changes them.
+# for the normal family and t(5), at the default piece (None) and at
+# pieces of 5 values, which cut each row into chunks of 5 and 2: a
+# reordered, missing or extra draw changes them.  A normal sum at m = 2
+# is one chi2 draw, which no piece cuts.
 MIXTURE_DIGESTS = {
-    (STANDARD_NORMAL, (0, 2, 1)): "9666f3525ac8fe8d",
-    (STANDARD_NORMAL, (0, 3, 1)): "031cd779ff9cd5e4",
-    (STANDARD_NORMAL, (1, 1, 2)): "2bb10026a05b8f87",
-    (STANDARD_NORMAL, (1, 2, 2)): "758a65d19cbe80b9",
-    (STANDARD_NORMAL, (2, 1, 2)): "00928f70da1b2cb0",
-    (STUDENT_T_STANDARDIZED, (0, 2, 1)): "838075af76d6b7cd",
-    (STUDENT_T_STANDARDIZED, (0, 3, 1)): "7f4bbaab8eed9539",
-    (STUDENT_T_STANDARDIZED, (1, 1, 2)): "6c0a59386392fc38",
-    (STUDENT_T_STANDARDIZED, (1, 2, 2)): "8a872bfc38b94ab0",
-    (STUDENT_T_STANDARDIZED, (2, 1, 2)): "1459c1770d9b562f",
+    (STANDARD_NORMAL, (0, 2, 1), None): "9666f3525ac8fe8d",
+    (STANDARD_NORMAL, (0, 3, 1), None): "031cd779ff9cd5e4",
+    (STANDARD_NORMAL, (1, 1, 2), None): "2bb10026a05b8f87",
+    (STANDARD_NORMAL, (1, 2, 2), None): "758a65d19cbe80b9",
+    (STANDARD_NORMAL, (2, 1, 2), None): "00928f70da1b2cb0",
+    (STUDENT_T_STANDARDIZED, (0, 2, 1), None): "838075af76d6b7cd",
+    (STUDENT_T_STANDARDIZED, (0, 3, 1), None): "7f4bbaab8eed9539",
+    (STUDENT_T_STANDARDIZED, (1, 1, 2), None): "6c0a59386392fc38",
+    (STUDENT_T_STANDARDIZED, (1, 2, 2), None): "8a872bfc38b94ab0",
+    (STUDENT_T_STANDARDIZED, (2, 1, 2), None): "1459c1770d9b562f",
+    (STANDARD_NORMAL, (0, 3, 1), 5): "0c6c272c37c7492d",
+    (STANDARD_NORMAL, (1, 2, 2), 5): "b362a20a18701d0d",
+    (STANDARD_NORMAL, (2, 1, 2), 5): "596d28d831bb8fd8",
+    (STUDENT_T_STANDARDIZED, (0, 2, 1), 5): "eec7de9f9ef316a2",
+    (STUDENT_T_STANDARDIZED, (0, 3, 1), 5): "2dcb8bb0c801a514",
+    (STUDENT_T_STANDARDIZED, (1, 1, 2), 5): "dd1fd839f391542a",
+    (STUDENT_T_STANDARDIZED, (1, 2, 2), 5): "bf514a403b60c243",
+    (STUDENT_T_STANDARDIZED, (2, 1, 2), 5): "54aacb9bc8adbd2f",
 }
 
 
-@pytest.mark.parametrize("family,case", list(MIXTURE_DIGESTS), ids=["-".join(map(str, (f, *c))) for f, c in MIXTURE_DIGESTS])
-def test_scale_mixture_streams_are_pinned(family, case):
+@pytest.mark.parametrize(
+    "family,case,piece",
+    list(MIXTURE_DIGESTS),
+    ids=["-".join(map(str, (f, *c))) + (f"-piece{p}" if p else "") for f, c, p in MIXTURE_DIGESTS],
+)
+def test_scale_mixture_streams_are_pinned(family, case, piece, monkeypatch):
     # n = 7 keeps each row sum a plain loop, so the bytes do not depend
     # on numpy's pairwise blocking.
+    if piece:
+        monkeypatch.setattr(diagnostics, "_PIECE", piece)
     spec = PopulationSpec(family, df=5 if family == STUDENT_T_STANDARDIZED else None)
     sums = diagnostics._product_sums(spec, make_generator(SEED), (40, 7), *case)
     digest = hashlib.sha256(b"".join(s.tobytes() for s in sums)).hexdigest()
-    assert digest[:16] == MIXTURE_DIGESTS[family, case]
+    assert digest[:16] == MIXTURE_DIGESTS[family, case, piece]
 
 
 # sha256 prefixes of the first 8 raw outputs of blocks 0 and 1 on SEED:
