@@ -48,15 +48,23 @@ p**(-2m) and unobservable by sampling, so the pair tail estimator
 takes an arbitrary user threshold and the analytic decay rates are
 reported alongside instead of being "verified".
 
-Every estimator counts through one driver, ``_count``: replicates are
-cut into blocks of about ``_BLOCK_SCALARS`` nominal scalars, a layout
-that depends only on (reps, n, factors per replicate), block i draws
-from its own sub-stream (seed, i), and the blocks' hit counts are
-merged by integer addition.  So every estimate is deterministic for a
-given (seed, reps) at any worker count.  A block's sub-stream is an
-SFC64 generator keyed by SeedSequence((master_seed, stream_id, i)),
-built by ``_block_generator``: SFC64 draws normals and gammas about
-1.45 times as fast as the Philox generator of the data streams
+Every estimator counts through one driver, ``_count``, and hands it
+one sum layout and one hit test.  The layout is (shared factors, fresh
+factors per copy, copies): (0, m, 1) for a single tail, (s, m - s, 2)
+for a pair tail.  The hit test maps a block's unscaled sums to the
+replicates that cross the threshold.  The driver checks n (at most
+2**63 - 1, numpy's binomial takes an int64) and reps, holds the
+request to its budget of drawn values before any draw (``_draws``,
+``statcore.check_budget``; 1e10 by default, the ceiling of ``test``
+and ``simulate``), and cuts the replicates into blocks of about
+``_BLOCK_SCALARS`` nominal scalars, n * (shared + copies * fresh) per
+replicate.  Block i draws from its own sub-stream (seed, i), and the
+blocks' hit counts are merged by integer addition.  So every estimate
+is deterministic for a given (seed, reps) at any worker count.  A
+block's sub-stream is an SFC64 generator keyed by
+SeedSequence((master_seed, stream_id, i)), built by
+``_block_generator``: SFC64 draws normals and gammas about 1.45 times
+as fast as the Philox generator of the data streams
 (``populations.make_generator``).
 
 A float block (exponential and uniform factors, every Student t sum,
@@ -74,10 +82,6 @@ is O(piece) per block, not O(count * n).  The piece size is part of the
 stream layout, as ``_BLOCK_SCALARS`` is: another piece size draws the
 same laws with other bits.  A Rademacher sum is one binomial draw and
 never uses pieces.
-
-Every request is held to a budget of drawn values before any draw
-(``_draws``, ``statcore.check_budget``), 1e10 by default, the ceiling of
-``test`` and ``simulate``.
 """
 
 from __future__ import annotations
@@ -89,7 +93,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .asymptotics import ONE_SIDED, TWO_SIDED, check_int, check_real, lambda_limit, nu_p
+from .asymptotics import check_int, check_real, lambda_limit, nu_p
 from .populations import (
     RADEMACHER,
     STANDARD_NORMAL,
@@ -106,6 +110,8 @@ from .statcore import DEFAULT_COST_CEILING, Draws, check_budget, comb_capped
 _BLOCK_SCALARS = 2**24
 # Values per piece of a block, drawn and folded piece by piece (see ``_fold``): 256 KB.
 _PIECE = 2**15
+# Largest n: numpy's binomial takes an int64 number of trials.
+_MAX_N = 2**63 - 1
 
 _NORMAL = PopulationSpec(STANDARD_NORMAL)
 
@@ -175,7 +181,8 @@ class PairTailSpec:
         check_int("s", self.s, 1, m - 1)
         # the analytic decay reads a_n**2, which overflows past about 1.34e154
         check_real("a_n", self.a_n, 0.0, math.sqrt(sys.float_info.max), ends="(]")
-        check_int("n", self.n, 1)
+        # the threshold reads n * log(p) before the driver's checks
+        check_int("n", self.n, 1, _MAX_N)
         check_int("p", self.p, 3)
 
 
@@ -361,61 +368,35 @@ def _draws(spec: PopulationSpec, n: int, shared: int, fresh: int, copies: int) -
     return n * (shared + copies * fresh)
 
 
-def _tail_kernel(rng, count: int, spec: PopulationSpec, n: int, m: int, sided: str, threshold: float) -> int:
-    """Hits |S|/sqrt(n) > t (two-sided) or S/sqrt(n) >= x (one-sided) among ``count`` sums."""
-    (sums,) = _product_sums(spec, rng, (count, n), 0, m, 1)
-    scaled = sums / math.sqrt(n)
-    if sided == TWO_SIDED:
-        # IEEE division is sign-symmetric: this counts |S|/sqrt(n) > t exactly.
-        return int(np.count_nonzero(np.abs(scaled) > threshold))
-    return int(np.count_nonzero(scaled >= threshold))
-
-
-def _pair_kernel(rng, count: int, spec: PopulationSpec, n: int, s: int, m: int, threshold: float) -> int:
-    """Hits |S1| >= t and |S2| >= t among ``count`` unscaled pair sums sharing s factors."""
-    s1, s2 = _product_sums(spec, rng, (count, n), s, m - s, 2)
-    return int(np.count_nonzero((np.abs(s1) >= threshold) & (np.abs(s2) >= threshold)))
-
-
 def _block_generator(seed: SeedSpec, block: int) -> np.random.Generator:
     """SFC64 generator of sub-stream (seed, block), keyed by SeedSequence((master_seed, stream_id, block))."""
     ss = np.random.SeedSequence((int(seed.master_seed), int(seed.stream_id), int(block)))
     return np.random.Generator(np.random.SFC64(ss))
 
 
-def _count(kernel, params: tuple, reps: int, scalars_per_rep: int, seed: SeedSpec, workers: int) -> TailEstimate:
-    """Sum ``kernel(rng, count, *params)`` over the blocks of ``reps`` >= 1 replicates.
+def _count(spec: PopulationSpec, n: int, shared: int, fresh: int, copies: int, hit, reps: int, seed: SeedSpec,
+           workers: int, budget: int) -> TailEstimate:
+    """Replicates among ``reps`` whose ``_product_sums`` of this layout pass ``hit``.
 
-    The layout depends only on (reps, scalars_per_rep) and block i draws
-    from sub-stream (seed, i), so the count is the same at any worker count.
-    A running block holds its (count,) sums and at most three piece
-    buffers, its factors drawn and folded piece by piece (module docstring).
+    ``hit(*sums)`` maps a block's unscaled (count,) sums to a boolean
+    array.  The request is held to ``budget`` drawn values before any
+    draw.  Replicates are cut into blocks of about ``_BLOCK_SCALARS``
+    nominal scalars, n * (shared + copies * fresh) per replicate, and
+    block i draws from sub-stream (seed, i), so the count is the same at
+    any worker count.
     """
-    block = max(1, min(reps, _BLOCK_SCALARS // max(1, scalars_per_rep)))
+    n, reps = check_int("n", n, 1), check_int("reps", reps, 1)
+    check_budget([Draws(reps * _draws(spec, n, shared, fresh, copies))], budget, "budget")
+    # A float sum past this n is over any budget; a binomial or chi2 sum draws O(1) values at any n.
+    check_int("n", n, 1, _MAX_N)
+    block = max(1, min(reps, _BLOCK_SCALARS // (n * (shared + copies * fresh))))
     sizes = [block] * (reps // block) + ([reps % block] if reps % block else [])
 
     def run_block(i: int) -> int:
-        return kernel(_block_generator(seed, i), sizes[i], *params)
+        sums = _product_sums(spec, _block_generator(seed, i), (sizes[i], n), shared, fresh, copies)
+        return int(np.count_nonzero(hit(*sums)))
 
     return TailEstimate.from_counts(sum(parallel_map(run_block, range(len(sizes)), workers)), reps)
-
-
-def _single_tail(
-    spec: PopulationSpec,
-    n: int,
-    m: int,
-    sided: str,
-    threshold: float,
-    reps: int,
-    seed: SeedSpec,
-    workers: int,
-    budget: int,
-) -> TailEstimate:
-    """The single-tail kernel's count over reps n-term sums of m-fold products, within ``budget`` drawn values."""
-    m, n, reps = check_int("m", m, 2), check_int("n", n, 1), check_int("reps", reps, 1)
-    threshold = check_real("threshold", threshold, finite=False)
-    check_budget([Draws(reps * _draws(spec, n, 0, m, 1))], budget, "budget")
-    return _count(_tail_kernel, (spec, n, m, sided, threshold), reps, n * m, seed, workers)
 
 
 def estimate_single_tail(
@@ -440,7 +421,10 @@ def estimate_single_tail(
     order-free.  A request that would draw more than ``budget`` values
     raises BudgetError before any draw.
     """
-    return _single_tail(spec, n, m, TWO_SIDED, threshold, reps, seed, workers, budget)
+    m = check_int("m", m, 2)
+    t = check_real("threshold", threshold, finite=False)
+    # IEEE division is sign-symmetric: this counts |S|/sqrt(n) > t exactly.
+    return _count(spec, n, 0, m, 1, lambda s: np.abs(s / math.sqrt(n)) > t, reps, seed, workers, budget)
 
 
 def estimate_lambda(
@@ -506,10 +490,9 @@ def estimate_pair_tail(
     BudgetError before any draw.
     """
     n, s, m = pspec.n, pspec.s, pspec.m
-    threshold = pspec.a_n * math.sqrt(n * math.log(pspec.p))
-    reps = check_int("reps", reps, 1)
-    check_budget([Draws(reps * _draws(pspec.spec, n, s, m - s, 2))], budget, "budget")
-    return _count(_pair_kernel, (pspec.spec, n, s, m, threshold), reps, n * (2 * m - s), seed, workers)
+    t = pspec.a_n * math.sqrt(n * math.log(pspec.p))
+    return _count(pspec.spec, n, s, m - s, 2, lambda s1, s2: (np.abs(s1) >= t) & (np.abs(s2) >= t),
+                  reps, seed, workers, budget)
 
 
 def pair_tail_decay_exponents(pspec: PairTailSpec) -> dict:
@@ -545,11 +528,13 @@ def moderate_deviation_ratio(
     MIN_EXPECTED_HITS_RATIO the report carries an advisory flag rather
     than failing.
     """
-    gauss = normal_upper_tail(check_real("x", x, 0.0))
+    x = check_real("x", x, 0.0)
+    gauss = normal_upper_tail(x)
     # The tail is subnormal past x ~ 37.5, where one hit overflows the ratio, and 0 past x ~ 38.5.
     if gauss < sys.float_info.min:
         raise ValueError(f"x must be finite with a Gaussian tail above 2.2e-308 (x below about 37.5), got {x}")
-    est = _single_tail(spec, n, m, ONE_SIDED, x, reps, seed, workers, budget)
+    m = check_int("m", m, 2)
+    est = _count(spec, n, 0, m, 1, lambda s: s / math.sqrt(n) >= x, reps, seed, workers, budget)
     advisory = []
     if reps * gauss < MIN_EXPECTED_HITS_RATIO:
         advisory.append(

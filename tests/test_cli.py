@@ -245,6 +245,13 @@ class TestDiagnose:
             "pass fewer --reps or a smaller --n or --m, as no flag raises this limit"
         ]
 
+    def test_an_n_past_int64_exits_2(self, capsys):
+        # a Rademacher sum is one binomial draw, so the budget let this n through to numpy (exit 1, a traceback)
+        code, out, err = run_cli(capsys, "diagnose", "--what", "mdr", "--population", "rademacher", "--m", "3",
+                                 "--x", "1", "--reps", "1", "--n", str(2**64))
+        assert (code, out) == (2, "")
+        assert err.splitlines()[1:] == ["tensormax: error: n must be <= 9223372036854775807, got 18446744073709551616"]
+
     def test_lambda_smoke(self, capsys):
         code, out, err = run_cli(
             capsys, "diagnose", "--what", "lambda", "--z", "0", "--n", "50",

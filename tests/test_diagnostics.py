@@ -45,7 +45,6 @@ from tensormax import (
     stein_chen_report,
 )
 from tensormax import diagnostics
-from tensormax.asymptotics import ONE_SIDED, TWO_SIDED
 from tensormax.populations import (
     CENTERED_EXPONENTIAL,
     RADEMACHER,
@@ -155,14 +154,15 @@ class TestBlockKernelsBitIdentical:
     @pytest.mark.parametrize("m", [2, 3, 4])
     @pytest.mark.parametrize("seed", KERNEL_SEEDS)
     def test_rademacher_tail_kernel(self, m, seed):
+        # count replicates make one block, drawn from sub-stream (seed, 0)
         spec, n, count = PopulationSpec(RADEMACHER), 37, 3000
-        (sums,) = diagnostics._product_sums(spec, diagnostics._block_generator(seed, 4), (count, n), 0, m, 1)
+        (sums,) = diagnostics._product_sums(spec, diagnostics._block_generator(seed, 0), (count, n), 0, m, 1)
         assert_rademacher_sums(sums, n)
         root_n = math.sqrt(n)
         scaled = sums / root_n
         for t in (0.0, 0.5, 1.0, 1.5, 2.3):
-            two = diagnostics._tail_kernel(diagnostics._block_generator(seed, 4), count, spec, n, m, TWO_SIDED, t)
-            one = diagnostics._tail_kernel(diagnostics._block_generator(seed, 4), count, spec, n, m, ONE_SIDED, t)
+            two = estimate_single_tail(spec, n, m, t, count, seed).hits
+            one = moderate_deviation_ratio(spec, m, n, t, count, seed).hits
             assert two == np.count_nonzero(np.abs(scaled) > t)
             assert one == np.count_nonzero(scaled >= t)
             assert_within_4_se(two, count, rademacher_tail(n, lambda x: abs(x / root_n) > t))
@@ -173,13 +173,14 @@ class TestBlockKernelsBitIdentical:
     def test_rademacher_pair_kernel(self, m, s, seed):
         # given the shared product xi the two sums are independent, so the
         # joint tail is q**2 and each margin is q
+        # count replicates make one block, drawn from sub-stream (seed, 0)
         spec, n, count = PopulationSpec(RADEMACHER), 29, 3000
-        s1, s2 = diagnostics._product_sums(spec, diagnostics._block_generator(seed, 2), (count, n), s, m - s, 2)
+        s1, s2 = diagnostics._product_sums(spec, diagnostics._block_generator(seed, 0), (count, n), s, m - s, 2)
         assert_rademacher_sums(s1, n)
         assert_rademacher_sums(s2, n)
         for a in (0.2, 0.6, 1.0):
             thr = a * math.sqrt(n * math.log(10))
-            hits = diagnostics._pair_kernel(diagnostics._block_generator(seed, 2), count, spec, n, s, m, thr)
+            hits = estimate_pair_tail(PairTailSpec(s=s, a_n=a, n=n, p=10, m=m, spec=spec), count, seed).hits
             assert hits == np.count_nonzero((np.abs(s1) >= thr) & (np.abs(s2) >= thr))
             q = rademacher_tail(n, lambda x: abs(x) >= thr)
             assert_within_4_se(hits, count, q * q)
@@ -202,11 +203,10 @@ class TestBlockKernelsBitIdentical:
 
 
 def traced_peak(fn, *args):
-    """Peak bytes that tracemalloc sees allocated while ``fn(rng, *args)`` runs."""
-    rng = diagnostics._block_generator(SEED, 0)
+    """Peak bytes that tracemalloc sees allocated while ``fn(*args)`` runs."""
     tracemalloc.start()
     try:
-        fn(rng, *args)
+        fn(*args)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -217,7 +217,8 @@ def test_float_blocks_release_each_factor():
     # at most 2**15 values: the product a piece's factors fold into, one
     # reused draw buffer, and xi (or its squares) in a pair block.  A
     # piece here is 32 rows of 1000, which leaves room below the bound
-    # for a few KB of interpreter objects and numpy iterators.
+    # for a few KB of interpreter objects and numpy iterators.  Each
+    # request is one block of count replicates.
     n, count = 1000, 2000
     sums, pieces = count * 8, 3 * diagnostics._PIECE * 8
     for spec in (
@@ -226,9 +227,9 @@ def test_float_blocks_release_each_factor():
         PopulationSpec(CENTERED_EXPONENTIAL),
         PopulationSpec(UNIFORM_SCALED),
     ):
-        tail = traced_peak(diagnostics._tail_kernel, count, spec, n, 4, TWO_SIDED, 1.0)
+        tail = traced_peak(estimate_single_tail, spec, n, 4, 1.0, count, SEED)
         assert tail < sums + pieces, spec.family
-        pair = traced_peak(diagnostics._pair_kernel, count, spec, n, 1, 4, 1.0)
+        pair = traced_peak(estimate_pair_tail, PairTailSpec(s=1, a_n=0.5, n=n, p=10, m=4, spec=spec), count, SEED)
         assert pair < 2 * sums + pieces, spec.family
 
 
@@ -342,13 +343,18 @@ def test_the_budget_counts_every_drawn_value(spec, case, piece, monkeypatch):
 
 
 class TestManyBlocks:
-    """With small blocks each estimate is the sum of its kernel over sub-streams (seed, i)."""
+    """With small blocks each estimate is the sum of its hit test over the blocks' sub-streams (seed, i)."""
 
     BLOCK = 1000
 
     @staticmethod
-    def kernel_sum(kernel, params, sizes, seed):
-        return sum(kernel(diagnostics._block_generator(seed, i), c, *params) for i, c in enumerate(sizes))
+    def kernel_sum(spec, n, layout, hit, sizes, seed):
+        """Replicates whose (shared, fresh, copies) ``layout`` sums pass ``hit``, block i drawn from (seed, i)."""
+        rngs = (diagnostics._block_generator(seed, i) for i in range(len(sizes)))
+        return sum(
+            int(np.count_nonzero(hit(*diagnostics._product_sums(spec, rng, (c, n), *layout))))
+            for rng, c in zip(rngs, sizes)
+        )
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
@@ -359,7 +365,7 @@ class TestManyBlocks:
         n, m, reps, t = 10, 3, 200, 1.2
         sizes = [33] * 6 + [2]  # 1000 // (n * m) = 33 replicates per block
         est = estimate_single_tail(NORMAL, n, m, t, reps, SEED, workers=workers)
-        want = self.kernel_sum(diagnostics._tail_kernel, (NORMAL, n, m, TWO_SIDED, t), sizes, SEED)
+        want = self.kernel_sum(NORMAL, n, (0, m, 1), lambda s: np.abs(s / math.sqrt(n)) > t, sizes, SEED)
         assert est.hits == want and est.reps == reps and 0 < want < reps
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -367,7 +373,7 @@ class TestManyBlocks:
         spec, n, m, reps, x = PopulationSpec(RADEMACHER), 25, 2, 310, 0.5
         sizes = [20] * 15 + [10]  # 1000 // (n * m) = 20
         rep = moderate_deviation_ratio(spec, m, n, x, reps, SEED, workers=workers)
-        want = self.kernel_sum(diagnostics._tail_kernel, (spec, n, m, ONE_SIDED, x), sizes, SEED)
+        want = self.kernel_sum(spec, n, (0, m, 1), lambda s: s / math.sqrt(n) >= x, sizes, SEED)
         assert rep.hits == want and rep.reps == reps and 0 < want < reps
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -378,8 +384,25 @@ class TestManyBlocks:
         sizes = [16] * 9 + [6]  # 1000 // (n * (2m - s)) = 1000 // 60 = 16
         est = estimate_pair_tail(pspec, reps, SEED, workers=workers)
         thr = 0.2 * math.sqrt(12 * math.log(10))
-        want = self.kernel_sum(diagnostics._pair_kernel, (spec, 12, 1, 3, thr), sizes, SEED)
+        want = self.kernel_sum(spec, 12, (1, 2, 2), lambda s1, s2: (np.abs(s1) >= thr) & (np.abs(s2) >= thr), sizes,
+                               SEED)
         assert est.hits == want and est.reps == reps and 0 < want < reps
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_stein_chen_report(self, workers):
+        # every part of the report cuts its own blocks and starts again at sub-stream (seed, 0)
+        z, n, p, m, reps, a_n = -4.0, 10, 8, 3, 110, 0.3
+        rep = stein_chen_report(z, n, p, m, NORMAL, reps, SEED, a_n=a_n, workers=workers)
+        t = math.sqrt(2.0 * m) * nu_p(z, p, m)
+        want = self.kernel_sum(NORMAL, n, (0, m, 1), lambda s: np.abs(s / math.sqrt(n)) > t, [33] * 3 + [11], SEED)
+        assert rep.single_tail.hits == want and rep.single_tail.reps == reps and 0 < want < reps
+        thr = a_n * math.sqrt(n * math.log(p))
+        # 1000 // (n * (2m - s)): 20 replicates per block at s = 1, 25 at s = 2
+        for s, sizes in ((1, [20] * 5 + [10]), (2, [25] * 4 + [10])):
+            want = self.kernel_sum(NORMAL, n, (s, m - s, 2), lambda s1, s2: (np.abs(s1) >= thr) & (np.abs(s2) >= thr),
+                                   sizes, SEED)
+            psi = rep.psi_estimates[s]
+            assert psi.hits == want and psi.reps == reps and 0 < want < reps, s
 
 
 class TestGaussianReduction:
@@ -741,6 +764,12 @@ class TestModerateDeviationRatio:
         q = rademacher_tail(n, lambda s: s / math.sqrt(n) >= x)
         assert abs(q - 0.0232928) < 1e-7
         assert_within_4_se(rep.hits, reps, q)
+
+    def test_rademacher_at_the_largest_int64_n(self):
+        # numpy's binomial takes n = 2**63 - 1; n - 2 * Bin(n, 1/2) wraps in int64 but ends in range
+        n, reps = 2**63 - 1, 4000
+        rep = moderate_deviation_ratio(PopulationSpec(RADEMACHER), 3, n, 1.0, reps, SEED)
+        assert_within_4_se(rep.hits, reps, normal_upper_tail(1.0))
 
     def test_advisory_flag_for_rare_x(self):
         rep = moderate_deviation_ratio(NORMAL, 2, 100, 6.0, 1000, SEED)

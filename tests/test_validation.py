@@ -1,10 +1,11 @@
 """Every public entry point rejects a bad argument with ValueError before any work.
 
-The enumeration engine, the Monte Carlo driver, both generator
-factories (data streams and Monte Carlo blocks) and the stack route of
-the data streams (key hash and stack draw) are patched to raise, so a
-check that comes after a draw or an enumeration shows up as ``Worked``
-instead of ValueError.
+The enumeration engine, both generator factories (data streams and
+Monte Carlo blocks) and the stack route of the data streams (key hash
+and stack draw) are patched to raise, so a check that comes after a
+draw or an enumeration shows up as ``Worked`` instead of ValueError.
+The Monte Carlo driver runs its own checks, so it is left as it is and
+stops at its first block's generator.
 """
 
 import contextlib
@@ -27,7 +28,7 @@ BAD_TYPES = (2.5, True, "3", None)
 
 
 class Worked(Exception):
-    """Raised by the patched engine, driver and generator factories."""
+    """Raised by the patched engine and generator factories."""
 
 
 @pytest.fixture(autouse=True)
@@ -36,7 +37,6 @@ def no_work(monkeypatch):
         raise Worked("work started before validation")
 
     monkeypatch.setattr(statcore, "_screen", refuse)
-    monkeypatch.setattr(diagnostics, "_count", refuse)
     monkeypatch.setattr(populations, "make_generator", refuse)
     monkeypatch.setattr(diagnostics, "_block_generator", refuse)
     # lab imports the stack route by name, so it is refused where lab looks it up
@@ -271,6 +271,33 @@ def test_a_request_above_its_budget_draws_nothing(call):
 def test_a_report_at_its_budget_reaches_the_draws():
     with pytest.raises(Worked):
         _report(budget=750)
+
+
+RADEMACHER = tm.PopulationSpec("rademacher")
+# A binomial or chi2 sum draws O(1) values whatever n is, so no budget
+# stops a huge n: n is bounded by numpy's binomial, which takes an int64.
+# A pair tail's threshold reads n * log(p) before the driver runs.
+HUGE_N_CALLS = [
+    pytest.param(lambda n: tm.moderate_deviation_ratio(RADEMACHER, 3, n, 1.0, 1, SEED), id="mdr-rademacher"),
+    pytest.param(lambda n: tm.moderate_deviation_ratio(NORMAL, 2, n, 1.0, 1, SEED), id="mdr-normal"),
+    pytest.param(lambda n: tm.estimate_single_tail(RADEMACHER, n, 2, 1.0, 1, SEED), id="estimate_single_tail"),
+    pytest.param(lambda n: tm.estimate_lambda(0.0, n, 10, 2, NORMAL, 1, SEED), id="estimate_lambda"),
+    pytest.param(lambda n: _pair_tail(n=n, reps=1), id="estimate_pair_tail"),
+    pytest.param(lambda n: _report(n=n, m=2, reps=1), id="stein_chen_report"),
+]
+
+
+@pytest.mark.parametrize("n", [2**63, 2**64, 10**400], ids=["2**63", "2**64", "10**400"])
+@pytest.mark.parametrize("call", HUGE_N_CALLS)
+def test_an_n_past_int64_is_refused_before_any_draw(call, n):
+    with pytest.raises(ValueError, match=r"^n must be <= 9223372036854775807, got "):
+        call(n)
+
+
+@pytest.mark.parametrize("call", HUGE_N_CALLS)
+def test_the_largest_int64_n_reaches_the_draws(call):
+    with pytest.raises(Worked):
+        call(2**63 - 1)
 
 
 def _two_rows(values):
