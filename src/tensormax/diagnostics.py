@@ -48,11 +48,11 @@ p**(-2m) and unobservable by sampling, so the pair tail estimator
 takes an arbitrary user threshold and the analytic decay rates are
 reported alongside instead of being "verified".
 
-Every estimator counts through one driver, ``_count``, and hands it
+Every estimator counts through one counter, ``_count``, and hands it
 one sum layout and one hit test.  The layout is (shared factors, fresh
 factors per copy, copies): (0, m, 1) for a single tail, (s, m - s, 2)
 for a pair tail.  The hit test maps a block's unscaled sums to the
-replicates that cross the threshold.  The driver checks n (at most
+replicates that cross the threshold.  ``_count`` checks n (at most
 2**63 - 1, numpy's binomial takes an int64) and reps, holds the
 request to its budget of drawn values before any draw (``_draws``,
 ``statcore.check_budget``; 1e10 by default, the ceiling of ``test``
@@ -181,7 +181,7 @@ class PairTailSpec:
         check_int("s", self.s, 1, m - 1)
         # the analytic decay reads a_n**2, which overflows past about 1.34e154
         check_real("a_n", self.a_n, 0.0, math.sqrt(sys.float_info.max), ends="(]")
-        # the threshold reads n * log(p) before the driver's checks
+        # the threshold reads n * log(p) before ``_count`` checks it
         check_int("n", self.n, 1, _MAX_N)
         check_int("p", self.p, 3)
 

@@ -4,8 +4,8 @@ The enumeration engine, both generator factories (data streams and
 Monte Carlo blocks) and the stack route of the data streams (key hash
 and stack draw) are patched to raise, so a check that comes after a
 draw or an enumeration shows up as ``Worked`` instead of ValueError.
-The Monte Carlo driver runs its own checks, so it is left as it is and
-stops at its first block's generator.
+The Monte Carlo counter ``_count`` runs its own checks, so it is left
+as it is and stops at its first block's generator.
 """
 
 import contextlib
@@ -276,7 +276,7 @@ def test_a_report_at_its_budget_reaches_the_draws():
 RADEMACHER = tm.PopulationSpec("rademacher")
 # A binomial or chi2 sum draws O(1) values whatever n is, so no budget
 # stops a huge n: n is bounded by numpy's binomial, which takes an int64.
-# A pair tail's threshold reads n * log(p) before the driver runs.
+# A pair tail's threshold reads n * log(p) before ``_count`` runs.
 HUGE_N_CALLS = [
     pytest.param(lambda n: tm.moderate_deviation_ratio(RADEMACHER, 3, n, 1.0, 1, SEED), id="mdr-rademacher"),
     pytest.param(lambda n: tm.moderate_deviation_ratio(NORMAL, 2, n, 1.0, 1, SEED), id="mdr-normal"),
