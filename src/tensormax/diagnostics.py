@@ -29,7 +29,10 @@ drawing only what the law of S depends on:
   product of Z**2 * W and multiply in draws of their own, never in
   place, which leaves them conditionally independent given V1, V2 (for
   normal sums at s = 1, m = 2 they share V ~ chi2_n: three scalars per
-  replicate);
+  replicate).  At an even df <= 8, G is the sum of df/2 unit
+  exponentials, -log((1 - U_1) * ... * (1 - U_df/2)) with U uniform,
+  drawn in 0.4 to 0.85 of the time of numpy's Marsaglia-Tsang
+  ``standard_gamma``, which every other df keeps;
 * Rademacher: a product of independent fair signs is a fair sign, so
   S = n - 2 * Bin(n, 1/2), and the copies of a pair tail are independent
   given xi (xi * eta and xi * zeta are independent fair signs).  So each
@@ -56,16 +59,27 @@ replicates that cross the threshold.  ``_count`` checks n (at most
 2**63 - 1, numpy's binomial takes an int64) and reps, holds the
 request to its budget of drawn values before any draw (``_draws``,
 ``statcore.check_budget``; 1e10 by default, the ceiling of ``test``
-and ``simulate``), and cuts the replicates into blocks of about
-``_BLOCK_SCALARS`` nominal scalars, n * (shared + copies * fresh) per
-replicate.  Block i draws from its own sub-stream (seed, i), and the
-blocks' hit counts are merged by integer addition.  So every estimate
-is deterministic for a given (seed, reps) at any worker count.  A
-block's sub-stream is an SFC64 generator keyed by
-SeedSequence((master_seed, stream_id, i)), built by
-``_block_generator``: SFC64 draws normals and gammas about 1.45 times
-as fast as the Philox generator of the data streams
-(``populations.make_generator``).
+and ``simulate``; a uniform gamma counts its df/2 uniforms), and cuts
+the replicates into blocks of about ``_BLOCK_SCALARS`` nominal
+scalars, n * (shared + copies * fresh) per replicate.  Block i draws
+from its own sub-stream (seed, i), and the blocks' hit counts are
+merged by integer addition.  So every estimate is deterministic for a
+given (seed, reps) at any worker count.  A block's sub-stream is an
+SFC64 generator keyed by SeedSequence((master_seed, stream_id, i)),
+built by ``_block_generator``: SFC64 draws normals and gammas about
+1.45 times as fast as the Philox generator of the data streams
+(``populations.make_generator``).  ``stein_chen_report`` draws its
+pair part of overlap s from sub-streams (seed, i, s), so that it
+shares no draw with the lambda part or another pair part.
+
+The uniform gammas take np.log, whose float64 kernels follow numpy's
+SIMD dispatch in the last bit.  So ``_count`` screens each such block,
+as ``statcore`` screens an enumeration: the hit test runs on the sums
+scaled by 1 - delta and 1 + delta, with delta (``_band``) a wide bound
+on how far the logs' last bits can move a sum, and a block with a
+replicate inside that band is drawn again from its sub-stream with
+``math.log``.  Every count is then that of the math.log sums, on any
+CPU.
 
 A float block (exponential and uniform factors, every Student t sum,
 and a normal sum unless it is one chi2 draw) is drawn piece by piece
@@ -74,14 +88,16 @@ most ``_PIECE`` values: whole rows when n <= ``_PIECE``, otherwise
 consecutive chunks of one row.  For each piece, every factor of the
 product is drawn in turn into a reused piece buffer and folded in
 place, the shared factors first, then each copy's fresh ones (for the
-normal and t families, the normals, then the scaled gammas), and the
-piece's row sums go into the block's (count,) sums; the normals of
-sqrt(V) * Z are drawn after the pieces.  So a block holds its sums and
-at most three piece buffers (768 KB), whatever count and n are: memory
-is O(piece) per block, not O(count * n).  The piece size is part of the
-stream layout, as ``_BLOCK_SCALARS`` is: another piece size draws the
-same laws with other bits.  A Rademacher sum is one binomial draw and
-never uses pieces.
+normal and t families, the normals, then the scaled gammas; a uniform
+gamma half a piece at a time inside the reused buffer, see
+``_squares``), and the piece's row sums go into the block's (count,)
+sums; the normals of sqrt(V) * Z are drawn after the pieces.  So a
+block holds its sums and at most three piece buffers (768 KB),
+whatever count and n are: memory is O(piece) per block, not
+O(count * n).  The piece size is part of the stream layout, as
+``_BLOCK_SCALARS`` is: another piece size draws the same laws with
+other bits.  A Rademacher sum is one binomial draw and never uses
+pieces.
 """
 
 from __future__ import annotations
@@ -112,6 +128,13 @@ _BLOCK_SCALARS = 2**24
 _PIECE = 2**15
 # Largest n: numpy's binomial takes an int64 number of trials.
 _MAX_N = 2**63 - 1
+# Largest even df whose gammas are uniform products (see ``_squares``): per
+# gamma at df 10 they took 15.3 ns against standard_gamma's 18.5 with numpy's
+# AVX-512 kernels, and 18.4 against 18.9 with its baseline ones.
+_UNIFORM_GAMMA_DF = 8
+# ulps between numpy's float64 log and math.log: numpy validates its log
+# within 1 ulp of the correctly rounded value, and glibc's is within 1 ulp.
+_LOG_ULPS = 2
 
 _NORMAL = PopulationSpec(STANDARD_NORMAL)
 
@@ -258,39 +281,37 @@ def _fold(shape, shared: list, fresh: list, copies: int) -> list[np.ndarray]:
     """Row sums of xi * eta_c for c < copies over a (count, n) block, drawn piece by piece.
 
     ``shared`` and ``fresh`` list the factors of xi and of each eta_c as
-    (fill, op) pairs, op np.multiply or np.divide: fill(buf) writes the
-    factor's next draws into the float64 array ``buf`` and returns it.
-    For each piece in turn (``_pieces``), xi's factors are drawn, then
-    each copy's.  A product's first factor is drawn into the product's
-    piece buffer, op_1 applied to xi if xi has factors (f_1 itself if
-    not), and every later factor is drawn into one reused buffer and
-    folded in place.  A copy with no factor of its own sums xi.  The
-    piece's row sums then go into the copy's sums.  So a block holds its
-    (count,) sums and at most three piece buffers (768 KB), whatever
-    count and n are, and the piece size is part of the stream layout, as
+    folds: fold(buf, spare, base) writes base times (or divided by) the
+    factor's next draws into the piece buffer ``buf``, where ``base`` is
+    None for a product's first factor (``buf`` then takes the factor
+    itself), xi for a copy's first factor, or ``buf`` for a later one,
+    and ``spare`` is a free piece buffer of the same shape.  For each
+    piece in turn (``_pieces``), xi's factors are folded, then each
+    copy's.  A copy with no factor of its own sums xi.  The piece's row
+    sums then go into the copy's sums.  So a block holds its (count,)
+    sums and at most three piece buffers (768 KB), whatever count and n
+    are, and the piece size is part of the stream layout, as
     ``_BLOCK_SCALARS`` is.
     """
     count, n = shape
     sums = [np.zeros(count) for _ in range(copies)]
-    piece = (min(count, max(1, _PIECE // n)), min(n, _PIECE))
-    scratch, acc, xi_buf = np.empty(piece), np.empty(piece), np.empty(piece) if shared else None
+    size = min(count, max(1, _PIECE // n)) * min(n, _PIECE)
+    scratch, acc, xi_buf = np.empty(size), np.empty(size), np.empty(size) if shared else None
 
-    def product(factors, buf, spare, out):
-        if not factors:
-            return out
-        (fill, op), *later = factors
-        fill(buf)
-        if out is not None:
-            op(out, buf, out=buf)
-        for fill, op in later:
-            op(buf, fill(spare), out=buf)
-        return buf
+    def product(factors, buf, spare, base):
+        for fold in factors:
+            fold(buf, spare, base)
+            base = buf
+        return base
 
     for row, rows, width in _pieces(count, n):
-        part = np.s_[:rows, :width]
-        xi = product(shared, xi_buf[part], scratch[part], None) if shared else None
+
+        def view(buf):  # C-contiguous, so a fold may also read it flat
+            return buf[: rows * width].reshape(rows, width)
+
+        xi = product(shared, view(xi_buf), view(scratch), None) if shared else None
         for total in sums:
-            eta = product(fresh, acc[part], scratch[part], xi)
+            eta = product(fresh, view(acc), view(scratch), xi)
             if width == n:  # whole rows: each row sum is written once
                 eta.sum(axis=1, out=total[row : row + rows])
             else:
@@ -298,14 +319,57 @@ def _fold(shape, shared: list, fresh: list, copies: int) -> list[np.ndarray]:
     return sums
 
 
-def _squares(spec: PopulationSpec, rng: np.random.Generator, normals: int, gammas: int) -> list:
-    """(fill, op) factors of (Z_1 * ... * Z_normals)**2 * k/G_1 * ... * k/G_gammas, for ``_fold``.
+def _drawn(fill, op):
+    """The fold of a factor that fill(buf) draws whole into a piece buffer, applied by op (np.multiply or np.divide).
 
-    Each Z is drawn by ``draw``, as the float path's factors are.  G/k
-    is drawn as Gamma(df/2, scale 1/k), with k = (df-2)/2: k enters
+    A product's first factor is drawn into the product's buffer, op
+    applied to xi if the copy has one; a later factor is drawn into the
+    spare buffer and folded in place.
+    """
+
+    def fold(buf, spare, base):
+        if base is buf:
+            op(buf, fill(spare), out=buf)
+        else:
+            fill(buf)
+            if base is not None:
+                op(base, buf, out=buf)
+
+    return fold
+
+
+def _uniform_gamma_shape(spec: PopulationSpec) -> int:
+    """df/2 for a Student t whose gammas are uniform products (even df <= ``_UNIFORM_GAMMA_DF``), else 0."""
+    if spec.family == STUDENT_T_STANDARDIZED and spec.df % 2 == 0 and spec.df <= _UNIFORM_GAMMA_DF:
+        return spec.df // 2
+    return 0
+
+
+def _math_log(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """math.log of each value of the flat ``x``, written into ``out``: the reference for numpy's log."""
+    out[:] = np.fromiter(map(math.log, x.tolist()), np.float64, x.size)
+    return out
+
+
+def _squares(spec: PopulationSpec, rng: np.random.Generator, normals: int, gammas: int, log=np.log) -> list:
+    """Folds of (Z_1 * ... * Z_normals)**2 * k/G_1 * ... * k/G_gammas, for ``_fold``.
+
+    Each Z is drawn by ``draw``, as the float path's factors are.  The
+    normals come first, so a product that starts from no xi starts from
+    Z_1**2, and a gamma always divides a product that is already there.
+    G/k is drawn as Gamma(df/2, scale 1/k), with k = (df-2)/2: k enters
     factor by factor, and k**gammas, which overflows at a huge df, is
-    never formed.  The normals come first, so a product that starts
-    from no xi starts from Z_1**2.
+    never formed.
+
+    For an even df <= ``_UNIFORM_GAMMA_DF``, G = -log((1 - U_1) * ... *
+    (1 - U_a)) with a = df/2 uniforms from ``rng.random``, a sum of a
+    unit exponentials; otherwise G is numpy's ``standard_gamma``.  The
+    uniform gammas are folded into the product half a piece at a time
+    inside the spare buffer: its first half holds the running product of
+    the 1 - U, its second half takes each next uniform, and the log
+    (``log``, np.log or ``_math_log``) turns the first half into G/k.
+    Every step but the log is exact or correctly rounded, so np.log's
+    SIMD kernels move these sums by at most ``_band`` (see ``_count``).
     """
 
     def square(buf):
@@ -317,16 +381,35 @@ def _squares(spec: PopulationSpec, rng: np.random.Generator, normals: int, gamma
         g = rng.standard_gamma(spec.df / 2.0, buf.shape, out=buf)
         return np.multiply(g, 2.0 / (spec.df - 2.0), out=g)
 
-    return [(square, np.multiply)] * normals + [(gamma, np.divide)] * gammas
+    shape = _uniform_gamma_shape(spec)
+
+    def uniform_gamma(buf, spare, base):
+        # G/k = -log(prod) * 2/(df-2), bit for bit log(prod) * scale
+        scale = -2.0 / (spec.df - 2.0)
+        out, base, work = buf.reshape(-1), base.reshape(-1), spare.reshape(-1)
+        half = work.size // 2 or 1
+        # a one-value piece has no second half: its uniforms take one value of their own
+        uniforms = work[half : 2 * half] if work.size > 1 else np.empty(1)
+        for start in range(0, out.size, half):
+            stop = min(start + half, out.size)
+            prod, u = work[: stop - start], uniforms[: stop - start]
+            np.subtract(1.0, rng.random(out=prod), out=prod)
+            for _ in range(shape - 1):
+                np.multiply(prod, np.subtract(1.0, rng.random(out=u), out=u), out=prod)
+            np.multiply(log(prod, out=prod), scale, out=prod)
+            np.divide(base[start:stop], prod, out=out[start:stop])
+
+    weight = uniform_gamma if shape else _drawn(gamma, np.divide)
+    return [_drawn(square, np.multiply)] * normals + [weight] * gammas
 
 
 def _product(spec: PopulationSpec, rng: np.random.Generator, k: int) -> list:
-    """(fill, op) factors of a product of k float64 draws from ``spec``, for ``_fold``."""
-    return [(lambda buf: draw(spec, rng, buf.shape, out=buf), np.multiply)] * k
+    """Folds of a product of k float64 draws from ``spec``, for ``_fold``."""
+    return [_drawn(lambda buf: draw(spec, rng, buf.shape, out=buf), np.multiply)] * k
 
 
 def _product_sums(
-    spec: PopulationSpec, rng: np.random.Generator, shape, shared: int, fresh: int, copies: int
+    spec: PopulationSpec, rng: np.random.Generator, shape, shared: int, fresh: int, copies: int, log=np.log
 ) -> list[np.ndarray]:
     """Row sums of xi * eta_c for c < copies, each unscaled with shape (count,).
 
@@ -336,7 +419,8 @@ def _product_sums(
     distributed as the plain ones: a normal or Student t sum is
     sqrt(V) * Z given its conditional variance V, a Rademacher sum is
     one binomial draw, and the exponential and uniform factors are drawn
-    and multiplied in float64.  The module docstring gives the details.
+    and multiplied in float64.  ``log`` takes the logs of the uniform
+    gammas (``_squares``).  The module docstring gives the details.
     """
     count, n = shape
     if spec.family == RADEMACHER:
@@ -349,8 +433,8 @@ def _product_sums(
             chi2 = [rng.chisquare(n, count) for _ in range(1 if shared else copies)]
             variances = chi2 * (copies if shared else 1)
         else:
-            xi = _squares(spec, rng, shared, gammas * shared)
-            variances = _fold(shape, xi, _squares(spec, rng, fresh - 1, gammas * fresh), copies)
+            xi = _squares(spec, rng, shared, gammas * shared, log)
+            variances = _fold(shape, xi, _squares(spec, rng, fresh - 1, gammas * fresh, log), copies)
         # the last factor's normals, integrated out: one normal per sum, drawn after the pieces
         return [np.sqrt(v) * rng.standard_normal(count) for v in variances]
     return _fold(shape, _product(spec, rng, shared), _product(spec, rng, fresh), copies)
@@ -364,26 +448,56 @@ def _draws(spec: PopulationSpec, n: int, shared: int, fresh: int, copies: int) -
         gammas = int(spec.family == STUDENT_T_STANDARDIZED)
         if shared + fresh == 2 and not gammas:
             return (1 if shared else copies) + copies
-        return n * (shared + copies * (fresh - 1) + gammas * (shared + copies * fresh)) + copies
+        # a uniform gamma draws df/2 uniforms
+        per_gamma = gammas * (_uniform_gamma_shape(spec) or 1)
+        return n * (shared + copies * (fresh - 1) + per_gamma * (shared + copies * fresh)) + copies
     return n * (shared + copies * fresh)
 
 
-def _block_generator(seed: SeedSpec, block: int) -> np.random.Generator:
-    """SFC64 generator of sub-stream (seed, block), keyed by SeedSequence((master_seed, stream_id, block))."""
-    ss = np.random.SeedSequence((int(seed.master_seed), int(seed.stream_id), int(block)))
+def _block_generator(seed: SeedSpec, block: int, part: tuple = ()) -> np.random.Generator:
+    """SFC64 generator of sub-stream (seed, block, *part): SeedSequence((master_seed, stream_id, block, *part))."""
+    ss = np.random.SeedSequence((int(seed.master_seed), int(seed.stream_id), int(block), *part))
     return np.random.Generator(np.random.SFC64(ss))
 
 
+def _band(n: int, m: int) -> float:
+    """Relative half-width of a band about a uniform-gamma sum that holds the sum's math.log value.
+
+    With u = 2**-53, np.log and math.log differ by at most ``_LOG_ULPS``
+    ulps, 2 * _LOG_ULPS * u relative.  Every later step is correctly
+    rounded and adds at most 2u to the relative gap between the two
+    paths: each of a term's m gammas its log, scale and division, and
+    each of at most m multiplications.  The n positive terms are summed
+    in one order on both paths, each sum within gamma_n = n u / (1 - n u)
+    of its exact value, which adds 2 gamma_n.  sqrt(V) * Z, 1 -+ the
+    band and the scaled copies add 8u.  The band is 16 times that
+    first-order bound.
+    """
+    u = 2.0**-53
+    gamma_n = n * u / (1.0 - n * u) if n * u < 0.5 else math.inf
+    return 16.0 * (m * (2 * _LOG_ULPS + 6) * u + 2.0 * gamma_n + 8.0 * u)
+
+
 def _count(spec: PopulationSpec, n: int, shared: int, fresh: int, copies: int, hit, reps: int, seed: SeedSpec,
-           workers: int, budget: int) -> TailEstimate:
+           workers: int, budget: int, part: tuple = ()) -> TailEstimate:
     """Replicates among ``reps`` whose ``_product_sums`` of this layout pass ``hit``.
 
     ``hit(*sums)`` maps a block's unscaled (count,) sums to a boolean
-    array.  The request is held to ``budget`` drawn values before any
-    draw.  Replicates are cut into blocks of about ``_BLOCK_SCALARS``
-    nominal scalars, n * (shared + copies * fresh) per replicate, and
-    block i draws from sub-stream (seed, i), so the count is the same at
-    any worker count.
+    array, monotone in each sum's size.  The request is held to
+    ``budget`` drawn values before any draw.  Replicates are cut into
+    blocks of about ``_BLOCK_SCALARS`` nominal scalars,
+    n * (shared + copies * fresh) per replicate, and block i draws from
+    sub-stream (seed, i, *part), so the count is the same at any worker
+    count.
+
+    A block of uniform gammas (``_squares``) takes np.log, whose results
+    follow numpy's SIMD dispatch in the last bit.  Its hit test is run
+    on its sums scaled by 1 - delta and by 1 + delta, delta =
+    ``_band(n, m)``: where the two agree for every replicate, the sums
+    that math.log would give lie between them and pass the same test.
+    A block with a replicate inside the band is drawn again from its
+    sub-stream with ``_math_log``.  So the count is that of math.log on
+    any CPU.  A redraw is not charged to the budget.
     """
     n, reps = check_int("n", n, 1), check_int("reps", reps, 1)
     check_budget([Draws(reps * _draws(spec, n, shared, fresh, copies))], budget, "budget")
@@ -391,10 +505,20 @@ def _count(spec: PopulationSpec, n: int, shared: int, fresh: int, copies: int, h
     check_int("n", n, 1, _MAX_N)
     block = max(1, min(reps, _BLOCK_SCALARS // (n * (shared + copies * fresh))))
     sizes = [block] * (reps // block) + ([reps % block] if reps % block else [])
+    screened, delta = _uniform_gamma_shape(spec) > 0, _band(n, shared + fresh)
 
     def run_block(i: int) -> int:
-        sums = _product_sums(spec, _block_generator(seed, i), (sizes[i], n), shared, fresh, copies)
-        return int(np.count_nonzero(hit(*sums)))
+        def sums(log):
+            return _product_sums(spec, _block_generator(seed, i, part), (sizes[i], n), shared, fresh, copies, log=log)
+
+        drawn = sums(np.log)
+        if not screened:
+            return int(np.count_nonzero(hit(*drawn)))
+        if delta < 1.0:
+            low = hit(*(s * (1.0 - delta) for s in drawn))
+            if np.array_equal(low, hit(*(s * (1.0 + delta) for s in drawn))):
+                return int(np.count_nonzero(low))
+        return int(np.count_nonzero(hit(*sums(_math_log))))
 
     return TailEstimate.from_counts(sum(parallel_map(run_block, range(len(sizes)), workers)), reps)
 
@@ -489,10 +613,15 @@ def estimate_pair_tail(
     A request that would draw more than ``budget`` values raises
     BudgetError before any draw.
     """
+    return _pair_tail(pspec, reps, seed, workers, budget, ())
+
+
+def _pair_tail(pspec: PairTailSpec, reps: int, seed: SeedSpec, workers: int, budget: int, part: tuple) -> TailEstimate:
+    """``estimate_pair_tail`` with block i drawn from sub-stream (seed, i, *part)."""
     n, s, m = pspec.n, pspec.s, pspec.m
     t = pspec.a_n * math.sqrt(n * math.log(pspec.p))
     return _count(pspec.spec, n, s, m - s, 2, lambda s1, s2: (np.abs(s1) >= t) & (np.abs(s2) >= t),
-                  reps, seed, workers, budget)
+                  reps, seed, workers, budget, part)
 
 
 def pair_tail_decay_exponents(pspec: PairTailSpec) -> dict:
@@ -576,6 +705,9 @@ def stein_chen_report(
     (default: the asymptotically exact sqrt(2m) * nu_p(z) / sqrt(log p),
     usually unobservable; pass a reduced value to see hits).  ``budget``
     bounds the values the whole report draws, checked before any draw.
+    The lambda part draws from the sub-streams of ``estimate_lambda``,
+    (seed, i), and the pair part of overlap s from sub-streams
+    (seed, i, s) of its own, so no two parts share a draw.
     """
     # Every argument is checked before the lambda draws: z, p and m here.
     nu = nu_p(z, p, m)
@@ -586,5 +718,5 @@ def stein_chen_report(
     parts = [(0, m, 1)] + [(s, m - s, 2) for s in range(1, m)]
     check_budget([Draws(reps * _draws(spec, n, *part)) for part in parts], budget, "budget")
     report = estimate_lambda(z, n, p, m, spec, reps, seed, workers=workers, budget=budget)
-    psi = {ps.s: estimate_pair_tail(ps, reps, seed, workers=workers, budget=budget) for ps in pspecs}
+    psi = {ps.s: _pair_tail(ps, reps, seed, workers, budget, (ps.s,)) for ps in pspecs}
     return replace(report, psi_estimates=psi)

@@ -56,6 +56,7 @@ from tensormax.populations import (
 )
 
 NORMAL = PopulationSpec(STANDARD_NORMAL)
+T8 = PopulationSpec(STUDENT_T_STANDARDIZED, df=8)
 SEED = SeedSpec(2025, 0)
 KERNEL_SEEDS = (SeedSpec(2025, 0), SeedSpec(7, 3), SeedSpec(2**64 - 1, 11))
 FLOAT_PATH_SPECS = (PopulationSpec(CENTERED_EXPONENTIAL), PopulationSpec(UNIFORM_SCALED))
@@ -266,15 +267,18 @@ class TestPieces:
     @pytest.mark.parametrize("piece", [1, 5, 7, diagnostics._PIECE])
     @pytest.mark.parametrize("case", [(0, 3, 1), (0, 4, 1), (1, 2, 2), (2, 1, 2)], ids=lambda c: "-".join(map(str, c)))
     @pytest.mark.parametrize(
-        "spec", [NORMAL, PopulationSpec(STUDENT_T_STANDARDIZED, df=5), *FLOAT_PATH_SPECS], ids=lambda s: s.family
+        "spec", [NORMAL, PopulationSpec(STUDENT_T_STANDARDIZED, df=5), T8, *FLOAT_PATH_SPECS],
+        ids=lambda s: f"{s.family}{s.df or ''}",
     )
     def test_pieced_sums_follow_the_plain_law(self, spec, case, piece, n, monkeypatch):
         # Pieces of 1, 5 and 7 values cut the rows into chunks (the last
         # one partial: neither 9 nor 41 is a multiple of 5 or 7); the
         # default piece holds many whole rows.  Each copy's sums, and the
         # pair's min(|S1|, |S2|), which carries their dependence through
-        # xi, must match the plain law (two-sample KS).  Some 400 KS tests
-        # run here, so each is held at the 0.001 level.
+        # xi, must match the plain law (two-sample KS).  t(8) draws its
+        # gammas as uniform products, half a piece at a time; a piece of
+        # one value takes its uniforms through a buffer of its own.  Some
+        # 500 KS tests run here, so each is held at the 0.001 level.
         monkeypatch.setattr(diagnostics, "_PIECE", piece)
         shared, fresh, copies = case
         count = 300 if piece == 1 else 1500
@@ -330,11 +334,14 @@ class CountingGenerator:
 @pytest.mark.parametrize("piece", [4, diagnostics._PIECE])
 @pytest.mark.parametrize("case", [(0, 2, 1), (0, 3, 1), (1, 1, 2), (1, 2, 2), (2, 1, 2)], ids=lambda c: "-".join(map(str, c)))
 @pytest.mark.parametrize(
-    "spec", [NORMAL, PopulationSpec(STUDENT_T_STANDARDIZED, df=5), PopulationSpec(RADEMACHER), *FLOAT_PATH_SPECS],
-    ids=lambda s: s.family,
+    "spec",
+    [NORMAL, *(PopulationSpec(STUDENT_T_STANDARDIZED, df=df) for df in (5, 8, 10)), PopulationSpec(RADEMACHER),
+     *FLOAT_PATH_SPECS],
+    ids=lambda s: f"{s.family}{s.df or ''}",
 )
 def test_the_budget_counts_every_drawn_value(spec, case, piece, monkeypatch):
-    # the diagnose budget holds a request to _draws, so it must count what the kernels draw
+    # the diagnose budget holds a request to _draws, so it must count what the
+    # kernels draw: a t(8) gamma is 4 uniforms, a t(5) or t(10) one one value
     monkeypatch.setattr(diagnostics, "_PIECE", piece)
     count, n = 30, 11
     rng = CountingGenerator(diagnostics._block_generator(SEED, 0))
@@ -348,11 +355,11 @@ class TestManyBlocks:
     BLOCK = 1000
 
     @staticmethod
-    def kernel_sum(spec, n, layout, hit, sizes, seed):
-        """Replicates whose (shared, fresh, copies) ``layout`` sums pass ``hit``, block i drawn from (seed, i)."""
-        rngs = (diagnostics._block_generator(seed, i) for i in range(len(sizes)))
+    def kernel_sum(spec, n, layout, hit, sizes, seed, part=(), log=np.log):
+        """Replicates whose (shared, fresh, copies) ``layout`` sums pass ``hit``, block i from (seed, i, *part)."""
+        rngs = (diagnostics._block_generator(seed, i, part) for i in range(len(sizes)))
         return sum(
-            int(np.count_nonzero(hit(*diagnostics._product_sums(spec, rng, (c, n), *layout))))
+            int(np.count_nonzero(hit(*diagnostics._product_sums(spec, rng, (c, n), *layout, log=log))))
             for rng, c in zip(rngs, sizes)
         )
 
@@ -389,8 +396,25 @@ class TestManyBlocks:
         assert est.hits == want and est.reps == reps and 0 < want < reps
 
     @pytest.mark.parametrize("workers", [1, 2])
+    def test_uniform_gamma_counts_are_math_log_counts(self, workers):
+        # t(8) blocks are screened against math.log; the counts are those of the math.log sums
+        n, m, reps, x = 10, 3, 200, 0.8
+        sizes = [33] * 6 + [2]
+        rep = moderate_deviation_ratio(T8, m, n, x, reps, SEED, workers=workers)
+        want = self.kernel_sum(T8, n, (0, m, 1), lambda s: s / math.sqrt(n) >= x, sizes, SEED,
+                               log=diagnostics._math_log)
+        assert rep.hits == want and rep.reps == reps and 0 < want < reps
+        pspec = PairTailSpec(s=2, a_n=0.2, n=n, p=10, m=m, spec=T8)
+        est = estimate_pair_tail(pspec, 150, SEED, workers=workers)
+        thr = 0.2 * math.sqrt(n * math.log(10))
+        want = self.kernel_sum(T8, n, (2, 1, 2), lambda s1, s2: (np.abs(s1) >= thr) & (np.abs(s2) >= thr),
+                               [25] * 6, SEED, log=diagnostics._math_log)  # 1000 // (n * (2m - s)) = 25
+        assert est.hits == want and 0 < want < 150
+
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_stein_chen_report(self, workers):
-        # every part of the report cuts its own blocks and starts again at sub-stream (seed, 0)
+        # every part of the report cuts its own blocks: the lambda part draws
+        # from sub-streams (seed, i), the pair part of overlap s from (seed, i, s)
         z, n, p, m, reps, a_n = -4.0, 10, 8, 3, 110, 0.3
         rep = stein_chen_report(z, n, p, m, NORMAL, reps, SEED, a_n=a_n, workers=workers)
         t = math.sqrt(2.0 * m) * nu_p(z, p, m)
@@ -400,9 +424,27 @@ class TestManyBlocks:
         # 1000 // (n * (2m - s)): 20 replicates per block at s = 1, 25 at s = 2
         for s, sizes in ((1, [20] * 5 + [10]), (2, [25] * 4 + [10])):
             want = self.kernel_sum(NORMAL, n, (s, m - s, 2), lambda s1, s2: (np.abs(s1) >= thr) & (np.abs(s2) >= thr),
-                                   sizes, SEED)
+                                   sizes, SEED, part=(s,))
             psi = rep.psi_estimates[s]
             assert psi.hits == want and psi.reps == reps and 0 < want < reps, s
+
+
+def test_report_parts_share_no_draws():
+    # Rademacher sums are one binomial each: with every part on sub-streams
+    # (seed, i), the pair parts at s = 1 and 2 drew the same binomials and
+    # counted 442 hits each, and the lambda part's sums were the first copy
+    # of every pair part's.
+    spec, seed, n, m, t = PopulationSpec(RADEMACHER), SeedSpec(3, 0), 50, 3, 0.5 * math.sqrt(50 * math.log(10))
+    rep = stein_chen_report(0.0, n, 10, m, spec, 2000, seed, a_n=0.5)
+    assert rep.single_tail == estimate_single_tail(spec, n, m, rep.threshold, 2000, seed)
+    assert rep.psi_estimates[1].hits != rep.psi_estimates[2].hits
+    lam = diagnostics._product_sums(spec, diagnostics._block_generator(seed, 0), (2000, n), 0, m, 1)[0]
+    pairs = {s: diagnostics._product_sums(spec, diagnostics._block_generator(seed, 0, (s,)), (2000, n), s, m - s, 2)
+             for s in (1, 2)}
+    for s, (s1, s2) in pairs.items():
+        assert rep.psi_estimates[s].hits == np.count_nonzero((np.abs(s1) >= t) & (np.abs(s2) >= t))
+        assert not np.array_equal(s1, lam)
+    assert not np.array_equal(pairs[1][0], pairs[2][0])
 
 
 class TestGaussianReduction:
@@ -503,25 +545,150 @@ def test_block_streams_are_pinned(index):
     assert hashlib.sha256(raw.tobytes()).hexdigest()[:16] == BLOCK_DIGESTS[index]
 
 
+# sha256 prefixes of the concatenated sum bytes of t(8) at shape (40, 7) on
+# SEED with every log taken by math.log: the uniform products, the half-piece
+# layout and the sums are exact or correctly rounded, so these bits hold on
+# any CPU.  Pieces of 5 values cut each row into chunks of 5 and 2, and a
+# chunk of 5 into halves of 2, 2 and 1.
+MATH_LOG_DIGESTS = {
+    ((0, 2, 1), None): "85bc3f6bba9a806a",
+    ((0, 3, 1), None): "dcf9df433dc71496",
+    ((1, 1, 2), None): "a01eae4701e63ee1",
+    ((1, 2, 2), None): "f44689cbb18ee963",
+    ((2, 1, 2), None): "961e5148ea4a8899",
+    ((0, 3, 1), 5): "cc29310c67857163",
+    ((1, 2, 2), 5): "cc2ec4b8a03f48f9",
+}
+
+
+@pytest.mark.parametrize(
+    "case,piece",
+    list(MATH_LOG_DIGESTS),
+    ids=["-".join(map(str, c)) + (f"-piece{p}" if p else "") for c, p in MATH_LOG_DIGESTS],
+)
+def test_uniform_gamma_streams_are_pinned(case, piece, monkeypatch):
+    if piece:
+        monkeypatch.setattr(diagnostics, "_PIECE", piece)
+    sums = diagnostics._product_sums(T8, make_generator(SEED), (40, 7), *case, log=diagnostics._math_log)
+    digest = hashlib.sha256(b"".join(s.tobytes() for s in sums)).hexdigest()
+    assert digest[:16] == MATH_LOG_DIGESTS[case, piece]
+
+
+def nudged_log(ulps):
+    """np.log with every value moved ``ulps`` ulps, up at even positions and down at odd ones."""
+
+    def log(x, out):
+        np.log(x, out=out)
+        for step in range(abs(ulps)):
+            out[0::2] = np.nextafter(out[0::2], np.inf)
+            out[1::2] = np.nextafter(out[1::2], -np.inf)
+        return out
+
+    return log
+
+
+class TestLogRecheck:
+    """Uniform-gamma blocks report the counts of their math.log sums, whatever np.log returns."""
+
+    N, M, REPS = 10, 3, 400
+
+    @pytest.fixture
+    def fast_log(self, monkeypatch):
+        """Set the log that ``_count``'s first draw of every block takes in place of np.log."""
+        real = diagnostics._product_sums
+        taken = {"log": np.log}
+
+        def product_sums(*args, log=np.log):
+            return real(*args, log=taken["log"] if log is np.log else log)
+
+        monkeypatch.setattr(diagnostics, "_product_sums", product_sums)
+        return taken
+
+    def exact(self, layout, count, log=diagnostics._math_log):
+        return diagnostics._product_sums(T8, diagnostics._block_generator(SEED, 0), (count, self.N), *layout, log=log)
+
+    def test_a_log_a_few_ulps_off_leaves_every_count(self, fast_log):
+        # Each threshold sits exactly on one replicate's math.log sum, so a
+        # sum moved by the nudged logs crosses it; the recheck redraws that
+        # block and counts what math.log counts.
+        n, m, reps = self.N, self.M, self.REPS
+        (single,) = self.exact((0, m, 1), reps)
+        x = float(np.sort(single)[-20] / math.sqrt(n))
+        s1, s2 = self.exact((1, m - 1, 2), reps)
+        t = float(np.sort(np.minimum(np.abs(s1), np.abs(s2)))[-30])
+        a_n = t / math.sqrt(n * math.log(10))
+        t = a_n * math.sqrt(n * math.log(10))  # the threshold the estimator computes
+        want_mdr = np.count_nonzero(single / math.sqrt(n) >= x)
+        want_pair = np.count_nonzero((np.abs(s1) >= t) & (np.abs(s2) >= t))
+        pspec = PairTailSpec(s=1, a_n=a_n, n=n, p=10, m=m, spec=T8)
+        moved = 0
+        for ulps in (0, 2, -2):
+            fast_log["log"] = nudged_log(ulps) if ulps else np.log
+            assert moderate_deviation_ratio(T8, m, n, x, reps, SEED).hits == want_mdr, ulps
+            assert estimate_pair_tail(pspec, reps, SEED).hits == want_pair, ulps
+            (unchecked,) = self.exact((0, m, 1), reps, log=fast_log["log"])
+            moved += np.count_nonzero(unchecked / math.sqrt(n) >= x) != want_mdr
+        assert moved  # without the recheck, a nudged log moves a count
+
+    @pytest.mark.parametrize("delta", [0.99, math.inf])
+    def test_a_band_over_every_replicate_redraws_every_block(self, delta, monkeypatch):
+        # At _BLOCK_SCALARS = 1000, 396 replicates make 12 single-tail
+        # blocks of 33 (n * m = 30 scalars each) and 16 pair blocks, 15 of
+        # 25 and one of 21 (n * (2m - s) = 40).  A band of 0.99 holds every
+        # replicate's math.log sum, and each block has a replicate whose
+        # hit differs between 0.01 and 1.99 times its sum; a band of 1 or
+        # more skips the screen.  Either way every block is drawn again.
+        n, m, reps, x = self.N, self.M, 396, 0.5
+        monkeypatch.setattr(diagnostics, "_BLOCK_SCALARS", 1000)
+        pspec = PairTailSpec(s=2, a_n=0.2, n=n, p=10, m=m, spec=T8)
+        want = moderate_deviation_ratio(T8, m, n, x, reps, SEED).hits
+        want_pair = estimate_pair_tail(pspec, reps, SEED).hits
+        logs = []
+        real = diagnostics._product_sums
+        monkeypatch.setattr(diagnostics, "_product_sums", lambda *args, log: logs.append(log) or real(*args, log=log))
+        monkeypatch.setattr(diagnostics, "_band", lambda n, m: delta)
+        assert moderate_deviation_ratio(T8, m, n, x, reps, SEED).hits == want
+        assert logs == [np.log, diagnostics._math_log] * 12
+        logs.clear()
+        assert estimate_pair_tail(pspec, reps, SEED).hits == want_pair
+        assert logs == [np.log, diagnostics._math_log] * 16
+        assert 0 < want < reps and 0 < want_pair < reps
+
+
 class TestStudentTMixture:
     """Student t sums are drawn as sqrt(V) * Z, each factor Z * sqrt(k/G); their law must be the plain one."""
 
-    @pytest.mark.parametrize("df", [3, 5])
-    @pytest.mark.parametrize(
+    LAYOUTS = pytest.mark.parametrize(
         "shared,fresh,copies",
         [(0, 2, 1), (0, 3, 1), (1, 1, 2), (1, 2, 2), (2, 1, 2)],
         ids=["m2", "m3", "pair-m2-s1", "pair-m3-s1", "pair-m3-s2"],
     )
-    def test_ks_against_plain_sums(self, shared, fresh, copies, df):
-        # At n = 5 a sum with a normal factor too many, a mixing weight too
-        # few, or a shared weight divided by another copy's gamma fails.
+
+    @staticmethod
+    def ks_pvalues(df, shared, fresh, copies):
+        """Two-sample KS p-values of each copy's sums against plain products of t(df) draws, at n = 5."""
         spec, n, count = PopulationSpec(STUDENT_T_STANDARDIZED, df=df), 5, 20_000
         mixed = diagnostics._product_sums(spec, make_generator(SEED), (count, n), shared, fresh, copies)
         rng = np.random.default_rng(434343)
         xi = plain_product(spec, rng, (count, n), shared) if shared else 1.0
-        for sums in mixed:
-            plain = (xi * plain_product(spec, rng, (count, n), fresh)).sum(axis=1)
-            assert scipy.stats.ks_2samp(sums, plain).pvalue > 0.01
+        return [scipy.stats.ks_2samp(sums, (xi * plain_product(spec, rng, (count, n), fresh)).sum(axis=1)).pvalue
+                for sums in mixed]
+
+    @pytest.mark.parametrize("df", [3, 5])
+    @LAYOUTS
+    def test_ks_against_plain_sums(self, shared, fresh, copies, df):
+        # At n = 5 a sum with a normal factor too many, a mixing weight too
+        # few, or a shared weight divided by another copy's gamma fails.
+        assert min(self.ks_pvalues(df, shared, fresh, copies)) > 0.01
+
+    @pytest.mark.parametrize("df", [4, 6, 8, 10])
+    @LAYOUTS
+    def test_even_df_ks_against_plain_sums(self, shared, fresh, copies, df):
+        # df 4, 6 and 8 draw each gamma as a product of df/2 uniforms, df 10
+        # through standard_gamma.  A gamma of the wrong shape moves the
+        # sums' law by far more than KS needs at n = 5.  These 20 layouts
+        # add to the 10 above, so each is held at the 0.001 level.
+        assert min(self.ks_pvalues(df, shared, fresh, copies)) > 0.001
 
     @pytest.mark.parametrize("m,s,a_n", [(2, 1, 1.0), (3, 1, 0.8), (3, 2, 0.8)])
     def test_pair_tail_agrees_with_plain_resimulation(self, m, s, a_n):
@@ -800,13 +967,13 @@ class TestSteinChenReport:
     def test_default_threshold_multiplier_reaches_every_pair_tail(self, monkeypatch):
         # a pair tail this far out reads a hit or none, so the spy reads the multiplier it is given
         seen = []
-        real = diagnostics.estimate_pair_tail
+        real = diagnostics._pair_tail
 
-        def spy(pspec, reps, seed, **options):
+        def spy(pspec, *options):
             seen.append(pspec)
-            return real(pspec, reps, seed, **options)
+            return real(pspec, *options)
 
-        monkeypatch.setattr(diagnostics, "estimate_pair_tail", spy)
+        monkeypatch.setattr(diagnostics, "_pair_tail", spy)
         z, n, p, m = 0.5, 30, 8, 3
         rep = stein_chen_report(z, n, p, m, NORMAL, 200, SEED)
         a_n = math.sqrt(2 * m / math.log(p)) * nu_p(z, p, m)

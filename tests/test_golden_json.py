@@ -55,6 +55,10 @@ CASES = {
                           "--population", "student_t_standardized", "--df", "5"],
     "diagnose_mdr": ["diagnose", "--what", "mdr", "--x", "1.5", "--n", "20", "--m", "2",
                      "--reps", "20000", "--population", "centered_exponential"],
+    # t(8) gammas are uniform products under np.log, rechecked against math.log:
+    # the counts must not follow numpy's SIMD dispatch
+    "diagnose_mdr_t8": ["diagnose", "--what", "mdr", "--x", "1.5", "--n", "20", "--m", "3",
+                        "--reps", "20000", "--population", "student_t_standardized", "--df", "8"],
     "simulate": ["simulate", "--config", "cfg.json"],
 }
 
