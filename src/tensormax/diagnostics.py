@@ -31,7 +31,7 @@ drawing only what the law of S depends on:
   normal sums at s = 1, m = 2 they share V ~ chi2_n: three scalars per
   replicate).  At an even df <= 8, G is the sum of df/2 unit
   exponentials, -log((1 - U_1) * ... * (1 - U_df/2)) with U uniform,
-  drawn in 0.4 to 0.85 of the time of numpy's Marsaglia-Tsang
+  drawn in 0.4 to 0.9 of the time of numpy's Marsaglia-Tsang
   ``standard_gamma``, which every other df keeps;
 * Rademacher: a product of independent fair signs is a fair sign, so
   S = n - 2 * Bin(n, 1/2), and the copies of a pair tail are independent
@@ -128,9 +128,10 @@ _BLOCK_SCALARS = 2**24
 _PIECE = 2**15
 # Largest n: numpy's binomial takes an int64 number of trials.
 _MAX_N = 2**63 - 1
-# Largest even df whose gammas are uniform products (see ``_squares``): per
-# gamma at df 10 they took 15.3 ns against standard_gamma's 18.5 with numpy's
-# AVX-512 kernels, and 18.4 against 18.9 with its baseline ones.
+# Largest even df whose gammas are uniform products (see ``_squares``).  Per
+# gamma they took 0.37, 0.53 and 0.67 of standard_gamma's time at df 4, 6
+# and 8 with numpy's AVX-512 kernels, and 0.58, 0.74 and 0.89 with its
+# baseline ones; at df 10, 0.82 and 1.07 (Xeon, 2 vCPUs, numpy 2.4).
 _UNIFORM_GAMMA_DF = 8
 # ulps between numpy's float64 log and math.log: numpy validates its log
 # within 1 ulp of the correctly rounded value, and glibc's is within 1 ulp.
@@ -469,8 +470,9 @@ def _band(n: int, m: int) -> float:
     paths: each of a term's m gammas its log, scale and division, and
     each of at most m multiplications.  The n positive terms are summed
     in one order on both paths, each sum within gamma_n = n u / (1 - n u)
-    of its exact value, which adds 2 gamma_n.  sqrt(V) * Z, 1 -+ the
-    band and the scaled copies add 8u.  The band is 16 times that
+    of its exact value, which adds 2 gamma_n.  sqrt(V) * Z and the
+    scaled sums (S * (1 + delta), then that times
+    (1 - delta) / (1 + delta)) add 8u.  The band is 16 times that
     first-order bound.
     """
     u = 2.0**-53
@@ -492,10 +494,11 @@ def _count(spec: PopulationSpec, n: int, shared: int, fresh: int, copies: int, h
 
     A block of uniform gammas (``_squares``) takes np.log, whose results
     follow numpy's SIMD dispatch in the last bit.  Its hit test is run
-    on its sums scaled by 1 - delta and by 1 + delta, delta =
-    ``_band(n, m)``: where the two agree for every replicate, the sums
-    that math.log would give lie between them and pass the same test.
-    A block with a replicate inside the band is drawn again from its
+    on its sums scaled in place by 1 + delta and then by 1 - delta, with
+    delta = ``_band(n, m)``.  The sums that math.log would give lie
+    between the two, and hit is monotone, so where both count the same
+    hits those sums pass the same test.  A block whose counts differ
+    has a replicate inside the band and is drawn again from its
     sub-stream with ``_math_log``.  So the count is that of math.log on
     any CPU.  A redraw is not charged to the budget.
     """
@@ -515,9 +518,15 @@ def _count(spec: PopulationSpec, n: int, shared: int, fresh: int, copies: int, h
         if not screened:
             return int(np.count_nonzero(hit(*drawn)))
         if delta < 1.0:
-            low = hit(*(s * (1.0 - delta) for s in drawn))
-            if np.array_equal(low, hit(*(s * (1.0 + delta) for s in drawn))):
-                return int(np.count_nonzero(low))
+            # scaled in place, so the screen holds no copy of the sums; hit
+            # is monotone, so the hits at 1 - delta are among those at 1 + delta
+            for s in drawn:
+                s *= 1.0 + delta
+            high = np.count_nonzero(hit(*drawn))
+            for s in drawn:
+                s *= (1.0 - delta) / (1.0 + delta)
+            if np.count_nonzero(hit(*drawn)) == high:
+                return int(high)
         return int(np.count_nonzero(hit(*sums(_math_log))))
 
     return TailEstimate.from_counts(sum(parallel_map(run_block, range(len(sizes)), workers)), reps)
