@@ -30,11 +30,12 @@ import contextlib
 import functools
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .asymptotics import check_int, check_real, nu_p
+from .asymptotics import MAX_ORDER, check_int, check_real, nu_p
 from .serial import WRITE_IF_SET, JsonRecord
 
 STANDARD_NORMAL = "standard_normal"
@@ -61,6 +62,9 @@ _SQRT3 = math.sqrt(3.0)
 # The largest integer that float() rounds to a finite value: halfway to
 # 2**1024 and above, it rounds up and raises OverflowError.
 _FLOAT_INT_MAX = 2**1024 - 2**970 - 1
+
+# held for the span of each threaded map, which cuts the process-wide BLAS thread count
+_ONE_MAP = threading.Lock()
 
 ULTRA_HIGH = "ultra_high"
 POLYNOMIAL = "polynomial"
@@ -177,30 +181,26 @@ def _seed_hash(hash_const: int, mult: int):
 def draw(spec: PopulationSpec, rng: np.random.Generator, shape, out: np.ndarray | None = None) -> np.ndarray:
     """Fill an array of the given shape with i.i.d. standardized draws.
 
-    Given ``out``, a C-contiguous float64 array of that shape, the same
-    values are written into it and it is returned.
+    Every family writes its values into ``out``, a C-contiguous float64
+    array of that shape, and returns it; without ``out``, into a new one.
     """
+    if out is None:
+        out = np.empty(shape)
     if spec.family == STANDARD_NORMAL:
         return rng.standard_normal(shape, out=out)
     if spec.family == CENTERED_EXPONENTIAL:
-        x = rng.standard_exponential(shape, out=out)
-        return np.subtract(x, 1.0, out=x)
+        return np.subtract(rng.standard_exponential(shape, out=out), 1.0, out=out)
     if spec.family == UNIFORM_SCALED:
         # uniform(-a, a) is -a + 2a * random(), value by value: the same bits, in place
-        u = rng.random(shape, out=out)
-        return np.subtract(np.multiply(u, 2.0 * _SQRT3, out=u), _SQRT3, out=u)
-    if out is not None:
-        # no in-place draw for these families: a temporary of out's size
-        np.copyto(out, draw(spec, rng, shape))
-        return out
+        return np.subtract(np.multiply(rng.random(shape, out=out), 2.0 * _SQRT3, out=out), _SQRT3, out=out)
     if spec.family == RADEMACHER:
         # int8 draws consume a quarter of the bit stream of the default
         # int64 path and convert exactly to +/-1.0
         bits = rng.integers(0, 2, size=shape, dtype=np.int8)
-        return bits.astype(np.float64) * 2.0 - 1.0
+        return np.subtract(np.multiply(bits, 2.0, out=out), 1.0, out=out)
     if spec.family == STUDENT_T_STANDARDIZED:
         scale = math.sqrt(spec.df / (spec.df - 2.0))
-        return rng.standard_t(spec.df, size=shape) / scale
+        return np.divide(rng.standard_t(spec.df, size=shape), scale, out=out)
     raise ValueError(f"unknown family {spec.family!r}")  # unreachable after validation
 
 
@@ -210,25 +210,12 @@ def sample_values(spec: PopulationSpec, shape, seed: SeedSpec) -> np.ndarray:
 
 
 def sample_matrix(spec: PopulationSpec, n: int, p: int, seed: SeedSpec) -> np.ndarray:
-    """Generate an n-by-p data matrix of i.i.d. standardized draws.
+    """The n-by-p matrix of i.i.d. standardized draws from the stream ``seed``.
 
-    Parameters
-    ----------
-    spec : PopulationSpec
-        Population family.
-    n : int
-        Number of observations (rows), >= 1.
-    p : int
-        Number of coordinates (columns), >= 3 so that the downstream
-        normalization log(log(p)) is positive.
-    seed : SeedSpec
-        Stream address; fixing it fixes every value in the matrix.
-
-    Returns
-    -------
-    numpy.ndarray
-        C-contiguous float64 array of shape (n, p), filled in row-major
-        order from a single stream.
+    n >= 1 rows (observations) and p >= 3 columns (coordinates), so
+    that the normalization's log(log(p)) is positive.  The matrix is
+    C-contiguous float64, filled row by row, and fixing the seed fixes
+    every value.
     """
     return sample_values(spec, (check_int("n", n, 1), check_int("p", p, 3)), seed)
 
@@ -241,8 +228,9 @@ def sample_stack(spec: PopulationSpec, n: int, p: int, keys: np.ndarray) -> np.n
     byte for byte.  One Philox generator serves the whole stack: before
     each matrix it is put back in its state as built, counter 0 and an
     empty buffer, with the matrix's key, which costs a few microseconds
-    against a SeedSequence and a generator per matrix.  n and p are not
-    checked here.
+    against a SeedSequence and a generator per matrix.  Each matrix is
+    drawn straight into its row of the stack.  n and p are not checked
+    here.
     """
     bit_generator = np.random.Philox(0)
     rng = np.random.Generator(bit_generator)
@@ -252,7 +240,7 @@ def sample_stack(spec: PopulationSpec, n: int, p: int, keys: np.ndarray) -> np.n
     for i, key in enumerate(keys):
         fresh["state"]["key"] = key
         bit_generator.state = fresh
-        X[i] = draw(spec, rng, (n, p))
+        draw(spec, rng, (n, p), out=X[i])
     return X
 
 
@@ -269,8 +257,12 @@ def parallel_map(fn, tasks, workers: int) -> list:
     ``workers`` must be an integer >= 1.  At most
     min(workers, len(tasks), available CPUs) threads start, and none
     when that is 1.  While they run, the BLAS threads are cut to an even
-    share of their count (see ``_blas_share``).  Tasks carry their own
-    stream addresses, so the result does not depend on the worker count.
+    share of their count (see ``_blas_share``).  One threaded map runs
+    at a time per process: a map that other threads start meanwhile
+    waits for it, so each one sets the count from its full value and
+    restores it.  So a task must not start a threaded map of its own,
+    and no library task does.  Tasks carry their own stream addresses,
+    so the result does not depend on the worker count.
     """
     tasks = list(tasks)
     size = min(usable_workers(workers), len(tasks))
@@ -278,7 +270,7 @@ def parallel_map(fn, tasks, workers: int) -> list:
         return [fn(t) for t in tasks]
     from concurrent.futures import ThreadPoolExecutor
 
-    with _blas_share(size), ThreadPoolExecutor(max_workers=size) as pool:
+    with _ONE_MAP, _blas_share(size), ThreadPoolExecutor(max_workers=size) as pool:
         return list(pool.map(fn, tasks))
 
 
@@ -288,13 +280,10 @@ def _blas_share(workers: int):
 
     The count is process-wide: BLAS work that other threads of the
     process run meanwhile runs under the cut count too.  Where numpy's
-    OpenBLAS has no thread-count call, the body runs uncapped.
+    OpenBLAS has no thread-count call, a stand-in that sets nothing
+    takes its place, and the body runs uncapped.
     """
-    blas = _openblas_threads()
-    if blas is None:
-        yield
-        return
-    get, set_ = blas
+    get, set_ = _openblas_threads() or (lambda: 1, lambda threads: None)
     before = get()
     set_(max(1, before // workers))
     try:
@@ -355,13 +344,8 @@ def check_regime(n: int, p: int, m: int, alpha: float = 1.0) -> RegimeReport:
     regime = ULTRA_HIGH if ultra else (POLYNOMIAL if poly else OUTSIDE)
     # Threshold growth constant sqrt(2m/log n) * nu_p at z = 0, for n > 1.  nu_p(0, p, m)
     # is defined for every p >= max(3, m) with m <= 20 (least 0.334, at p = m = 3),
-    # so c_n is None only past m = 20, where nu_p refuses the order.
-    c_n = None
-    if n > 1:
-        try:
-            c_n = math.sqrt(2.0 * m / math.log(n)) * nu_p(0.0, p, m)
-        except ValueError:
-            c_n = None
+    # so c_n is None only at n = 1 and past m = 20, where nu_p refuses the order.
+    c_n = math.sqrt(2.0 * m / math.log(n)) * nu_p(0.0, p, m) if n > 1 and m <= MAX_ORDER else None
     return RegimeReport(
         regime=regime,
         ultra_high=ultra,

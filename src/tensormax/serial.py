@@ -10,9 +10,10 @@ scalar field takes only its own JSON type: a ``str`` a JSON string, a
 ``int`` only an integral one.  So 30.0 reads as 30, while 30.9, a bool
 for a number, a string for a number or a bool, or a number for a string
 raises ValueError naming the class and the field, rather than being
-truncated, parsed or converted.  So does a tuple field given no JSON
-list, a dict field or nested record given no JSON object, or a dict key
-that does not read as its type.  A missing key takes the field's default
+truncated, parsed or converted.  So does a ``float`` field given an
+integer past the float range, a tuple field given no JSON list, a dict
+field or nested record given no JSON object, or a dict key that does
+not read as its type.  A missing key takes the field's default
 (TypeError naming the field if it has none) and unknown keys are
 ignored.  Field metadata :data:`WRITE_IF_SET` omits a None value.
 """
@@ -25,6 +26,8 @@ import types
 import typing
 
 import numpy as np
+
+from .asymptotics import _short
 
 WRITE_IF_SET = {"json": "if_set"}
 # the JSON scalar types, and what a field of each type takes
@@ -63,7 +66,10 @@ def _decode(tp, value, where: str):
                   and (tp is float or not isinstance(value, float) or value.is_integer()))
         if not ok:
             raise ValueError(f"{where} must be {_SCALARS[tp]}, got {value!r}")
-        return tp(value)
+        try:
+            return tp(value)
+        except OverflowError:  # an integer past the float range
+            raise ValueError(f"{where} must be a number in the float range, got {_short(value)}") from None
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin in (typing.Union, types.UnionType):  # an optional field, spelled X | None
         return None if value is None else _decode(args[0], value, where)

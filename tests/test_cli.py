@@ -384,6 +384,16 @@ class TestSimulate:
         assert err.splitlines()[-1] == f"tensormax: error: config {cfg}: ExperimentConfig.reps must be an integer, got 2.5"
         assert not (tmp_path / "out").exists()
 
+    def test_integer_past_the_float_range_names_the_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**self.config_obj(tmp_path / "out"), "z_grid": [0, 10**400]}))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == (f"tensormax: error: config {cfg}: ExperimentConfig.z_grid must be a number "
+                                        "in the float range, got about 10**400.0")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_output_override(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(self.config_obj(tmp_path / "ignored")))

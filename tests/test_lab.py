@@ -279,12 +279,15 @@ class TestPersistence:
         # the codec refuses a fractional reps in the config, which comes before the cells
         ("summary.json", lambda text: text.replace('"reps": 3', '"reps": 2.5', 1),
          "ExperimentConfig.reps must be an integer, got 2.5"),
+        # JSON holds integers of any size; float() of this one overflows
+        ("summary.json", lambda text: _edit_summary(text, lambda s: s["cells"][0].update(runtime_seconds=10**400)),
+         "CellReport.runtime_seconds must be a number in the float range, got about 10**400.0"),
         ("records.csv", lambda text: text.replace("w_abs", "w"), "records.csv header is 'cell_id,replicate,w,"),
         ("records.csv", lambda text: "", "records.csv header is '', not cell_id"),
         # cut to its header and first record, as an interrupted copy leaves it
         ("records.csv", lambda text: "".join(text.splitlines(keepends=True)[:2]),
          "records.csv holds 1 records, not reps x cells = 3 x 1"),
-    ], ids=["fractional-reps", "bad-header", "empty-records", "truncated-records"])
+    ], ids=["fractional-reps", "float-overflow-runtime", "bad-header", "empty-records", "truncated-records"])
     def test_report_that_does_not_load_names_the_directory(self, tmp_path, name, edit, reason):
         run_experiment(small_config(tmpdir=tmp_path, reps=3))
         path = tmp_path / name

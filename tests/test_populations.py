@@ -1,11 +1,13 @@
 """Population families: analytic standardization, determinism, regimes."""
 
 import concurrent.futures
+import glob
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -93,15 +95,19 @@ class TestSampling:
         assert set(np.unique(X)) <= {-1.0, 1.0}
 
     @pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.SFC64])
-    def test_uniform_is_numpys_uniform_filled_in_place(self, bit_generator):
-        # -a + 2a * random() is numpy's uniform(-a, a) value by value, so
-        # draw fills an out array in place with the same bits
-        spec, shape, a = PopulationSpec(UNIFORM_SCALED), (50, 41), math.sqrt(3.0)
-        want = np.random.Generator(bit_generator(3)).uniform(-a, a, shape)
-        out = np.empty(shape)
+    @pytest.mark.parametrize("spec", [spec for spec, _ in MOMENT_CASES], ids=spec_id)
+    def test_every_family_fills_out_in_place(self, spec, bit_generator):
+        # each family writes into an out array the very bits it returns without one
+        shape = (50, 41)
+        want = draw(spec, np.random.Generator(bit_generator(3)), shape)
+        out = np.full(shape, np.nan)
         assert draw(spec, np.random.Generator(bit_generator(3)), shape, out=out) is out
+        assert want.dtype == np.float64 and want.shape == shape
         assert out.tobytes() == want.tobytes()
-        assert draw(spec, np.random.Generator(bit_generator(3)), shape).tobytes() == want.tobytes()
+        if spec.family == UNIFORM_SCALED:
+            # -a + 2a * random() is numpy's uniform(-a, a) value by value
+            a = math.sqrt(3.0)
+            assert want.tobytes() == np.random.Generator(bit_generator(3)).uniform(-a, a, shape).tobytes()
 
     def test_uniform_support(self):
         X = sample_values(PopulationSpec(UNIFORM_SCALED), 10_000, SEED)
@@ -185,6 +191,19 @@ class TestStackRoute:
         expected = np.stack([sample_matrix(spec, 7, 5, SeedSpec(master_seed, s)) for s in streams])
         assert X.dtype == np.float64 and X.flags.c_contiguous
         assert X.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("spec", STACK_SPECS, ids=spec_id)
+    def test_each_matrix_is_drawn_into_its_row(self, monkeypatch, spec):
+        outs = []
+
+        def spy(*args, out=None):
+            outs.append(out)
+            return draw(*args, out=out)
+
+        monkeypatch.setattr(populations, "draw", spy)
+        X = sample_stack(spec, 7, 5, _philox_keys(7, range(3)))
+        assert len(outs) == 3
+        assert all(out.base is X and np.shares_memory(out, X[i]) for i, out in enumerate(outs))
 
 
 class TestCheckRegime:
@@ -379,6 +398,75 @@ class TestBlasShare:
             populations.parallel_map(task, range(6), 2)
         assert raised.value is error
         assert blas_count() == 4
+
+    def test_a_map_started_during_another_waits_for_it(self, blas_count):
+        # B starts while a task of A holds.  Were B not to wait, its tasks would read A's cut
+        # count 2 and cut it to 1, and B would restore 2 after A had restored 4.
+        a_held, release, b_started, a_done = (threading.Event() for _ in range(4))
+        results = {}
+
+        def task_a(t):
+            if t == 0:
+                a_held.set()
+                assert release.wait(0.9)
+            return blas_count()
+
+        def task_b(t):
+            count = blas_count()
+            b_started.set()
+            a_done.wait(0.9)
+            return count
+
+        def run(name, task):
+            results[name] = populations.parallel_map(task, range(2), 2)
+
+        a = threading.Thread(target=run, args=("a", task_a))
+        b = threading.Thread(target=run, args=("b", task_b))
+        a.start()
+        assert a_held.wait(0.9)
+        b.start()
+        b_started.wait(0.2)  # B's tasks start here only without the wait
+        release.set()
+        a.join(0.9)
+        a_done.set()
+        b.join(0.9)
+        assert not a.is_alive() and not b.is_alive()
+        assert results == {"a": [2, 2], "b": [2, 2]}
+        assert blas_count() == 4
+
+    def test_maps_from_many_threads_each_run_under_the_full_share(self, blas_count):
+        # 6 callers of 3 maps each, 12 pool threads at once on any machine, switching often
+        reads = []
+
+        def caller():
+            for _ in range(3):
+                reads.extend(populations.parallel_map(lambda t: blas_count(), range(4), 2))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=caller) for _ in range(6)]
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(5.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in callers)
+        assert reads == [2] * 72
+        assert blas_count() == 4
+
+    def test_a_file_that_is_no_loaded_library_gives_no_call(self, monkeypatch, four_cpus, tmp_path):
+        # RTLD_NOLOAD refuses a file that is not loaded, so the lookup finds no call and the map runs uncapped
+        stray = tmp_path / "libscipy_openblas64_-stray.so"
+        stray.write_bytes(b"not a library")
+        monkeypatch.setattr(glob, "glob", lambda pattern: [str(stray)])
+        populations._openblas_threads.cache_clear()
+        try:
+            assert populations._openblas_threads() is None
+            assert populations.parallel_map(lambda t: -t, range(5), 2) == [0, -1, -2, -3, -4]
+        finally:
+            populations._openblas_threads.cache_clear()  # later tests look up the real library
 
     def test_without_the_call_the_map_runs_uncapped(self, monkeypatch, four_cpus):
         blas = populations._openblas_threads()

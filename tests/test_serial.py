@@ -1,6 +1,7 @@
 """The JSON codec: every record survives a trip through JSON text."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -106,6 +107,18 @@ def test_int_fields_take_integral_numbers():
 def test_number_fields_take_only_json_numbers(cls, obj, field):
     with pytest.raises(ValueError, match=field):
         cls.from_json(obj)
+
+
+@pytest.mark.parametrize("cls, obj, field, got", [
+    (ExperimentConfig, {"grid": [CELLS[0].to_json()], "reps": 4, "master_seed": 1, "z_grid": [0, 10**400]},
+     "ExperimentConfig.z_grid", "about 10**400.0"),
+    # the integer nearest 0 that float() rounds to -inf
+    (TailEstimate, {"probability": 0.5, "hits": 1, "reps": 2, "std_error": -(2**1024 - 2**970)},
+     "TailEstimate.std_error", "about -10**308.3"),
+])
+def test_float_fields_refuse_integers_past_the_float_range(cls, obj, field, got):
+    with pytest.raises(ValueError, match=rf"^{field} must be a number in the float range, got {re.escape(got)}$"):
+        cls.from_json(json.loads(json.dumps(obj)))
 
 
 def test_float_fields_take_json_integers():
